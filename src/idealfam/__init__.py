@@ -9,6 +9,7 @@ from .errors import (
     ArithmeticOverflowError,
     DomainMismatchError,
     IdealfamError,
+    InternalError,
     NotDivisibleError,
     ParseError,
     ResourceLimitError,
@@ -35,6 +36,7 @@ from .groebner import (
     s_polynomial,
 )
 from .family import (
+    DEFAULT_PRIME,
     DerivedConstants,
     ExponentMatrix,
     FamilyParams,
@@ -77,5 +79,3 @@ from .resolution import (
 )
 
 __version__ = "0.1.0"
-
-DEFAULT_PRIME = 32003

@@ -1,7 +1,8 @@
 """Command-line front end: construct, verify, pd, betti, sweep.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input,
-3 resource limit exceeded.
+3 resource limit exceeded, 4 internal error (a bug in idealfam, not in
+the input).
 """
 
 from __future__ import annotations
@@ -13,8 +14,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import IdealfamError, ParseError, ResourceLimitError, ValidationError
+from .errors import (
+    IdealfamError,
+    InternalError,
+    ParseError,
+    ResourceLimitError,
+    ValidationError,
+)
 from .family import (
+    DEFAULT_PRIME,
     FamilyParams,
     build_ideal,
     caviglia_ideal,
@@ -42,6 +50,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -67,6 +76,15 @@ def _parse_field(text):
     return PrimeField(p)
 
 
+def _int_arguments(values, usage):
+    try:
+        return tuple(int(x) for x in values)
+    except ValueError:
+        raise ValidationError(
+            f"{usage}: expected integers, got {' '.join(values)!r}"
+        ) from None
+
+
 def _build_target(target, field):
     """Resolve a CLI target into (kind, ideal, extras)."""
     if not target:
@@ -75,12 +93,12 @@ def _build_target(target, field):
     if head == "mccullough":
         if len(target) != 4:
             raise ValidationError("usage: mccullough M N D")
-        m, n, d = (int(x) for x in target[1:])
+        m, n, d = _int_arguments(target[1:], "usage: mccullough M N D")
         return ("mccullough", mccullough_ideal(m, n, d, field), (m, n, d))
     if head == "caviglia":
         if len(target) != 2:
             raise ValidationError("usage: caviglia D")
-        d = int(target[1])
+        (d,) = _int_arguments(target[1:], "usage: caviglia D")
         return ("caviglia", caviglia_ideal(d, field), (d,))
     if len(target) != 1:
         raise ValidationError(f"unrecognized target {' '.join(target)!r}")
@@ -323,7 +341,7 @@ def cmd_betti(config) -> int:
 
 
 def _sweep_instance(args):
-    g, m, do_verify, prime = args
+    g, m, do_verify, field = args
     params = FamilyParams(g, m)
     formula = pd_formula(params)
     count = variable_count(params)
@@ -334,7 +352,6 @@ def _sweep_instance(args):
         "agree": formula == count,
     }
     if do_verify:
-        field = PrimeField(prime)
         gb = verification_basis(params, field)
         row["socle"] = verify_socle(params, gb).conclusion
         row["lemma"] = verify_lemma(params, gb).ok
@@ -356,7 +373,7 @@ def cmd_sweep(config) -> int:
             ranges.append(range(lo, args.max_m + 1))
         for m in itertools.product(*ranges):
             for g in range(2, args.max_g + 1):
-                instances.append((g, m, args.verify, getattr(config.field, "p", 32003)))
+                instances.append((g, m, args.verify, config.field))
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(_sweep_instance, instances))
@@ -385,7 +402,7 @@ def cmd_sweep(config) -> int:
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default="32003", help="prime modulus or QQ")
+    common.add_argument("--field", default=str(DEFAULT_PRIME), help="prime modulus or QQ")
     common.add_argument("--degree-limit", type=int, default=None,
                         help="truncate Groebner/resolution computations at this degree")
     common.add_argument("--format", dest="fmt", choices=("text", "json", "m2"),
@@ -463,9 +480,12 @@ def main(argv=None) -> int:
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
-    except (ValidationError, ParseError, ValueError) as err:
+    except (ValidationError, ParseError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except InternalError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     except IdealfamError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -34,3 +34,7 @@ class ResourceLimitError(IdealfamError, RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class InternalError(IdealfamError, RuntimeError):
+    """An internal invariant failed: a bug in this package, not bad input."""

@@ -245,7 +245,7 @@ def build_ideal(params: FamilyParams, field=None, order=None) -> IdealPresentati
     cs = derived_constants(params)
     g, n = params.g, params.n
     table = family_table(params)
-    ring = PolynomialRing(table, field, order if isinstance(order, MonomialOrder) else (MonomialOrder(order) if order else None))
+    ring = PolynomialRing(table, field, order)
     d = cs.d
     gens = []
     for j in range(1, g + 1):
@@ -494,7 +494,7 @@ def mccullough_ideal(m: int, n: int, d: int, field=None, order=None) -> IdealPre
     names = [f"x[{i}]" for i in range(1, m + 1)]
     names += [f"y[{j},{k}]" for k in range(1, n + 1) for j in range(1, p + 1)]
     table = VariableTable.named(names)
-    ring = PolynomialRing(table, field, order if isinstance(order, MonomialOrder) else (MonomialOrder(order) if order else None))
+    ring = PolynomialRing(table, field, order)
     nv = len(table)
     gens = []
     for i in range(m):
@@ -527,7 +527,7 @@ def caviglia_ideal(d: int, field=None, order=None) -> IdealPresentation:
     if field is None:
         field = default_field()
     table = VariableTable.named(["w", "x", "y", "z"])
-    ring = PolynomialRing(table, field, order if isinstance(order, MonomialOrder) else (MonomialOrder(order) if order else None))
+    ring = PolynomialRing(table, field, order)
     w, x, y, z = (ring.variable(i) for i in range(4))
     gens = [x**d, y**d, x * w ** (d - 1) - y * z ** (d - 1)]
     return IdealPresentation(ring, gens)

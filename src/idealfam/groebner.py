@@ -2,13 +2,15 @@
 
 The kernel works on raw data: a polynomial is a dict mapping exponent
 tuples to nonzero coefficients, a basis element is a monic `_Gen` record.
-Public entry points convert to and from :class:`~idealfam.ring.Polynomial`.
+A :class:`GroebnerBasis` keeps the kernel's records as its one stored
+form: membership, normal forms, leading monomials and Hilbert numerators
+read them directly, and the :class:`~idealfam.ring.Polynomial` elements
+are built only when asked for.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 
 from .errors import ResourceLimitError, ValidationError
 from .ring import Monomial, MonomialOrder, Polynomial, PolynomialRing, PrimeField
@@ -157,28 +159,34 @@ def _spoly(f, g, field):
     return acc
 
 
-def _interreduce(dicts, heapkey, field):
-    """Full mutual reduction of a list of term dicts; drops zeros."""
-    polys = [dict(t) for t in dicts if t]
+def _interreduce(gens, heapkey, field):
+    """Full mutual reduction of monic records until stable; drops zeros.
+
+    Each record is divided by all the others in list order, the earlier
+    ones already replaced by their reductions; a record is rebuilt only
+    when its reduction changed it.
+    """
+    gens = list(gens)
+    one = field.one
     while True:
         changed = False
-        out = []
-        for i, t in enumerate(polys):
-            others = out + polys[i + 1 :]
-            gens = [_make_gen(o, heapkey, field, 0, 0) for o in others]
-            r, _ = _reduce(t, gens, heapkey, field, full=True)
-            if r != t:
-                changed = True
+        a = 0
+        while a < len(gens):
+            g = gens[a]
+            t = {g.lm: one}
+            t.update(g.tail)
+            r, _ = _reduce(t, gens[:a] + gens[a + 1 :], heapkey, field, full=True)
+            if r == t:
+                a += 1
+                continue
+            changed = True
             if r:
-                lead = min(r, key=heapkey)
-                lc = r[lead]
-                if lc != field.one:
-                    inv = field.inv(lc)
-                    r = {e: field.mul(c, inv) for e, c in r.items()}
-                out.append(r)
-        polys = out
+                gens[a] = _make_gen(r, heapkey, field, g.sugar, g.idx)
+                a += 1
+            else:
+                del gens[a]
         if not changed:
-            return polys
+            return gens
 
 
 def _buchberger_kernel(
@@ -204,11 +212,12 @@ def _buchberger_kernel(
     """
     if strategy not in _STRATEGIES:
         raise ValidationError(f"unknown selection strategy {strategy!r}")
-    polys = _interreduce(inputs, heapkey, field)
-    f = []
-    for t in polys:
-        sugar = max(sum(e) for e in t)
-        f.append(_make_gen(t, heapkey, field, sugar, len(f)))
+    f = _interreduce(
+        [_make_gen(t, heapkey, field, 0, 0) for t in inputs if t], heapkey, field
+    )
+    for k, g in enumerate(f):
+        g.sugar = max(sum(g.lm), max((sum(e) for e, _ in g.tail), default=0))
+        g.idx = k
 
     pair_meta = {}
     serial = [0]
@@ -319,36 +328,15 @@ def _buchberger_kernel(
 
     # Minimal generators: drop any element whose lead is divisible by another.
     alive = sorted(G)
-    minimal = [
-        i
+    gens = [
+        f[i]
         for i in alive
         if not any(j != i and _divides(f[j].lm, f[i].lm) for j in alive)
     ]
-    dicts = []
-    for i in minimal:
-        d = {f[i].lm: field.one}
-        d.update(dict(f[i].tail))
-        dicts.append(d)
     if interreduce:
         # Full tail interreduction until stable gives the unique reduced basis.
-        records = [_make_gen(d, heapkey, field, 0, k) for k, d in enumerate(dicts)]
-        while True:
-            changed = False
-            for a in range(len(dicts)):
-                others = records[:a] + records[a + 1 :]
-                r, _ = _reduce(dicts[a], others, heapkey, field, full=True)
-                if r != dicts[a]:
-                    changed = True
-                    dicts[a] = r
-                    records[a] = _make_gen(r, heapkey, field, 0, a)
-            if not changed:
-                break
-        dicts = [d for d in dicts if d]
-    dicts.sort(key=lambda d: heapkey(min(d, key=heapkey)))
-    gens = [
-        _make_gen(d, heapkey, field, max(sum(e) for e in d), k)
-        for k, d in enumerate(dicts)
-    ]
+        gens = _interreduce(gens, heapkey, field)
+    gens.sort(key=lambda g: heapkey(g.lm))
     return gens, truncated
 
 
@@ -389,30 +377,45 @@ class IdealPresentation:
 
 
 class GroebnerBasis:
-    """A monic Groebner basis with a fixed deterministic element order."""
+    """A monic Groebner basis with a fixed deterministic element order.
 
-    __slots__ = ("ring", "elements", "reduced", "truncated_at", "source", "_kernel")
+    The basis is stored as the kernel's monic records; ``elements`` builds
+    the public polynomials on first access.
+    """
+
+    __slots__ = ("ring", "reduced", "truncated_at", "source", "_gens", "_elements")
 
     def __init__(self, ring, elements, *, reduced, truncated_at=None, source=None):
+        """A basis from given polynomials, turned into monic records once."""
         self.ring = ring
-        self.elements = tuple(elements)
         self.reduced = reduced
         self.truncated_at = truncated_at
         self.source = source
-        self._kernel = None
+        self._elements = tuple(elements)
+        heapkey = ring.order.heapkey_fn()
+        self._gens = [
+            _make_gen(dict(p.terms), heapkey, ring.field, 0, k)
+            for k, p in enumerate(self._elements)
+        ]
 
-    def _gens(self):
-        if self._kernel is None:
-            heapkey = self.ring.order.heapkey_fn()
-            field = self.ring.field
-            kernel = []
-            for k, p in enumerate(self.elements):
-                terms = dict(p.terms)
-                kernel.append(_make_gen(terms, heapkey, field, 0, k))
-            self._kernel = kernel
-        return self._kernel
+    @classmethod
+    def _from_kernel(cls, ring, gens, **flags):
+        """A basis that keeps the kernel records ``buchberger`` computed."""
+        basis = cls(ring, (), **flags)
+        basis._gens = gens
+        basis._elements = None
+        return basis
 
-    def normal_form(self, p: Polynomial) -> Polynomial:
+    @property
+    def elements(self):
+        if self._elements is None:
+            one = self.ring.field.one
+            self._elements = tuple(
+                Polynomial(self.ring, ((g.lm, one),) + g.tail) for g in self._gens
+            )
+        return self._elements
+
+    def _remainder(self, p, full):
         if p.ring != self.ring:
             raise ValidationError("polynomial is not in the basis ring")
         if self.truncated_at is not None and p and p.degree() > self.truncated_at:
@@ -421,24 +424,28 @@ class GroebnerBasis:
                 f"basis truncated at degree {self.truncated_at}"
             )
         r, _ = _reduce(
-            dict(p.terms), self._gens(), self.ring.order.heapkey_fn(), self.ring.field, full=True
+            dict(p.terms), self._gens, self.ring.order.heapkey_fn(), self.ring.field,
+            full=full,
         )
-        return self.ring.poly(r)
+        return r
+
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        return self.ring.poly(self._remainder(p, full=True))
 
     def contains(self, p: Polynomial) -> bool:
-        return not self.normal_form(p)
+        return not self._remainder(p, full=False)
 
     __contains__ = contains
 
     def leading_monomials(self):
-        return tuple(p.lm for p in self.elements)
+        return tuple(Monomial(self.ring.table, g.lm) for g in self._gens)
 
     def hilbert_numerator(self) -> "HilbertNumerator":
         if not self.reduced:
             raise ValidationError("Hilbert numerator needs a reduced basis")
         if self.truncated_at is not None:
             raise ValidationError("Hilbert numerator needs an untruncated basis")
-        lms = [p.lm.exps for p in self.elements]
+        lms = [g.lm for g in self._gens]
         coeffs = _hilbert_kernel(_minimal_monomials(lms), {})
         return HilbertNumerator(coeffs, self.ring.nvars)
 
@@ -446,7 +453,7 @@ class GroebnerBasis:
         return iter(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._gens)
 
     def __eq__(self, other):
         return (
@@ -456,7 +463,7 @@ class GroebnerBasis:
         )
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.elements)} elements, reduced={self.reduced})"
+        return f"GroebnerBasis({len(self)} elements, reduced={self.reduced})"
 
 
 def buchberger(
@@ -497,14 +504,9 @@ def buchberger(
         tail_reduce=tail_reduce,
         interreduce=interreduce,
     )
-    elements = []
-    for g in gens:
-        terms = {g.lm: field.one}
-        terms.update(dict(g.tail))
-        elements.append(ring.poly(terms))
-    return GroebnerBasis(
+    return GroebnerBasis._from_kernel(
         ring,
-        elements,
+        gens,
         reduced=interreduce,
         truncated_at=degree_limit if truncated else None,
         source=ideal,

@@ -16,14 +16,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import InternalError, ResourceLimitError, ValidationError
 from .groebner import (
     GroebnerBasis,
     HilbertNumerator,
     IdealPresentation,
     _divides,
     _mask,
-    _reduce,
     buchberger,
 )
 from .ring import Polynomial, PolynomialRing, PrimeField
@@ -260,54 +259,31 @@ def _retained_pairs(basis, heapkey):
     return pairs
 
 
-class _RingGenView:
-    """Adapter presenting a single-component module vector to the ring kernel."""
-
-    __slots__ = ("lm", "mask", "tail", "idx")
-
-    def __init__(self, b):
-        self.lm = b.lm
-        self.mask = b.mask
-        self.tail = tuple((e, c) for (_, e), c in b.tail)
-        self.idx = b.idx
-
-
-def _flat_to_ring(element):
-    return {e: c for (_, e), c in element.items()}
-
-
 def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_cap=None):
     """Iterated syzygy bases starting from a reduced Groebner basis.
 
-    Returns ``(twists_levels, raw_cols, truncated)`` where ``raw_cols[i]``
-    (i >= 1) lists the columns of the differential into level i-1, each a
-    dict component -> term dict.
+    Every level, the first included, is reduced with the module kernel:
+    the ideal's basis is the single-component case.  Returns ``(twists,
+    cols, truncated)`` in :class:`FreeResolution`'s layout: ``twists[i]``
+    maps each level-i generator id to its twist, and ``cols[i]`` (i >= 1)
+    maps each level-i id to its differential column, a dict from level
+    i-1 id to term dict.  Ids are positions within their level.
     """
     if level_cap is None:
         level_cap = nvars + DEFAULT_LEVEL_MARGIN
     one = field.one
+    neg_one = field.neg(one)
 
-    twists_levels = [[0]]
-    raw_cols = [None]
-
-    twists1 = [sum(g.lm) for g in gb_gens]
-    twists_levels.append(twists1)
-    cols1 = []
-    for g in gb_gens:
-        col = {g.lm: one}
-        col.update(dict(g.tail))
-        cols1.append({0: col})
-    raw_cols.append(cols1)
+    basis = [
+        _MGen(0, g.lm, g.mask, tuple(((0, e), c) for e, c in g.tail), sum(g.lm), i)
+        for i, g in enumerate(gb_gens)
+    ]
+    twists = [{0: 0}, {b.idx: b.twist for b in basis}]
+    cols = [None, {i: {0: {g.lm: one, **dict(g.tail)}} for i, g in enumerate(gb_gens)}]
 
     # Schreyer data for the component space of `basis` (one level below).
     comp_mu = [(0,) * nvars]
     comp_chain = [()]
-    basis = [
-        _MGen(0, g.lm, g.mask, tuple(((0, e), c) for e, c in g.tail), twists1[i], i)
-        for i, g in enumerate(gb_gens)
-    ]
-    ring_views = [_RingGenView(b) for b in basis]
-    ring_level = True
     truncated = False
 
     while True:
@@ -322,10 +298,9 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             pairs = kept
         if not pairs:
             break
-        if len(twists_levels) > level_cap:
+        if len(twists) > level_cap:
             raise ResourceLimitError(
-                f"resolution exceeded {level_cap} levels",
-                partial=(twists_levels, raw_cols),
+                f"resolution exceeded {level_cap} levels", partial=(twists, cols)
             )
         pairs.sort(key=lambda t: (t[0], heapkey(t[2]), t[1]))
 
@@ -338,25 +313,13 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             buckets.setdefault(b.comp, []).append(b)
 
         new_basis = []
-        new_cols = []
-        new_twists = []
-        neg_one = field.neg(one)
+        new_cols = {}
         for (i, j, mij, lcm) in pairs:
             mji = tuple(l - x for l, x in zip(lcm, basis[j].lm))
             svec = _spoly_from(basis[i], basis[j], mij, mji, field)
-            if ring_level:
-                rem, quot = _reduce(
-                    _flat_to_ring(svec), ring_views, heapkey, field,
-                    full=False, track=True,
-                )
-            else:
-                rem, quot = _mreduce(
-                    svec, buckets, mkey, field, full=False, track=True
-                )
+            rem, quot = _mreduce(svec, buckets, mkey, field, full=False, track=True)
             if rem:
-                raise ValidationError(
-                    "internal error: an S-vector failed to reduce to zero"
-                )
+                raise InternalError("an S-vector failed to reduce to zero")
             syz = {(i, mij): one, (j, mji): neg_one}
             for k, q in quot.items():
                 for e, c in q.items():
@@ -371,50 +334,48 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             twist = sum(mij) + basis[i].twist
             tail = tuple((term, c) for term, c in syz.items() if term != (i, mij))
             new_basis.append(_MGen(i, mij, _mask(mij), tail, twist, idx))
-            new_twists.append(twist)
             grouped = {}
             for (cmp_, e), c in syz.items():
                 grouped.setdefault(cmp_, {})[e] = c
-            new_cols.append(grouped)
+            new_cols[idx] = grouped
 
-        twists_levels.append(new_twists)
-        raw_cols.append(new_cols)
+        twists.append({b.idx: b.twist for b in new_basis})
+        cols.append(new_cols)
         # The next component space is the current basis.
         comp_mu, comp_chain = (
             [tuple(a + b for a, b in zip(b.lm, comp_mu[b.comp])) for b in basis],
             [comp_chain[b.comp] + (b.idx,) for b in basis],
         )
         basis = new_basis
-        ring_level = False
 
-    return twists_levels, raw_cols, truncated
+    return twists, cols, truncated
 
 
 # ---------------------------------------------------------------------------
 # minimalization
 
-def _minimalize_raw(twists_levels, raw_cols, field, nvars):
+def _minimalize_raw(twists, cols, field, nvars):
     """Eliminate degree-zero differential entries by column operations.
 
-    Works on dict-of-dict copies, ascending through the levels; a pivot at
-    (row, col) folds the pivot column into the other columns meeting that
-    row, then removes the row and column everywhere.  The scan order is
-    fixed for reproducibility.
+    Takes and returns :class:`FreeResolution`'s layout.  Works on copies of
+    the id maps and columns (term dicts are never changed in place, so
+    they are shared), ascending through the levels; a pivot at (row, col)
+    folds the pivot column into the other columns meeting that row, then
+    removes the row and column everywhere.  The scan order is fixed for
+    reproducibility.
     """
     zero_exps = (0,) * nvars
-    L = len(twists_levels) - 1
-    alive = [dict(enumerate(tw)) for tw in twists_levels]
-    cols = [None]
+    L = len(twists) - 1
+    alive = [dict(tw) for tw in twists]
+    cols = [None] + [
+        {cid: dict(col) for cid, col in cols[i].items()} for i in range(1, L + 1)
+    ]
     rowadj = [None]
     for i in range(1, L + 1):
-        level_cols = {}
         adj = {}
-        for cid, grouped in enumerate(raw_cols[i]):
-            col = {rid: dict(p) for rid, p in grouped.items()}
-            level_cols[cid] = col
+        for cid, col in cols[i].items():
             for rid in col:
                 adj.setdefault(rid, set()).add(cid)
-        cols.append(level_cols)
         rowadj.append(adj)
 
     for i in range(1, L + 1):
@@ -478,15 +439,10 @@ def _minimalize_raw(twists_levels, raw_cols, field, nvars):
                         a0 = padj.get(r0)
                         if a0:
                             a0.discard(rid)
-    out_twists = [dict(a) for a in alive]
-    out_cols = [None] + [
-        {cid: {rid: dict(p) for rid, p in col.items()} for cid, col in cols[i].items()}
-        for i in range(1, L + 1)
-    ]
-    while len(out_twists) > 1 and not out_twists[-1]:
-        out_twists.pop()
-        out_cols.pop()
-    return out_twists, out_cols
+    while len(alive) > 1 and not alive[-1]:
+        alive.pop()
+        cols.pop()
+    return alive, cols
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +609,12 @@ class FreeResolution:
     """A chain of graded free modules over a polynomial ring.
 
     Levels are numbered 0..length with level 0 the ring itself; matrix i
-    maps level i into level i-1.  Internally the chain is stored as raw
-    term dicts; ``matrices`` materializes public objects on demand.
+    maps level i into level i-1.  The chain is stored in the layout the
+    Schreyer tower emits and minimalization keeps: ``_twists[i]`` maps
+    each level-i generator id to its twist, ``_cols[i]`` maps each level-i
+    id to its column, a dict from level i-1 id to term dict.  Ids are
+    stable, so a minimalized chain keeps the surviving ids;
+    ``matrices`` materializes public objects on demand.
     """
 
     __slots__ = ("ring", "minimal", "truncated_at", "_twists", "_cols", "_matrices")
@@ -666,17 +626,6 @@ class FreeResolution:
         self.minimal = minimal
         self.truncated_at = truncated_at
         self._matrices = None
-
-    @classmethod
-    def _from_lists(cls, ring, twists_levels, raw_cols, *, minimal, truncated_at=None):
-        twists = [dict(enumerate(tw)) for tw in twists_levels]
-        cols = [None]
-        for i in range(1, len(twists_levels)):
-            cols.append(
-                {cid: {rid: dict(p) for rid, p in grouped.items()}
-                 for cid, grouped in enumerate(raw_cols[i])}
-            )
-        return cls(ring, twists, cols, minimal=minimal, truncated_at=truncated_at)
 
     @property
     def length(self) -> int:
@@ -744,22 +693,8 @@ class FreeResolution:
         return True
 
     def minimalize(self) -> "FreeResolution":
-        twists_lists = [
-            [self._twists[i][k] for k in sorted(self._twists[i])]
-            for i in range(len(self._twists))
-        ]
-        remap_cols = [None]
-        for i in range(1, self.length + 1):
-            src_ids = sorted(self._twists[i])
-            tgt_ids = sorted(self._twists[i - 1])
-            tgt_pos = {rid: k for k, rid in enumerate(tgt_ids)}
-            level = []
-            for cid in src_ids:
-                col = self._cols[i].get(cid, {})
-                level.append({tgt_pos[r]: dict(p) for r, p in col.items()})
-            remap_cols.append(level)
         twists, cols = _minimalize_raw(
-            twists_lists, remap_cols, self.ring.field, self.ring.nvars
+            self._twists, self._cols, self.ring.field, self.ring.nvars
         )
         return FreeResolution(
             self.ring, twists, cols, minimal=True, truncated_at=self.truncated_at
@@ -780,8 +715,8 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     else:
         raise ValidationError("expected an IdealPresentation or GroebnerBasis")
     ring = gb.ring
-    twists_levels, raw_cols, truncated = _schreyer_tower(
-        gb._gens(),
+    twists, cols, truncated = _schreyer_tower(
+        gb._gens,
         ring.nvars,
         ring.order.heapkey_fn(),
         ring.field,
@@ -791,9 +726,7 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     truncated_at = (
         degree_limit if (truncated or gb.truncated_at is not None) else None
     )
-    return FreeResolution._from_lists(
-        ring, twists_levels, raw_cols, minimal=False, truncated_at=truncated_at
-    )
+    return FreeResolution(ring, twists, cols, minimal=False, truncated_at=truncated_at)
 
 
 def minimal_free_resolution(ideal, *, degree_limit=None, level_cap=None) -> FreeResolution:
@@ -850,7 +783,7 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
         el[(t + c, zero_exps)] = field.one
         elements.append(el)
 
-    basis, _ = _module_buchberger(elements, akey, field)
+    basis = _module_buchberger(elements, akey, field)
 
     syz_cols = []
     for b in basis:
@@ -878,22 +811,14 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
     )
 
 
-def _module_buchberger(
-    elements, mkey, field, pair_limit=200_000, twists=None, degree_limit=None
-):
+def _module_buchberger(elements, mkey, field, pair_limit=200_000):
     """Groebner basis of a submodule of a free module, plain Buchberger.
 
     Every pair with a shared leading component is reduced; coprime-lead
     skipping is not sound for modules, so no product criterion is used.
-    ``twists`` assigns a degree offset per component; with homogeneous
-    input, a ``degree_limit`` then discards pairs above the limit and the
-    result is exact below it.  Returns ``(basis, truncated)``.
     """
     basis = []
     buckets = {}
-
-    def tw(comp):
-        return twists[comp] if twists else 0
 
     def add(el):
         ordered = sorted(el, key=lambda term: mkey(*term))
@@ -918,29 +843,23 @@ def _module_buchberger(
             lcm = tuple(
                 x if x >= y else y for x, y in zip(basis[i].lm, basis[j].lm)
             )
-            heapq.heappush(
-                heap, ((sum(lcm) + tw(g.comp), mkey(g.comp, lcm), (i, j)), (i, j))
-            )
+            heapq.heappush(heap, ((sum(lcm), mkey(g.comp, lcm), (i, j)), (i, j)))
 
     for el in elements:
         if el:
             g = add(el)
             push_pairs(g)
 
-    truncated = False
     seen = set()
     count = 0
     while heap:
         count += 1
         if count > pair_limit:
             raise ResourceLimitError("module pair queue exceeded its bound")
-        key, pr = heapq.heappop(heap)
+        _, pr = heapq.heappop(heap)
         if pr in seen:
             continue
         seen.add(pr)
-        if degree_limit is not None and key[0] > degree_limit:
-            truncated = True
-            continue
         i, j = pr
         bi, bj = basis[i], basis[j]
         lcm = tuple(x if x >= y else y for x, y in zip(bi.lm, bj.lm))
@@ -951,4 +870,4 @@ def _module_buchberger(
         if rem:
             g = add(rem)
             push_pairs(g)
-    return basis, truncated
+    return basis

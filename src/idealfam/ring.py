@@ -421,9 +421,11 @@ class PolynomialRing:
 
     __slots__ = ("table", "field", "order")
 
-    def __init__(self, table: VariableTable, field, order: MonomialOrder | None = None):
+    def __init__(self, table: VariableTable, field, order: MonomialOrder | str | None = None):
         if order is None:
             order = MonomialOrder("grevlex")
+        elif isinstance(order, str):
+            order = MonomialOrder(order)
         if order.perm is not None and len(order.perm) != len(table):
             raise ValidationError("order permutation length must match the table")
         self.table = table
@@ -435,8 +437,6 @@ class PolynomialRing:
         return len(self.table)
 
     def with_order(self, order) -> "PolynomialRing":
-        if isinstance(order, str):
-            order = MonomialOrder(order)
         return PolynomialRing(self.table, self.field, order)
 
     def zero(self) -> "Polynomial":

@@ -52,6 +52,11 @@ def test_construct_invalid_params_exit_2(capsys):
     code, _, err = run(capsys, "construct", "1:(2)")
     assert code == 2
     assert "g must be" in err
+    code, _, err = run(capsys, "construct", "mccullough", "2", "x", "3")
+    assert code == 2
+    assert "expected integers" in err
+    code, _, err = run(capsys, "construct", "caviglia", "three")
+    assert code == 2
 
 
 def test_verify_small_family(capsys):
@@ -185,3 +190,36 @@ def test_verification_failure_exit_1(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "2:(1,1)")
     assert code == 1
     assert "depth-zero verified: False" in out
+
+
+def test_sweep_verify_uses_the_requested_field(monkeypatch, capsys):
+    import idealfam.cli as cli
+    from idealfam import QQ
+
+    seen = []
+    real = cli.verification_basis
+
+    def spy(params, field=None):
+        seen.append(field)
+        return real(params, field)
+
+    monkeypatch.setattr(cli, "verification_basis", spy)
+    code, _, _ = run(
+        capsys, "sweep", "--max-g", "2", "--max-n", "1", "--max-m", "1",
+        "--verify", "--field", "QQ",
+    )
+    assert code == 0
+    assert seen and all(field == QQ for field in seen)
+
+
+def test_internal_error_exit_4(monkeypatch, capsys):
+    import idealfam.resolution as resolution
+
+    def unreduced(element, buckets, mkey, field, *, full, track):
+        return dict(element) or {(0, (0,) * 4): field.one}, {}
+
+    # An S-vector that does not reduce to zero is a bug, not bad input.
+    monkeypatch.setattr(resolution, "_mreduce", unreduced)
+    code, _, err = run(capsys, "betti", "caviglia", "2")
+    assert code == 4
+    assert "internal error" in err

@@ -1,6 +1,7 @@
 import pytest
 
 from idealfam import (
+    QQ,
     FamilyParams,
     GroebnerBasis,
     IdealPresentation,
@@ -8,10 +9,13 @@ from idealfam import (
     ValidationError,
     build_ideal,
     buchberger,
+    caviglia_ideal,
     hilbert_numerator,
     is_member,
+    mccullough_ideal,
     normal_form,
     s_polynomial,
+    verification_basis,
 )
 
 from conftest import random_homogeneous, small_ring, span_membership
@@ -160,6 +164,8 @@ def test_truncated_basis_exact_below_limit():
     R = ideal.ring
     with pytest.raises(ValidationError):
         trunc.normal_form(ideal.generators[0] * ideal.generators[1])
+    with pytest.raises(ValidationError):
+        trunc.contains(ideal.generators[0] * ideal.generators[1])
 
 
 def test_pair_limit_resource_error():
@@ -228,3 +234,30 @@ def test_hilbert_requires_reduced_untruncated():
     assert not loose.reduced
     with pytest.raises(ValidationError):
         loose.hilbert_numerator()
+
+
+def _size(basis):
+    return len(basis), sum(len(p) for p in basis.elements)
+
+
+def test_basis_sizes_pinned():
+    # Element and term counts of known bases; any change to the kernel
+    # that alters a basis shows up here.
+    assert _size(verification_basis(FamilyParams.parse("2:(2,2,2)"))) == (37, 684)
+    assert _size(buchberger(build_ideal(FamilyParams.parse("2:(3,1)")))) == (34, 210)
+    assert _size(buchberger(caviglia_ideal(5))) == (7, 8)
+    assert _size(buchberger(mccullough_ideal(2, 1, 3))) == (6, 10)
+    assert _size(buchberger(caviglia_ideal(4, QQ))) == (6, 7)
+
+
+def test_basis_from_polynomials_matches_computed():
+    ideal = build_ideal(FamilyParams(2, (1, 1)))
+    G = buchberger(ideal)
+    H = GroebnerBasis(ideal.ring, G.elements, reduced=True)
+    assert H == G
+    assert len(H) == len(G)
+    assert H.leading_monomials() == G.leading_monomials()
+    assert H.hilbert_numerator() == G.hilbert_numerator()
+    for g in ideal.generators:
+        assert H.contains(g)
+    assert not H.contains(ideal.ring.variable(0))
