@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import (
     IdealfamError,
-    InternalError,
     ParseError,
     ResourceLimitError,
     ValidationError,
@@ -483,12 +482,10 @@ def main(argv=None) -> int:
     except (ValidationError, ParseError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except InternalError as err:
+    except IdealfamError as err:
+        # Any other package error inside a run is a bug, not bad input.
         print(f"internal error: {err}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    except IdealfamError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
 
 
 def console_main():

@@ -1,7 +1,16 @@
 """Buchberger's algorithm, normal forms, ideal membership, Hilbert numerators.
 
-The kernel works on raw data: a polynomial is a dict mapping exponent
-tuples to nonzero coefficients, a basis element is a monic `_Gen` record.
+The kernel works on raw data.  A polynomial is a dict mapping exponent
+tuples to nonzero coefficients, and a basis element is a monic `_Gen`
+record.  A term of a free module is its exponent tuple with the component
+index appended, ``exps + (comp,)``, and a module vector is a `_Gen` whose
+``lm`` ends in its component and whose ``sugar`` holds its twist.  A term
+and any reducer of it share the component, so divisibility, bit masks,
+shifts and S-polynomials treat both kinds alike; only the order key and
+the list of candidate reducers differ, and `_reduce` takes both from its
+caller.  An order key for module terms must not hand the component to a
+monomial order.
+
 A :class:`GroebnerBasis` keeps the kernel's records as its one stored
 form: membership, normal forms, leading monomials and Hilbert numerators
 read them directly, and the :class:`~idealfam.ring.Polynomial` elements
@@ -21,7 +30,7 @@ _STRATEGIES = ("normal", "lcm", "fifo")
 
 
 class _Gen:
-    """Monic basis polynomial in kernel form."""
+    """Monic basis polynomial or module vector in kernel form."""
 
     __slots__ = ("lm", "mask", "tail", "sugar", "idx")
 
@@ -52,9 +61,9 @@ def _lcm(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def _make_gen(terms, heapkey, field, sugar, idx):
+def _make_gen(terms, key, field, sugar, idx):
     """Monic kernel record from a nonzero term dict."""
-    ordered = sorted(terms, key=heapkey)
+    ordered = sorted(terms, key=key)
     lm = ordered[0]
     lc = terms[lm]
     if lc != field.one:
@@ -66,45 +75,38 @@ def _make_gen(terms, heapkey, field, sugar, idx):
     return _Gen(lm, _mask(lm), tail, sugar, idx)
 
 
-def _reduce(terms, gens, heapkey, field, *, full=True, track=False):
-    """Divide a term dict by monic generators, largest monomial first.
+def _reduce(terms, reducers, key, field, *, full=True, track=False):
+    """Divide a term dict by monic records, largest term first.
 
-    Generators are tried in list order, so the result is deterministic.
-    Returns ``(remainder, quotients)``; quotients maps a generator's
-    position in ``gens`` to a term dict, and is None unless ``track``.
+    ``reducers(m)`` lists the candidate records for the term ``m`` in a
+    fixed order and the first whose lead divides ``m`` is used, so the
+    result is deterministic.  Returns ``(remainder, quotients)``;
+    quotients maps a record's ``idx`` to a term dict of shifts, and is
+    None unless ``track``.
     """
     work = dict(terms)
-    heap = [heapkey(e) + (e,) for e in work]
+    heap = [key(e) + (e,) for e in work]
     heapq.heapify(heap)
     remainder = {}
     quotients = {} if track else None
     prime = field.p if isinstance(field, PrimeField) else None
-    ngens = len(gens)
     while heap:
         m = heapq.heappop(heap)[-1]
-        c = work.get(m)
+        c = work.pop(m, None)
         if not c:
             continue
         mm = _mask(m)
-        red = None
-        pos = 0
-        while pos < ngens:
-            g = gens[pos]
-            if g.mask & mm == g.mask and _divides(g.lm, m):
-                red = g
+        for red in reducers(m):
+            if red.mask & mm == red.mask and _divides(red.lm, m):
                 break
-            pos += 1
-        if red is None:
-            del work[m]
-            if full:
-                remainder[m] = c
-                continue
+        else:
             remainder[m] = c
+            if full:
+                continue
             break
-        del work[m]
         shift = tuple(a - b for a, b in zip(m, red.lm))
         if track:
-            q = quotients.setdefault(pos, {})
+            q = quotients.setdefault(red.idx, {})
             q[shift] = field.add(q.get(shift, field.zero), c)
         if prime is not None:
             for e2, c2 in red.tail:
@@ -114,7 +116,7 @@ def _reduce(terms, gens, heapkey, field, *, full=True, track=False):
                     v = -c * c2 % prime
                     if v:
                         work[e] = v
-                        heapq.heappush(heap, heapkey(e) + (e,))
+                        heapq.heappush(heap, key(e) + (e,))
                 else:
                     v = (prev - c * c2) % prime
                     if v:
@@ -129,7 +131,7 @@ def _reduce(terms, gens, heapkey, field, *, full=True, track=False):
                     v = field.neg(field.mul(c, c2))
                     if v != field.zero:
                         work[e] = v
-                        heapq.heappush(heap, heapkey(e) + (e,))
+                        heapq.heappush(heap, key(e) + (e,))
                 else:
                     v = field.sub(prev, field.mul(c, c2))
                     if v != field.zero:
@@ -175,7 +177,8 @@ def _interreduce(gens, heapkey, field):
             g = gens[a]
             t = {g.lm: one}
             t.update(g.tail)
-            r, _ = _reduce(t, gens[:a] + gens[a + 1 :], heapkey, field, full=True)
+            others = gens[:a] + gens[a + 1 :]
+            r, _ = _reduce(t, lambda m: others, heapkey, field)
             if r == t:
                 a += 1
                 continue
@@ -315,7 +318,7 @@ def _buchberger_kernel(
         s = _spoly(f[i], f[j], field)
         if not s:
             continue
-        r, _ = _reduce(s, ordered_gens, heapkey, field, full=tail_reduce)
+        r, _ = _reduce(s, lambda m: ordered_gens, heapkey, field, full=tail_reduce)
         if not r:
             continue
         h = _make_gen(r, heapkey, field, sugar, len(f))
@@ -424,8 +427,8 @@ class GroebnerBasis:
                 f"basis truncated at degree {self.truncated_at}"
             )
         r, _ = _reduce(
-            dict(p.terms), self._gens, self.ring.order.heapkey_fn(), self.ring.field,
-            full=full,
+            dict(p.terms), lambda m: self._gens, self.ring.order.heapkey_fn(),
+            self.ring.field, full=full,
         )
         return r
 

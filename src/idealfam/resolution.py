@@ -6,6 +6,9 @@ elements to zero and collecting the division quotients yields one syzygy
 whose leading term is known in advance under the order induced by the
 previous level's leading terms, so each level is again a Groebner basis
 and the chain continues by plain division, no basis completion needed.
+Module vectors are the groebner kernel's records, in its module-term
+encoding, and are divided by its `_reduce`; this module supplies the
+order keys and the per-component reducer lists.
 The resulting graded complex is generally non-minimal; eliminating
 degree-zero differential entries by column operations leaves the minimal
 complex, whose graded ranks are the Betti numbers.
@@ -22,36 +25,42 @@ from .groebner import (
     HilbertNumerator,
     IdealPresentation,
     _divides,
+    _Gen,
+    _lcm,
+    _make_gen,
     _mask,
+    _reduce,
+    _spoly,
     buchberger,
 )
 from .ring import Polynomial, PolynomialRing, PrimeField
 
 DEFAULT_LEVEL_MARGIN = 6
+MODULE_PAIR_LIMIT = 200_000
 
 
 # ---------------------------------------------------------------------------
 # raw polynomial-dict helpers
 
-def _pmul(a, b, field):
-    """Product of two term dicts."""
-    out = {}
+def _sub_product(a, f, b, field):
+    """a - f*b for term dicts (a may be None)."""
+    out = dict(a) if a else {}
     if isinstance(field, PrimeField):
         p = field.p
-        for e1, c1 in a.items():
+        for e1, c1 in f.items():
             for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
+                v = (out.get(e, 0) - c1 * c2) % p
                 if v:
                     out[e] = v
                 else:
                     out.pop(e, None)
     else:
         zero = field.zero
-        for e1, c1 in a.items():
+        for e1, c1 in f.items():
             for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                v = field.add(out.get(e, zero), field.mul(c1, c2))
+                v = field.sub(out.get(e, zero), field.mul(c1, c2))
                 if v == zero:
                     out.pop(e, None)
                 else:
@@ -59,171 +68,8 @@ def _pmul(a, b, field):
     return out
 
 
-def _psub(a, b, field):
-    """a - b for term dicts (a may be None)."""
-    out = dict(a) if a else {}
-    if isinstance(field, PrimeField):
-        p = field.p
-        for e, c in b.items():
-            v = (out.get(e, 0) - c) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    else:
-        zero = field.zero
-        for e, c in b.items():
-            v = field.sub(out.get(e, zero), c)
-            if v == zero:
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
-
-
-def _padd(a, b, field):
-    """a + b for term dicts (a may be None)."""
-    out = dict(a) if a else {}
-    if isinstance(field, PrimeField):
-        p = field.p
-        for e, c in b.items():
-            v = (out.get(e, 0) + c) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    else:
-        zero = field.zero
-        for e, c in b.items():
-            v = field.add(out.get(e, zero), c)
-            if v == zero:
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
-
-
-def _pscale(a, c, field):
-    if isinstance(field, PrimeField):
-        p = field.p
-        out = {}
-        for e, v in a.items():
-            vc = v * c % p
-            if vc:
-                out[e] = vc
-        return out
-    out = {}
-    for e, v in a.items():
-        vc = field.mul(v, c)
-        if vc != field.zero:
-            out[e] = vc
-    return out
-
-
 # ---------------------------------------------------------------------------
-# module kernel
-
-class _MGen:
-    """Monic module basis vector with a known leading term."""
-
-    __slots__ = ("comp", "lm", "mask", "tail", "twist", "idx")
-
-    def __init__(self, comp, lm, mask, tail, twist, idx):
-        self.comp = comp
-        self.lm = lm
-        self.mask = mask
-        self.tail = tail      # tuple of ((comp, exps), coeff), lead excluded
-        self.twist = twist
-        self.idx = idx
-
-
-def _mreduce(element, buckets, mkey, field, *, full, track):
-    """Divide a module element (dict (comp, exps) -> coeff) by monic vectors.
-
-    ``buckets`` maps a component to its basis vectors in fixed order.
-    Returns (remainder, quotients); quotients maps basis index -> term dict.
-    """
-    work = dict(element)
-    heap = [mkey(c, e) + ((c, e),) for (c, e) in work]
-    heapq.heapify(heap)
-    remainder = {}
-    quotients = {} if track else None
-    prime = field.p if isinstance(field, PrimeField) else None
-    while heap:
-        term = heapq.heappop(heap)[-1]
-        c = work.get(term)
-        if not c:
-            continue
-        comp, m = term
-        mm = _mask(m)
-        red = None
-        for g in buckets.get(comp, ()):
-            if g.mask & mm == g.mask and _divides(g.lm, m):
-                red = g
-                break
-        if red is None:
-            del work[term]
-            remainder[term] = c
-            if full:
-                continue
-            break
-        del work[term]
-        shift = tuple(a - b for a, b in zip(m, red.lm))
-        if track:
-            q = quotients.setdefault(red.idx, {})
-            if prime is not None:
-                q[shift] = (q.get(shift, 0) + c) % prime
-            else:
-                q[shift] = field.add(q.get(shift, field.zero), c)
-        if prime is not None:
-            for (c2, e2), cc in red.tail:
-                key = (c2, tuple(a + b for a, b in zip(e2, shift)))
-                prev = work.get(key)
-                if prev is None:
-                    v = -c * cc % prime
-                    if v:
-                        work[key] = v
-                        heapq.heappush(heap, mkey(*key) + (key,))
-                else:
-                    v = (prev - c * cc) % prime
-                    if v:
-                        work[key] = v
-                    else:
-                        del work[key]
-        else:
-            for (c2, e2), cc in red.tail:
-                key = (c2, tuple(a + b for a, b in zip(e2, shift)))
-                prev = work.get(key)
-                if prev is None:
-                    v = field.neg(field.mul(c, cc))
-                    if v != field.zero:
-                        work[key] = v
-                        heapq.heappush(heap, mkey(*key) + (key,))
-                else:
-                    v = field.sub(prev, field.mul(c, cc))
-                    if v == field.zero:
-                        del work[key]
-                    else:
-                        work[key] = v
-    remainder.update(work)
-    return remainder, quotients
-
-
-def _spoly_from(bi, bj, mij, mji, field):
-    """S-vector of two monic module vectors; the lead terms cancel."""
-    acc = {}
-    zero = field.zero
-    for (cmp_, e), c in bi.tail:
-        acc[(cmp_, tuple(a + b for a, b in zip(e, mij)))] = c
-    for (cmp_, e), c in bj.tail:
-        key = (cmp_, tuple(a + b for a, b in zip(e, mji)))
-        v = field.sub(acc.get(key, zero), c)
-        if v == zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = v
-    return acc
-
+# Schreyer tower
 
 def _retained_pairs(basis, heapkey):
     """Pairs whose syzygy leading terms minimally generate the lead module.
@@ -233,41 +79,47 @@ def _retained_pairs(basis, heapkey):
     set (ties keep the smallest j).  The surviving syzygies still generate
     the full syzygy module and remain a Groebner basis for the induced
     order, because their leading terms span the same monomial module.
+    Returns ``(i, j, mij)`` with ``mij`` an exponent tuple (no component).
     """
     by_comp = {}
     for b in basis:
-        by_comp.setdefault(b.comp, []).append(b)
+        by_comp.setdefault(b.lm[-1], []).append(b)
     pairs = []
     for comp in sorted(by_comp):
         bucket = by_comp[comp]
-        for a in range(len(bucket)):
-            bi = bucket[a]
+        for a, bi in enumerate(bucket):
+            ei = bi.lm[:-1]
             cands = []
-            for bb in range(a + 1, len(bucket)):
-                bj = bucket[bb]
-                lcm = tuple(x if x >= y else y for x, y in zip(bi.lm, bj.lm))
-                mij = tuple(l - x for l, x in zip(lcm, bi.lm))
-                cands.append((sum(mij), heapkey(mij), mij, bj.idx, lcm))
+            for bj in bucket[a + 1 :]:
+                mij = tuple(y - x if y > x else 0 for x, y in zip(ei, bj.lm))
+                cands.append((sum(mij), heapkey(mij), mij, bj.idx))
             cands.sort(key=lambda t: (t[0], t[1], t[3]))
             kept = []
-            for _, _, mij, jidx, lcm in cands:
-                if any(_divides(k, mij) for k, _, _ in kept):
-                    continue
-                kept.append((mij, jidx, lcm))
-            for mij, jidx, lcm in kept:
-                pairs.append((bi.idx, jidx, mij, lcm))
+            for _, _, mij, jidx in cands:
+                if not any(_divides(k, mij) for k, _ in kept):
+                    kept.append((mij, jidx))
+            for mij, jidx in kept:
+                pairs.append((bi.idx, jidx, mij))
     return pairs
 
 
 def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_cap=None):
     """Iterated syzygy bases starting from a reduced Groebner basis.
 
-    Every level, the first included, is reduced with the module kernel:
-    the ideal's basis is the single-component case.  Returns ``(twists,
-    cols, truncated)`` in :class:`FreeResolution`'s layout: ``twists[i]``
-    maps each level-i generator id to its twist, and ``cols[i]`` (i >= 1)
-    maps each level-i id to its differential column, a dict from level
-    i-1 id to term dict.  Ids are positions within their level.
+    Each level is a list of `_Gen` module vectors in the groebner
+    module's encoding, twists in ``sugar``; the ideal's basis is the first
+    level, all in component 0.  Terms compare by the Schreyer order the
+    previous level induces: ``e + (c,)`` is keyed by ``heapkey(e +
+    mu[c])``, where ``mu[c]`` is the exponent product of the leads down
+    the chain of ``c``, and then by that chain of indices.  Reducing the
+    S-vector of a retained pair (i, j) to zero gives one syzygy whose
+    lead is ``mij + (i,)``, so each level is again a Groebner basis.
+
+    Returns ``(twists, cols, truncated)`` in :class:`FreeResolution`'s
+    layout: ``twists[i]`` maps each level-i generator id to its twist, and
+    ``cols[i]`` (i >= 1) maps each level-i id to its differential column, a
+    dict from level i-1 id to term dict.  Ids are positions within their
+    level.
     """
     if level_cap is None:
         level_cap = nvars + DEFAULT_LEVEL_MARGIN
@@ -275,10 +127,10 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
     neg_one = field.neg(one)
 
     basis = [
-        _MGen(0, g.lm, g.mask, tuple(((0, e), c) for e, c in g.tail), sum(g.lm), i)
+        _Gen(g.lm + (0,), g.mask, tuple((e + (0,), c) for e, c in g.tail), sum(g.lm), i)
         for i, g in enumerate(gb_gens)
     ]
-    twists = [{0: 0}, {b.idx: b.twist for b in basis}]
+    twists = [{0: 0}, {b.idx: b.sugar for b in basis}]
     cols = [None, {i: {0: {g.lm: one, **dict(g.tail)}} for i, g in enumerate(gb_gens)}]
 
     # Schreyer data for the component space of `basis` (one level below).
@@ -290,11 +142,11 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
         pairs = _retained_pairs(basis, heapkey)
         if degree_limit is not None:
             kept = []
-            for (i, j, mij, lcm) in pairs:
-                if sum(mij) + basis[i].twist > degree_limit:
+            for (i, j, mij) in pairs:
+                if sum(mij) + basis[i].sugar > degree_limit:
                     truncated = True
                 else:
-                    kept.append((i, j, mij, lcm))
+                    kept.append((i, j, mij))
             pairs = kept
         if not pairs:
             break
@@ -304,47 +156,52 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             )
         pairs.sort(key=lambda t: (t[0], heapkey(t[2]), t[1]))
 
-        def mkey(comp, exps, _mu=comp_mu, _chain=comp_chain, _hk=heapkey):
-            prod = tuple(a + b for a, b in zip(exps, _mu[comp]))
-            return _hk(prod) + (_chain[comp],)
+        def key(t, _mu=comp_mu, _chain=comp_chain, _hk=heapkey):
+            comp = t[-1]
+            return _hk(tuple(a + b for a, b in zip(t, _mu[comp]))) + (_chain[comp],)
 
         buckets = {}
         for b in basis:
-            buckets.setdefault(b.comp, []).append(b)
+            buckets.setdefault(b.lm[-1], []).append(b)
+
+        def reducers(m):
+            return buckets.get(m[-1], ())
 
         new_basis = []
         new_cols = {}
-        for (i, j, mij, lcm) in pairs:
-            mji = tuple(l - x for l, x in zip(lcm, basis[j].lm))
-            svec = _spoly_from(basis[i], basis[j], mij, mji, field)
-            rem, quot = _mreduce(svec, buckets, mkey, field, full=False, track=True)
+        for (i, j, mij) in pairs:
+            bi, bj = basis[i], basis[j]
+            rem, quot = _reduce(
+                _spoly(bi, bj, field), reducers, key, field, full=False, track=True
+            )
             if rem:
                 raise InternalError("an S-vector failed to reduce to zero")
-            syz = {(i, mij): one, (j, mji): neg_one}
+            lead = mij + (i,)
+            mji = tuple(a + b - c for a, b, c in zip(mij, bi.lm, bj.lm))
+            syz = {lead: one, mji + (j,): neg_one}
             for k, q in quot.items():
                 for e, c in q.items():
-                    key = (k, e)
-                    prev = syz.get(key)
+                    t = e[:-1] + (k,)
+                    prev = syz.get(t)
                     nc = field.sub(prev, c) if prev is not None else field.neg(c)
                     if nc == field.zero:
-                        syz.pop(key, None)
+                        syz.pop(t, None)
                     else:
-                        syz[key] = nc
+                        syz[t] = nc
             idx = len(new_basis)
-            twist = sum(mij) + basis[i].twist
-            tail = tuple((term, c) for term, c in syz.items() if term != (i, mij))
-            new_basis.append(_MGen(i, mij, _mask(mij), tail, twist, idx))
+            tail = tuple((t, c) for t, c in syz.items() if t != lead)
+            new_basis.append(_Gen(lead, _mask(lead), tail, sum(mij) + bi.sugar, idx))
             grouped = {}
-            for (cmp_, e), c in syz.items():
-                grouped.setdefault(cmp_, {})[e] = c
+            for t, c in syz.items():
+                grouped.setdefault(t[-1], {})[t[:-1]] = c
             new_cols[idx] = grouped
 
-        twists.append({b.idx: b.twist for b in new_basis})
+        twists.append({b.idx: b.sugar for b in new_basis})
         cols.append(new_cols)
         # The next component space is the current basis.
         comp_mu, comp_chain = (
-            [tuple(a + b for a, b in zip(b.lm, comp_mu[b.comp])) for b in basis],
-            [comp_chain[b.comp] + (b.idx,) for b in basis],
+            [tuple(a + b for a, b in zip(b.lm, comp_mu[b.lm[-1]])) for b in basis],
+            [comp_chain[b.lm[-1]] + (b.idx,) for b in basis],
         )
         basis = new_basis
 
@@ -404,10 +261,10 @@ def _minimalize_raw(twists, cols, field, nvars):
                 col2 = level.get(c2)
                 if col2 is None or rid not in col2:
                     continue
-                factor = _pscale(col2[rid], uinv, field)
+                factor = {e: field.mul(c, uinv) for e, c in col2[rid].items()}
                 tc2 = twist_src[c2]
                 for r2, p0 in col.items():
-                    newp = _psub(col2.get(r2), _pmul(factor, p0, field), field)
+                    newp = _sub_product(col2.get(r2), factor, p0, field)
                     if newp:
                         if r2 not in col2:
                             adj.setdefault(r2, set()).add(c2)
@@ -674,10 +531,11 @@ class FreeResolution:
         for i in range(2, self.length + 1):
             prev = self._cols[i - 1]
             for col in self._cols[i].values():
+                # Minus the composite column, which is zero exactly when it is.
                 acc = {}
                 for rid, p in col.items():
                     for r2, q in prev.get(rid, {}).items():
-                        acc[r2] = _padd(acc.get(r2), _pmul(p, q, field), field)
+                        acc[r2] = _sub_product(acc.get(r2), p, q, field)
                 if any(acc.values()):
                     return False
         return True
@@ -766,108 +624,84 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
     field = ring.field
     base = ring.order.heapkey_fn()
     t = M.target.rank
-    nvars = ring.nvars
-    zero_exps = (0,) * nvars
+    zero_exps = (0,) * ring.nvars
 
-    def akey(comp, exps):
+    def key(m):
+        comp = m[-1]
         if comp < t:
-            return (0, base(exps), (comp,))
-        return (1, (comp,), base(exps))
+            return (0, base(m[:-1]), (comp,))
+        return (1, (comp,), base(m[:-1]))
 
     elements = []
     for c, col in enumerate(M.columns):
         el = {}
         for r, p in col.items():
             for e, cf in p.terms:
-                el[(r, e)] = cf
-        el[(t + c, zero_exps)] = field.one
+                el[e + (r,)] = cf
+        el[zero_exps + (t + c,)] = field.one
         elements.append(el)
 
-    basis = _module_buchberger(elements, akey, field)
-
-    syz_cols = []
-    for b in basis:
-        flat = {(b.comp, b.lm): field.one}
-        flat.update(dict(b.tail))
-        if all(comp >= t for (comp, _) in flat):
-            syz_cols.append({(comp - t, e): c for (comp, e), c in flat.items()})
-    syz_cols.sort(
-        key=lambda el: min(akey(c + t, e) for (c, e) in el)
-    )
+    basis = _module_buchberger(elements, key, field)
+    # A basis vector whose lead is tagged is all tagged: every untagged
+    # term comes before every tagged one.
+    syz = sorted((b for b in basis if b.lm[-1] >= t), key=lambda b: key(b.lm))
 
     twists = []
     columns = []
-    for el in syz_cols:
-        degset = {M.source.twists[comp] + sum(e) for (comp, e) in el}
+    for b in syz:
+        grouped = {}
+        for m, cf in ((b.lm, field.one),) + b.tail:
+            grouped.setdefault(m[-1] - t, {})[m[:-1]] = cf
+        degset = {
+            M.source.twists[comp] + sum(e) for comp, p in grouped.items() for e in p
+        }
         if len(degset) != 1:
             raise ValidationError("syzygy column is not homogeneous")
         twists.append(degset.pop())
-        grouped = {}
-        for (comp, e), cf in el.items():
-            grouped.setdefault(comp, {})[e] = cf
         columns.append({comp: ring.poly(p) for comp, p in grouped.items()})
     return PresentationMatrix(
         ring, GradedFreeModule(tuple(twists)), M.source, columns
     )
 
 
-def _module_buchberger(elements, mkey, field, pair_limit=200_000):
+def _module_buchberger(elements, key, field):
     """Groebner basis of a submodule of a free module, plain Buchberger.
 
     Every pair with a shared leading component is reduced; coprime-lead
     skipping is not sound for modules, so no product criterion is used.
+    Each pair is queued once, when its later vector is added.
     """
     basis = []
     buckets = {}
 
-    def add(el):
-        ordered = sorted(el, key=lambda term: mkey(*term))
-        comp, lm = ordered[0]
-        lc = el[ordered[0]]
-        if lc != field.one:
-            inv = field.inv(lc)
-            el = {k: field.mul(v, inv) for k, v in el.items()}
-        tail = tuple((k, el[k]) for k in ordered[1:])
-        g = _MGen(comp, lm, _mask(lm), tail, 0, len(basis))
-        basis.append(g)
-        buckets.setdefault(comp, []).append(g)
-        return g
+    def reducers(m):
+        return buckets.get(m[-1], ())
 
     heap = []
 
-    def push_pairs(g):
-        for h in buckets[g.comp]:
-            if h.idx == g.idx:
-                continue
-            i, j = (h.idx, g.idx) if h.idx < g.idx else (g.idx, h.idx)
-            lcm = tuple(
-                x if x >= y else y for x, y in zip(basis[i].lm, basis[j].lm)
-            )
-            heapq.heappush(heap, ((sum(lcm), mkey(g.comp, lcm), (i, j)), (i, j)))
+    def add(el):
+        g = _make_gen(el, key, field, 0, len(basis))
+        basis.append(g)
+        bucket = buckets.setdefault(g.lm[-1], [])
+        for h in bucket:
+            lcm = _lcm(h.lm, g.lm)
+            pair = (h.idx, g.idx)
+            heapq.heappush(heap, ((sum(lcm[:-1]), key(lcm), pair), pair))
+        bucket.append(g)
 
     for el in elements:
         if el:
-            g = add(el)
-            push_pairs(g)
+            add(el)
 
-    seen = set()
     count = 0
     while heap:
         count += 1
-        if count > pair_limit:
+        if count > MODULE_PAIR_LIMIT:
             raise ResourceLimitError("module pair queue exceeded its bound")
-        _, pr = heapq.heappop(heap)
-        if pr in seen:
-            continue
-        seen.add(pr)
-        i, j = pr
-        bi, bj = basis[i], basis[j]
-        lcm = tuple(x if x >= y else y for x, y in zip(bi.lm, bj.lm))
-        mij = tuple(l - x for l, x in zip(lcm, bi.lm))
-        mji = tuple(l - x for l, x in zip(lcm, bj.lm))
-        svec = _spoly_from(bi, bj, mij, mji, field)
-        rem, _ = _mreduce(svec, buckets, mkey, field, full=False, track=False)
+        i, j = heapq.heappop(heap)[1]
+        rem, _ = _reduce(
+            _spoly(basis[i], basis[j], field), reducers, key, field, full=False
+        )
         if rem:
-            g = add(rem)
-            push_pairs(g)
+            add(rem)
     return basis

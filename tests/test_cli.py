@@ -215,11 +215,25 @@ def test_sweep_verify_uses_the_requested_field(monkeypatch, capsys):
 def test_internal_error_exit_4(monkeypatch, capsys):
     import idealfam.resolution as resolution
 
-    def unreduced(element, buckets, mkey, field, *, full, track):
-        return dict(element) or {(0, (0,) * 4): field.one}, {}
+    def unreduced(terms, reducers, key, field, *, full=True, track=False):
+        return dict(terms) or {(0,) * 5: field.one}, {}
 
     # An S-vector that does not reduce to zero is a bug, not bad input.
-    monkeypatch.setattr(resolution, "_mreduce", unreduced)
+    monkeypatch.setattr(resolution, "_reduce", unreduced)
     code, _, err = run(capsys, "betti", "caviglia", "2")
+    assert code == 4
+    assert "internal error" in err
+
+
+def test_package_error_in_a_run_exit_4(monkeypatch, capsys):
+    import idealfam.cli as cli
+    from idealfam import DomainMismatchError
+
+    def mismatch(params):
+        raise DomainMismatchError("operands live in different rings")
+
+    # Only bad input exits 2; any other package error is a bug.
+    monkeypatch.setattr(cli, "pd_formula", mismatch)
+    code, _, err = run(capsys, "pd", "2:(1,1)")
     assert code == 4
     assert "internal error" in err

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -7,8 +8,10 @@ from idealfam import (
     FamilyParams,
     GradedFreeModule,
     IdealPresentation,
+    MonomialOrder,
     PresentationMatrix,
     PrimeField,
+    QQ,
     ValidationError,
     build_ideal,
     buchberger,
@@ -237,3 +240,110 @@ def test_presentation_matrix_validation():
         PresentationMatrix(
             R, GradedFreeModule((1, 1)), GradedFreeModule((0,)), [{0: x}]
         )
+
+
+# ---------------------------------------------- orders, fields, rescaling
+
+def _permuted_grevlex(nvars):
+    perm = list(range(nvars))
+    random.Random(5).shuffle(perm)
+    return MonomialOrder("grevlex", perm)
+
+
+ORDER_CASES = {
+    "caviglia(4) lex": (lambda order: caviglia_ideal(4, order=order), "lex"),
+    "2:(2,1) lex": (lambda order: build_ideal(FamilyParams(2, (2, 1)), order=order), "lex"),
+    "mccullough(2,1,3) permuted": (
+        lambda order: mccullough_ideal(2, 1, 3, order=order), "permuted"
+    ),
+    "2:(2,1) permuted": (
+        lambda order: build_ideal(FamilyParams(2, (2, 1)), order=order), "permuted"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_resolution_under_other_orders(name):
+    # The tower's Schreyer keys read the component apart from the
+    # exponents; under lex or a permuted order a mix-up shows here.
+    make, kind = ORDER_CASES[name]
+    grevlex = make(None)
+    if kind == "permuted":
+        order = _permuted_grevlex(grevlex.ring.nvars)
+    else:
+        order = MonomialOrder(kind)
+    ideal = make(order)
+    gb = buchberger(ideal)
+    nonmin = schreyer_resolution(gb)
+    assert nonmin.check_complex()
+    mres = nonmin.minimalize()
+    assert mres.check_complex()
+    assert mres.is_minimal_complex()
+    table = mres.betti()
+    assert hilbert_crosscheck(table, gb.hilbert_numerator())
+    assert table == resolve(grevlex)
+    M = mres.matrices[0]
+    assert M.composes_to_zero(syzygies(M))
+
+
+DIFFERENTIAL = {
+    "caviglia(4)": lambda field: caviglia_ideal(4, field),
+    "mccullough(2,1,3)": lambda field: mccullough_ideal(2, 1, 3, field),
+    "2:(1,1)": lambda field: build_ideal(FamilyParams.parse("2:(1,1)"), field),
+    "2:(2,1)": lambda field: build_ideal(FamilyParams.parse("2:(2,1)"), field),
+}
+
+
+def _leads_and_table(ideal):
+    gb = buchberger(ideal)
+    return [m.exps for m in gb.leading_monomials()], resolve(gb)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_rationals_agree_with_prime_field(name):
+    make = DIFFERENTIAL[name]
+    assert _leads_and_table(make(QQ)) == _leads_and_table(make(PrimeField(32003)))
+
+
+def _rescaled(ideal, rng):
+    """The ideal's image under a random diagonal rescaling x_i -> c_i x_i."""
+    ring = ideal.ring
+    p = ring.field.p
+    scale = [rng.randrange(1, p) for _ in range(ring.nvars)]
+    gens = []
+    for gen in ideal.generators:
+        terms = {}
+        for exps, c in gen.terms:
+            for s, e in zip(scale, exps):
+                c = c * pow(s, e, p) % p
+            terms[exps] = c
+        gens.append(ring.poly(terms))
+    return IdealPresentation(ring, gens)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_diagonal_rescaling_invariance(name, seed):
+    ideal = DIFFERENTIAL[name](PrimeField(32003))
+    scaled = _rescaled(ideal, random.Random(seed))
+    assert scaled.generators != ideal.generators
+    assert _leads_and_table(scaled) == _leads_and_table(ideal)
+
+
+@pytest.mark.parametrize(
+    "name, ideal, ranks",
+    [
+        ("2:(1,1)", lambda: build_ideal(FamilyParams.parse("2:(1,1)")), [1, 5, 9, 7, 2]),
+        (
+            "2:(2,1)",
+            lambda: build_ideal(FamilyParams.parse("2:(2,1)")),
+            [1, 12, 40, 63, 53, 23, 4],
+        ),
+        ("caviglia(5)", lambda: caviglia_ideal(5), [1, 7, 15, 13, 4]),
+        ("mccullough(2,1,3)", lambda: mccullough_ideal(2, 1, 3), [1, 6, 12, 11, 5, 1]),
+        ("caviglia(4) over QQ", lambda: caviglia_ideal(4, QQ), [1, 6, 12, 10, 3]),
+    ],
+)
+def test_nonminimal_ranks_pinned(name, ideal, ranks):
+    # The tower's retained-pair selection fixes the ranks of every level.
+    assert [m.rank for m in schreyer_resolution(ideal()).modules] == ranks
