@@ -61,6 +61,11 @@ def _lcm(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
+def _ascending(hk):
+    """Sort key, smallest monomial first, from a heapkey (largest first)."""
+    return tuple(_ascending(x) if type(x) is tuple else -x for x in hk)
+
+
 def _make_gen(terms, key, field, sugar, idx):
     """Monic kernel record from a nonzero term dict."""
     ordered = sorted(terms, key=key)
@@ -207,8 +212,8 @@ def _buchberger_kernel(
 
     Pair handling follows the classic update procedure: the product
     criterion and chain criterion prune the queue, pairs are selected by
-    minimal lcm degree with a sugar tie-break (``normal``), by the lcm's
-    position in the order (``lcm``), or in creation order (``fifo``).
+    minimal lcm degree with a sugar tie-break (``normal``), smallest lcm
+    in the monomial order first (``lcm``), or in creation order (``fifo``).
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
     notice but is cheaper on large inputs.
@@ -292,7 +297,7 @@ def _buchberger_kernel(
             return (deg, sugar, hk, pair)
     elif strategy == "lcm":
         def select_key(pair):
-            return (pair_meta[pair][2], pair)
+            return (_ascending(pair_meta[pair][2]), pair)
     else:
         def select_key(pair):
             return (pair_meta[pair][3], pair)

@@ -9,9 +9,16 @@ and the chain continues by plain division, no basis completion needed.
 Module vectors are the groebner kernel's records, in its module-term
 encoding, and are divided by its `_reduce`; this module supplies the
 order keys and the per-component reducer lists.
-The resulting graded complex is generally non-minimal; eliminating
-degree-zero differential entries by column operations leaves the minimal
-complex, whose graded ranks are the Betti numbers.
+The resulting graded complex F is generally non-minimal.  Its Betti
+numbers are the graded dimensions of the homology of F tensored with the
+residue field: the differential d_i reduces there to its scalar blocks
+between generators of equal twist, so beta_{i,j} is the count of twist-j
+generators of F_i less the ranks of those blocks of d_i and d_{i+1} in
+degree j (as in Erocal-Motsak-Schreyer-Steenpass, "Refined algorithms to
+compute syzygies", 2016).  Only small scalar eliminations are needed.
+The minimal complex itself, obtained by eliminating the degree-zero
+entries with polynomial column operations, is built only when its
+modules or matrices are asked for.
 """
 
 from __future__ import annotations
@@ -303,6 +310,64 @@ def _minimalize_raw(twists, cols, field, nvars):
 
 
 # ---------------------------------------------------------------------------
+# Betti numbers from scalar ranks
+
+def _rank(columns, field):
+    """Rank of a scalar matrix given as columns {row: nonzero coefficient}.
+
+    Each column is reduced by the pivots at its smallest row until it
+    vanishes or gives a new pivot; a pivot's other rows are all larger,
+    so every step raises the smallest row and the loop ends.
+    """
+    zero = field.zero
+    pivots = {}
+    for col in columns:
+        v = dict(col)
+        while v:
+            r = min(v)
+            piv = pivots.get(r)
+            if piv is None:
+                inv = field.inv(v[r])
+                pivots[r] = {k: field.mul(c, inv) for k, c in v.items()}
+                break
+            c = v[r]
+            for k, pc in piv.items():
+                x = field.sub(v.get(k, zero), field.mul(c, pc))
+                if x == zero:
+                    v.pop(k, None)
+                else:
+                    v[k] = x
+    return len(pivots)
+
+
+def _constant_ranks(twists, cols, field, nvars):
+    """Ranks of the differentials tensored with the residue field.
+
+    Takes :class:`FreeResolution`'s layout and returns ``{(i, j): rank}``,
+    the rank of the block of constant coefficients of d_i between the
+    twist-j generators of levels i and i-1, for every nonzero block.
+    """
+    zero_exps = (0,) * nvars
+    ranks = {}
+    for i in range(1, len(twists)):
+        twist_src, twist_tgt = twists[i], twists[i - 1]
+        blocks = {}
+        for cid, col in cols[i].items():
+            j = twist_src[cid]
+            entries = {}
+            for rid, poly in col.items():
+                if twist_tgt[rid] == j:
+                    c = poly.get(zero_exps)
+                    if c is not None:
+                        entries[rid] = c
+            if entries:
+                blocks.setdefault(j, []).append(entries)
+        for j, block in blocks.items():
+            ranks[(i, j)] = _rank(block, field)
+    return ranks
+
+
+# ---------------------------------------------------------------------------
 # public graded types
 
 @dataclass(frozen=True)
@@ -472,9 +537,19 @@ class FreeResolution:
     id to its column, a dict from level i-1 id to term dict.  Ids are
     stable, so a minimalized chain keeps the surviving ids;
     ``matrices`` materializes public objects on demand.
+
+    ``betti()`` works on any resolution, minimal or not, by subtracting
+    the ranks of the scalar blocks of the differentials from the
+    generator counts.  The resolution :meth:`minimalize` returns is lazy:
+    it holds its source in ``_source`` and no chain (``_twists`` is
+    None) until ``modules``, ``length``, ``matrices``,
+    ``check_complex``, ``is_minimal_complex`` or ``repr`` needs one;
+    until then its ``betti()`` is the source's.
     """
 
-    __slots__ = ("ring", "minimal", "truncated_at", "_twists", "_cols", "_matrices")
+    __slots__ = (
+        "ring", "minimal", "truncated_at", "_twists", "_cols", "_matrices", "_source"
+    )
 
     def __init__(self, ring, twists, cols, *, minimal, truncated_at=None):
         self.ring = ring
@@ -483,30 +558,46 @@ class FreeResolution:
         self.minimal = minimal
         self.truncated_at = truncated_at
         self._matrices = None
+        self._source = None      # the resolution a lazy minimalization came from
+
+    def _chain(self):
+        """The stored ``(twists, cols)``, minimalizing the source on first use.
+
+        The source is then released; ``betti()`` of the minimal chain
+        finds no scalar entries and counts generators.
+        """
+        if self._twists is None:
+            twists, cols = self._source._chain()
+            self._twists, self._cols = _minimalize_raw(
+                twists, cols, self.ring.field, self.ring.nvars
+            )
+            self._source = None
+        return self._twists, self._cols
 
     @property
     def length(self) -> int:
-        return len(self._twists) - 1
+        return len(self._chain()[0]) - 1
 
     @property
     def modules(self):
         out = []
-        for tw in self._twists:
+        for tw in self._chain()[0]:
             out.append(GradedFreeModule(tuple(tw[i] for i in sorted(tw))))
         return tuple(out)
 
     @property
     def matrices(self):
         if self._matrices is None:
+            twists, cols = self._chain()
             mats = []
             modules = self.modules
             for i in range(1, self.length + 1):
-                src_ids = sorted(self._twists[i])
-                tgt_ids = sorted(self._twists[i - 1])
+                src_ids = sorted(twists[i])
+                tgt_ids = sorted(twists[i - 1])
                 tgt_pos = {rid: k for k, rid in enumerate(tgt_ids)}
                 columns = []
                 for cid in src_ids:
-                    col = self._cols[i].get(cid, {})
+                    col = cols[i].get(cid, {})
                     columns.append(
                         {tgt_pos[rid]: self.ring.poly(p) for rid, p in col.items()}
                     )
@@ -517,20 +608,26 @@ class FreeResolution:
         return self._matrices
 
     def betti(self) -> BettiTable:
-        if not self.minimal:
-            raise ValidationError("Betti numbers require a minimalized resolution")
+        """Betti table: generator counts less the scalar ranks beside them."""
+        if self._source is not None:
+            return self._source.betti()
         entries = {}
         for i, tw in enumerate(self._twists):
             for j in tw.values():
                 entries[(i, j)] = entries.get((i, j), 0) + 1
+        ranks = _constant_ranks(self._twists, self._cols, self.ring.field, self.ring.nvars)
+        for (i, j), r in ranks.items():
+            entries[(i, j)] -= r
+            entries[(i - 1, j)] -= r
         return BettiTable(entries, truncated_at=self.truncated_at)
 
     def check_complex(self) -> bool:
         """True when consecutive differentials compose to zero."""
         field = self.ring.field
+        cols = self._chain()[1]
         for i in range(2, self.length + 1):
-            prev = self._cols[i - 1]
-            for col in self._cols[i].values():
+            prev = cols[i - 1]
+            for col in cols[i].values():
                 # Minus the composite column, which is zero exactly when it is.
                 acc = {}
                 for rid, p in col.items():
@@ -543,23 +640,29 @@ class FreeResolution:
     def is_minimal_complex(self) -> bool:
         """True when no differential entry has a degree-zero term."""
         zero_exps = (0,) * self.ring.nvars
+        cols = self._chain()[1]
         for i in range(1, self.length + 1):
-            for col in self._cols[i].values():
+            for col in cols[i].values():
                 for p in col.values():
                     if zero_exps in p:
                         return False
         return True
 
     def minimalize(self) -> "FreeResolution":
-        twists, cols = _minimalize_raw(
-            self._twists, self._cols, self.ring.field, self.ring.nvars
+        """The minimal resolution, built lazily from this one.
+
+        Its ``betti()`` reads this resolution's scalar ranks; the
+        column operations of `_minimalize_raw` run on first use of its
+        modules or matrices.
+        """
+        out = FreeResolution(
+            self.ring, None, None, minimal=True, truncated_at=self.truncated_at
         )
-        return FreeResolution(
-            self.ring, twists, cols, minimal=True, truncated_at=self.truncated_at
-        )
+        out._source = self
+        return out
 
     def __repr__(self):
-        ranks = ", ".join(str(len(t)) for t in self._twists)
+        ranks = ", ".join(str(len(t)) for t in self._chain()[0])
         kind = "minimal" if self.minimal else "non-minimal"
         return f"FreeResolution({kind}; ranks {ranks})"
 
@@ -588,7 +691,11 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
 
 
 def minimal_free_resolution(ideal, *, degree_limit=None, level_cap=None) -> FreeResolution:
-    """Minimal graded free resolution of R/I for a homogeneous ideal."""
+    """Minimal graded free resolution of R/I for a homogeneous ideal.
+
+    Lazy, as :meth:`FreeResolution.minimalize` returns it: the Betti table
+    is read without minimalizing, the minimal matrices are built on first use.
+    """
     return schreyer_resolution(
         ideal, degree_limit=degree_limit, level_cap=level_cap
     ).minimalize()

@@ -118,6 +118,17 @@ def test_betti_caviglia_json(capsys):
     assert triples[(0, 0)] == 1
 
 
+def test_betti_family_json_golden_totals(capsys):
+    code, out, _ = run(capsys, "betti", "2:(2,1,2)", "--format", "json")
+    assert code == 0
+    report = json.loads(out)["report"]
+    totals = {}
+    for i, _, b in report["betti"]:
+        totals[i] = totals.get(i, 0) + b
+    assert [totals[i] for i in sorted(totals)] == [1, 3, 75, 247, 320, 188, 42]
+    assert report["pd"] == 6 and report["truncated_at"] is None
+
+
 def test_betti_degree_limit_banner(capsys):
     code, out, _ = run(capsys, "betti", "caviglia", "3", "--degree-limit", "6")
     assert code == 0

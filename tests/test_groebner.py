@@ -125,6 +125,12 @@ def test_reduced_basis_unique_across_strategies():
     assert bases[0] == bases[1] == bases[2]
 
 
+def test_lcm_strategy_takes_smallest_lcm_first():
+    # Taking the largest lcm first never finished on this ideal.
+    ideal = build_ideal(FamilyParams.parse("2:(3,1)"))
+    assert buchberger(ideal, strategy="lcm").elements == buchberger(ideal).elements
+
+
 def test_source_generators_reduce_to_zero():
     ideal = build_ideal(FamilyParams(2, (3, 1)))
     G = buchberger(ideal)

@@ -19,6 +19,7 @@ from idealfam import (
     hilbert_crosscheck,
     mccullough_ideal,
     minimal_free_resolution,
+    pd_formula,
     pd_of,
     reg_of,
     resolve,
@@ -27,6 +28,7 @@ from idealfam import (
     variable_count,
     verify_socle,
 )
+from idealfam import resolution
 
 from conftest import small_ring
 
@@ -179,11 +181,93 @@ def test_degree_truncated_resolution_marks_and_matches():
             assert part.entry(i, j) == b
 
 
-def test_betti_requires_minimal():
+def _counted(res):
+    """Betti table counted from the column-operation minimalization."""
+    twists, _ = resolution._minimalize_raw(
+        res._twists, res._cols, res.ring.field, res.ring.nvars
+    )
+    entries = {}
+    for i, tw in enumerate(twists):
+        for j in tw.values():
+            entries[(i, j)] = entries.get((i, j), 0) + 1
+    return BettiTable(entries, truncated_at=res.truncated_at)
+
+
+def test_betti_of_nonminimal_equals_minimalized():
     ideal = build_ideal(FamilyParams(2, (1, 1)))
     nonmin = schreyer_resolution(ideal)
-    with pytest.raises(ValidationError):
-        nonmin.betti()
+    table = nonmin.betti()
+    assert sum(table.totals()) < sum(m.rank for m in nonmin.modules)
+    assert table == _counted(nonmin) == nonmin.minimalize().betti()
+
+
+def _family(text, **kw):
+    return lambda: build_ideal(FamilyParams.parse(text), **kw)
+
+
+RANK_CASES = {
+    "2:(3,1)": (_family("2:(3,1)"), None),
+    "mccullough(2,1,3)": (lambda: mccullough_ideal(2, 1, 3), None),
+    "caviglia(3)": (lambda: caviglia_ideal(3), None),
+    "caviglia(4)": (lambda: caviglia_ideal(4), None),
+    "caviglia(5)": (lambda: caviglia_ideal(5), None),
+    "caviglia(4) over QQ": (lambda: caviglia_ideal(4, QQ), None),
+    "mccullough(2,1,3) over QQ": (lambda: mccullough_ideal(2, 1, 3, QQ), None),
+    "caviglia(4) over F_101 to degree 9": (
+        lambda: caviglia_ideal(4, PrimeField(101)), 9
+    ),
+    "2:(3,1) to degree 10": (_family("2:(3,1)"), 10),
+    "2:(2,1) lex": (_family("2:(2,1)", order=MonomialOrder("lex")), None),
+    "2:(2,1) rescaled, seed 1": (
+        lambda: _rescaled(build_ideal(FamilyParams.parse("2:(2,1)")), random.Random(1)),
+        None,
+    ),
+    "2:(2,1) rescaled, seed 2": (
+        lambda: _rescaled(build_ideal(FamilyParams.parse("2:(2,1)")), random.Random(2)),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+def test_rank_route_matches_column_operations(name):
+    make, limit = RANK_CASES[name]
+    nonmin = schreyer_resolution(make(), degree_limit=limit)
+    table = nonmin.betti()
+    counted = _counted(nonmin)
+    assert table == counted
+    assert table.truncated_at == counted.truncated_at == limit
+    assert nonmin.minimalize().betti() == table
+
+
+def test_minimalize_is_lazy(monkeypatch):
+    calls = []
+    raw = resolution._minimalize_raw
+
+    def counting(*args):
+        calls.append(args)
+        return raw(*args)
+
+    monkeypatch.setattr(resolution, "_minimalize_raw", counting)
+    nonmin = schreyer_resolution(build_ideal(FamilyParams.parse("2:(2,1)")))
+    mres = nonmin.minimalize()
+    table = mres.betti()
+    assert mres.minimal and not calls
+    assert len(mres.matrices) == table.pd
+    assert len(calls) == 1
+    assert mres.check_complex() and mres.is_minimal_complex()
+    assert [m.rank for m in mres.modules] == table.totals()
+    assert mres.betti() == table
+    assert len(calls) == 1
+
+
+def test_long_family_instance_2_213():
+    params = FamilyParams.parse("2:(2,1,3)")
+    gb = buchberger(build_ideal(params))
+    table = schreyer_resolution(gb).minimalize().betti()
+    assert table.totals() == [1, 3, 140, 493, 670, 410, 95]
+    assert table.pd == pd_formula(params) == 6
+    assert hilbert_crosscheck(table, gb.hilbert_numerator())
 
 
 # --------------------------------------------------------------- syzygies
