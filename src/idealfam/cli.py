@@ -26,7 +26,6 @@ from .family import (
     build_ideal,
     caviglia_ideal,
     derived_constants,
-    identify_subfamily,
     mccullough_ideal,
     mccullough_witness,
     pd_formula,

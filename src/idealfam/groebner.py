@@ -20,6 +20,7 @@ are built only when asked for.
 from __future__ import annotations
 
 import heapq
+from itertools import chain, count, islice
 
 from .errors import ResourceLimitError, ValidationError
 from .ring import Monomial, MonomialOrder, Polynomial, PolynomialRing, PrimeField
@@ -210,10 +211,16 @@ def _buchberger_kernel(
 ):
     """Groebner basis of term dicts; returns (gens, truncated).
 
-    Pair handling follows the classic update procedure: the product
-    criterion and chain criterion prune the queue, pairs are selected by
-    minimal lcm degree with a sugar tie-break (``normal``), smallest lcm
-    in the monomial order first (``lcm``), or in creation order (``fifo``).
+    Pairs go through the Gebauer-Moeller update: when a generator h
+    arrives, the product criterion drops a new pair (g, h) whose leads are
+    coprime, the chain criterion drops a new pair (g, h) when another
+    generator's lead divides lcm(g, h), and the B-filter drops an old pair
+    (i, j) when lead(h) divides lcm(i, j) and that lcm differs from both
+    lcm(i, h) and lcm(j, h).  Each pair's lcm and its bit mask are computed
+    once, when the pair is made, and stored with the pair; a bit-mask test
+    runs before every divisibility test.  Pairs are selected by minimal
+    lcm degree with a sugar tie-break (``normal``), smallest lcm in the
+    monomial order first (``lcm``), or in creation order (``fifo``).
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
     notice but is cheaper on large inputs.
@@ -227,125 +234,106 @@ def _buchberger_kernel(
         g.sugar = max(sum(g.lm), max((sum(e) for e, _ in g.tail), default=0))
         g.idx = k
 
-    pair_meta = {}
-    serial = [0]
-
-    def meta(i, j):
-        key = (i, j) if i < j else (j, i)
-        got = pair_meta.get(key)
-        if got is None:
-            lcm = _lcm(f[i].lm, f[j].lm)
-            deg = sum(lcm)
-            sugar = max(
-                f[i].sugar + deg - sum(f[i].lm),
-                f[j].sugar + deg - sum(f[j].lm),
-            )
-            got = (deg, sugar, heapkey(lcm), serial[0])
-            serial[0] += 1
-            pair_meta[key] = got
-        return got
-
-    def update(G, B, ih):
-        # Incorporate generator ih; prune pairs with the product and
-        # chain criteria, drop basis elements with newly divisible leads.
-        mh = f[ih].lm
-        mask_h = f[ih].mask
-        C = sorted(G)
-        D = []
-        while C:
-            ig = C.pop(0)
-            mg = f[ig].lm
-            lcm_hg = _lcm(mh, mg)
-            disjoint = mask_h & f[ig].mask == 0
-
-            def lcm_divides(ip):
-                return _divides(_lcm(mh, f[ip].lm), lcm_hg)
-
-            if disjoint or (
-                not any(lcm_divides(ip) for ip in C)
-                and not any(lcm_divides(ip) for ip, _ in D)
-            ):
-                D.append((ig, disjoint))
-        E = [ig for ig, disjoint in D if not disjoint]
-
-        B_new = set()
-        for (i, j) in B:
-            lcm_ij = _lcm(f[i].lm, f[j].lm)
-            if (
-                not _divides(mh, lcm_ij)
-                or _lcm(f[i].lm, mh) == lcm_ij
-                or _lcm(f[j].lm, mh) == lcm_ij
-            ):
-                B_new.add((i, j))
-        for ig in E:
-            i, j = (ig, ih) if ig < ih else (ih, ig)
-            B_new.add((i, j))
-            meta(i, j)
-
-        G_new = {ig for ig in G if not _divides(mh, f[ig].lm)}
-        G_new.add(ih)
-        return G_new, B_new
-
-    G = set()
-    CP = set()
-    for i in range(len(f)):
-        G, CP = update(G, CP, i)
-
     if strategy == "normal":
-        def select_key(pair):
-            deg, sugar, hk, _ = pair_meta[pair]
-            return (deg, sugar, hk, pair)
+        def select_key(pair, meta):
+            return meta[:3] + (pair,)
     elif strategy == "lcm":
-        def select_key(pair):
-            return (_ascending(pair_meta[pair][2]), pair)
+        def select_key(pair, meta):
+            return (_ascending(meta[2]), pair)
     else:
-        def select_key(pair):
-            return (pair_meta[pair][3], pair)
+        def select_key(pair, meta):
+            return (meta[3], pair)
 
-    heap = [(select_key(pair), pair) for pair in CP]
-    heapq.heapify(heap)
-    ordered_gens = [f[k] for k in sorted(G)]
+    # Live pairs (i, j), i < j, each mapped to its (lcm degree, sugar,
+    # heapkey of the lcm, creation serial, lcm, lcm mask).  The heap may
+    # hold pairs the B-filter has since dropped; they are skipped.
+    pairs = {}
+    heap = []
+    serial = count()
+
+    def update(G, h):
+        # Gebauer-Moeller update for the new generator h; G lists the
+        # current generators in index order, leads pairwise non-dividing.
+        mh = h.lm
+        mask_h = h.mask
+        # Chain criterion: (g, h) goes when lead(p) divides lcm(g, h) for
+        # a p later in G or kept before g; this equals lcm(h, p) dividing
+        # lcm(g, h).  Product criterion: a coprime g is kept as a chain
+        # witness but makes no pair.
+        kept = []
+        new = []
+        for k, g in enumerate(G):
+            if mask_h & g.mask:
+                lcm = _lcm(mh, g.lm)
+                mask = mask_h | g.mask
+                if any(
+                    p.mask & mask == p.mask and _divides(p.lm, lcm)
+                    for p in chain(islice(G, k + 1, None), kept)
+                ):
+                    continue
+                new.append((g, lcm, mask))
+            kept.append(g)
+
+        # B-filter on the old pairs, reading each pair's stored lcm.
+        dropped = [
+            pair
+            for pair, meta in pairs.items()
+            if meta[5] & mask_h == mask_h
+            and _divides(mh, meta[4])
+            and _lcm(f[pair[0]].lm, mh) != meta[4]
+            and _lcm(f[pair[1]].lm, mh) != meta[4]
+        ]
+        for pair in dropped:
+            del pairs[pair]
+
+        for g, lcm, mask in new:
+            deg = sum(lcm)
+            sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - sum(mh))
+            pair = (g.idx, h.idx)
+            meta = (deg, sugar, heapkey(lcm), next(serial), lcm, mask)
+            pairs[pair] = meta
+            heapq.heappush(heap, (select_key(pair, meta), pair))
+
+        G = [g for g in G if g.mask & mask_h != mask_h or not _divides(mh, g.lm)]
+        G.append(h)
+        return G
+
+    G = []
+    for g in f:
+        G = update(G, g)
+
     truncated = False
     while heap:
-        if len(CP) > pair_limit:
+        if len(pairs) > pair_limit:
             raise ResourceLimitError(
                 f"pair queue exceeded the configured bound ({pair_limit})"
             )
         pair = heapq.heappop(heap)[1]
-        if pair not in CP:
+        meta = pairs.pop(pair, None)
+        if meta is None:
             continue
-        CP.discard(pair)
         i, j = pair
-        sugar = pair_meta[pair][1]
+        sugar = meta[1]
         if degree_limit is not None and sugar > degree_limit:
             truncated = True
             continue
         s = _spoly(f[i], f[j], field)
         if not s:
             continue
-        r, _ = _reduce(s, lambda m: ordered_gens, heapkey, field, full=tail_reduce)
+        r, _ = _reduce(s, lambda m: G, heapkey, field, full=tail_reduce)
         if not r:
             continue
         h = _make_gen(r, heapkey, field, sugar, len(f))
         f.append(h)
-        G, CP = update(G, CP, h.idx)
-        ordered_gens = [f[k] for k in sorted(G)]
-        for pr in CP:
-            if h.idx in pr:
-                heapq.heappush(heap, (select_key(pr), pr))
+        G = update(G, h)
 
-    # Minimal generators: drop any element whose lead is divisible by another.
-    alive = sorted(G)
-    gens = [
-        f[i]
-        for i in alive
-        if not any(j != i and _divides(f[j].lm, f[i].lm) for j in alive)
-    ]
+    # The input leads are interreduced, each new lead is irreducible by G
+    # and update drops its multiples, so the leads of G are minimal.
     if interreduce:
         # Full tail interreduction until stable gives the unique reduced basis.
-        gens = _interreduce(gens, heapkey, field)
-    gens.sort(key=lambda g: heapkey(g.lm))
-    return gens, truncated
+        G = _interreduce(G, heapkey, field)
+    G.sort(key=lambda g: heapkey(g.lm))
+    return G, truncated
 
 
 class IdealPresentation:

@@ -16,7 +16,9 @@ from idealfam import (
     normal_form,
     s_polynomial,
     verification_basis,
+    verification_degree,
 )
+from idealfam import groebner
 
 from conftest import random_homogeneous, small_ring, span_membership
 
@@ -254,6 +256,48 @@ def test_basis_sizes_pinned():
     assert _size(buchberger(caviglia_ideal(5))) == (7, 8)
     assert _size(buchberger(mccullough_ideal(2, 1, 3))) == (6, 10)
     assert _size(buchberger(caviglia_ideal(4, QQ))) == (6, 7)
+    # Without tail reduction and interreduction the tails depend on the
+    # order in which pairs are processed.
+    for spec, normal, fifo in (
+        ("3:(2,1)", (123, 6188), (123, 5876)),
+        ("2:(4,3)", (146, 8391), (146, 8308)),
+    ):
+        params = FamilyParams.parse(spec)
+        ideal = build_ideal(params)
+        for strategy, want in (("normal", normal), ("fifo", fifo)):
+            G = buchberger(
+                ideal,
+                degree_limit=verification_degree(params),
+                strategy=strategy,
+                tail_reduce=False,
+                interreduce=False,
+            )
+            assert _size(G) == want, (spec, strategy)
+
+
+def test_spolynomial_counts_pinned(monkeypatch):
+    # Equal bases can hide a pair criterion that keeps extra pairs which
+    # then reduce to zero; the number of S-polynomials formed shows it.
+    calls = []
+    spoly = groebner._spoly
+
+    def counted(f, g, field):
+        calls.append(None)
+        return spoly(f, g, field)
+
+    monkeypatch.setattr(groebner, "_spoly", counted)
+
+    def count(build):
+        calls.clear()
+        build()
+        return len(calls)
+
+    assert count(lambda: verification_basis(FamilyParams.parse("2:(2,2,2)"))) == 75
+    assert count(lambda: verification_basis(FamilyParams.parse("3:(2,1)"))) == 257
+    ideal = build_ideal(FamilyParams.parse("2:(3,1)"))
+    for strategy, want in (("normal", 162), ("lcm", 162), ("fifo", 169)):
+        assert count(lambda: buchberger(ideal, strategy=strategy)) == want, strategy
+    assert count(lambda: buchberger(caviglia_ideal(5))) == 13
 
 
 def test_basis_from_polynomials_matches_computed():
