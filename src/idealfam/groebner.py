@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain, count, islice
+from operator import add, sub
 
 from .errors import ResourceLimitError, ValidationError
 from .ring import Monomial, MonomialOrder, Polynomial, PolynomialRing, PrimeField
@@ -86,9 +87,17 @@ def _reduce(terms, reducers, key, field, *, full=True, track=False):
 
     ``reducers(m)`` lists the candidate records for the term ``m`` in a
     fixed order and the first whose lead divides ``m`` is used, so the
-    result is deterministic.  Returns ``(remainder, quotients)``;
-    quotients maps a record's ``idx`` to a term dict of shifts, and is
-    None unless ``track``.
+    result is deterministic and the caller picks the reducer order.
+    Against a Groebner basis membership and the full remainder do not
+    depend on that order, so `GroebnerBasis` offers its records lowest
+    lead degree first, which finds a divisor after far fewer tests.
+    Buchberger's kernel and `_interreduce` keep list order because they
+    divide by records that are not yet a Groebner basis, and the Schreyer
+    tower because it keeps the quotients: there the divisor chosen shows
+    in non-canonical bases, in the S-polynomials formed and in syzygy
+    columns.  Returns ``(remainder, quotients)``; quotients maps a
+    record's ``idx`` to a term dict of shifts, and is None unless
+    ``track``.
     """
     work = dict(terms)
     heap = [key(e) + (e,) for e in work]
@@ -110,13 +119,13 @@ def _reduce(terms, reducers, key, field, *, full=True, track=False):
             if full:
                 continue
             break
-        shift = tuple(a - b for a, b in zip(m, red.lm))
+        shift = tuple(map(sub, m, red.lm))
         if track:
             q = quotients.setdefault(red.idx, {})
             q[shift] = field.add(q.get(shift, field.zero), c)
         if prime is not None:
             for e2, c2 in red.tail:
-                e = tuple(a + b for a, b in zip(e2, shift))
+                e = tuple(map(add, e2, shift))
                 prev = work.get(e)
                 if prev is None:
                     v = -c * c2 % prime
@@ -131,7 +140,7 @@ def _reduce(terms, reducers, key, field, *, full=True, track=False):
                         del work[e]
         else:
             for e2, c2 in red.tail:
-                e = tuple(a + b for a, b in zip(e2, shift))
+                e = tuple(map(add, e2, shift))
                 prev = work.get(e)
                 if prev is None:
                     v = field.neg(field.mul(c, c2))
@@ -151,14 +160,14 @@ def _reduce(terms, reducers, key, field, *, full=True, track=False):
 def _spoly(f, g, field):
     """S-polynomial term dict of two monic kernel generators."""
     lcm = _lcm(f.lm, g.lm)
-    u = tuple(a - b for a, b in zip(lcm, f.lm))
-    v = tuple(a - b for a, b in zip(lcm, g.lm))
+    u = tuple(map(sub, lcm, f.lm))
+    v = tuple(map(sub, lcm, g.lm))
     acc = {}
     zero = field.zero
     for e, c in f.tail:
-        acc[tuple(a + b for a, b in zip(e, u))] = c
+        acc[tuple(map(add, e, u))] = c
     for e, c in g.tail:
-        key = tuple(a + b for a, b in zip(e, v))
+        key = tuple(map(add, e, v))
         val = field.sub(acc.get(key, zero), c)
         if val == zero:
             acc.pop(key, None)
@@ -168,34 +177,33 @@ def _spoly(f, g, field):
 
 
 def _interreduce(gens, heapkey, field):
-    """Full mutual reduction of monic records until stable; drops zeros.
+    """One pass of mutual reduction in place; returns whether it changed.
 
     Each record is divided by all the others in list order, the earlier
     ones already replaced by their reductions; a record is rebuilt only
-    when its reduction changed it.
+    when its reduction changed it, and dropped when it reduced to zero.
+    When no lead divides another, the leads stay fixed and one pass
+    leaves every tail fully reduced.
     """
-    gens = list(gens)
     one = field.one
-    while True:
-        changed = False
-        a = 0
-        while a < len(gens):
-            g = gens[a]
-            t = {g.lm: one}
-            t.update(g.tail)
-            others = gens[:a] + gens[a + 1 :]
-            r, _ = _reduce(t, lambda m: others, heapkey, field)
-            if r == t:
-                a += 1
-                continue
-            changed = True
-            if r:
-                gens[a] = _make_gen(r, heapkey, field, g.sugar, g.idx)
-                a += 1
-            else:
-                del gens[a]
-        if not changed:
-            return gens
+    changed = False
+    a = 0
+    while a < len(gens):
+        g = gens[a]
+        t = {g.lm: one}
+        t.update(g.tail)
+        others = gens[:a] + gens[a + 1 :]
+        r, _ = _reduce(t, lambda m: others, heapkey, field)
+        if r == t:
+            a += 1
+            continue
+        changed = True
+        if r:
+            gens[a] = _make_gen(r, heapkey, field, g.sugar, g.idx)
+            a += 1
+        else:
+            del gens[a]
+    return changed
 
 
 def _buchberger_kernel(
@@ -227,9 +235,10 @@ def _buchberger_kernel(
     """
     if strategy not in _STRATEGIES:
         raise ValidationError(f"unknown selection strategy {strategy!r}")
-    f = _interreduce(
-        [_make_gen(t, heapkey, field, 0, 0) for t in inputs if t], heapkey, field
-    )
+    # Input leads may divide each other, so reduce until nothing changes.
+    f = [_make_gen(t, heapkey, field, 0, 0) for t in inputs if t]
+    while _interreduce(f, heapkey, field):
+        pass
     for k, g in enumerate(f):
         g.sugar = max(sum(g.lm), max((sum(e) for e, _ in g.tail), default=0))
         g.idx = k
@@ -328,10 +337,10 @@ def _buchberger_kernel(
         G = update(G, h)
 
     # The input leads are interreduced, each new lead is irreducible by G
-    # and update drops its multiples, so the leads of G are minimal.
+    # and update drops its multiples, so the leads of G are minimal, and
+    # one pass of tail reduction gives the unique reduced basis.
     if interreduce:
-        # Full tail interreduction until stable gives the unique reduced basis.
-        G = _interreduce(G, heapkey, field)
+        _interreduce(G, heapkey, field)
     G.sort(key=lambda g: heapkey(g.lm))
     return G, truncated
 
@@ -376,10 +385,16 @@ class GroebnerBasis:
     """A monic Groebner basis with a fixed deterministic element order.
 
     The basis is stored as the kernel's monic records; ``elements`` builds
-    the public polynomials on first access.
+    the public polynomials on first access.  Membership and normal forms
+    divide by the records lowest lead degree first (ties in element
+    order), a list built once on first use.  The constructor trusts its
+    input to be a Groebner basis and does not check it; for any other
+    input ``normal_form`` depends on that reducer order.
     """
 
-    __slots__ = ("ring", "reduced", "truncated_at", "source", "_gens", "_elements")
+    __slots__ = (
+        "ring", "reduced", "truncated_at", "source", "_gens", "_elements", "_by_degree"
+    )
 
     def __init__(self, ring, elements, *, reduced, truncated_at=None, source=None):
         """A basis from given polynomials, turned into monic records once."""
@@ -388,6 +403,7 @@ class GroebnerBasis:
         self.truncated_at = truncated_at
         self.source = source
         self._elements = tuple(elements)
+        self._by_degree = None
         heapkey = ring.order.heapkey_fn()
         self._gens = [
             _make_gen(dict(p.terms), heapkey, ring.field, 0, k)
@@ -419,8 +435,11 @@ class GroebnerBasis:
                 f"normal form of degree {p.degree()} is not exact against a "
                 f"basis truncated at degree {self.truncated_at}"
             )
+        if self._by_degree is None:
+            self._by_degree = sorted(self._gens, key=lambda g: sum(g.lm))
+        by_degree = self._by_degree
         r, _ = _reduce(
-            dict(p.terms), lambda m: self._gens, self.ring.order.heapkey_fn(),
+            dict(p.terms), lambda m: by_degree, self.ring.order.heapkey_fn(),
             self.ring.field, full=full,
         )
         return r

@@ -5,18 +5,26 @@ from idealfam import (
     FamilyParams,
     GroebnerBasis,
     IdealPresentation,
+    MonomialOrder,
+    PolynomialRing,
+    PrimeField,
     ResourceLimitError,
     ValidationError,
+    VariableTable,
     build_ideal,
     buchberger,
     caviglia_ideal,
     hilbert_numerator,
     is_member,
+    lemma_targets,
     mccullough_ideal,
     normal_form,
     s_polynomial,
+    socle_witness,
     verification_basis,
     verification_degree,
+    verify_lemma,
+    verify_socle,
 )
 from idealfam import groebner
 
@@ -99,8 +107,6 @@ def test_membership_examples():
     R = ideal.ring
     G = buchberger(ideal, degree_limit=25, tail_reduce=False, interreduce=False)
     assert is_member(R.zero(), G)
-    from idealfam import lemma_targets, socle_witness
-
     for mono in lemma_targets(FamilyParams(2, (2, 2, 2)), R.table):
         assert is_member(R.from_monomial(mono), G)
     S = R.from_monomial(socle_witness(FamilyParams(2, (2, 2, 2)), R.table))
@@ -311,3 +317,82 @@ def test_basis_from_polynomials_matches_computed():
     for g in ideal.generators:
         assert H.contains(g)
     assert not H.contains(ideal.ring.variable(0))
+
+
+def _list_order_remainder(basis, p, full):
+    # The route the degree-ordered reducers replaced: the first divisor
+    # in element order, largest lead first.
+    ring = basis.ring
+    r, _ = groebner._reduce(
+        dict(p.terms), lambda m: basis._gens, ring.order.heapkey_fn(), ring.field,
+        full=full,
+    )
+    return r
+
+
+def _assert_divisor_order_invisible(basis, polys):
+    ring = basis.ring
+    for p in polys:
+        assert basis.contains(p) == (not _list_order_remainder(basis, p, False)), p
+        assert basis.normal_form(p) == ring.poly(_list_order_remainder(basis, p, True)), p
+
+
+def test_membership_independent_of_divisor_order(rng):
+    for spec in ("2:(2,2,2)", "3:(2,1)"):
+        params = FamilyParams.parse(spec)
+        basis = verification_basis(params)
+        R = basis.ring
+        w = R.from_monomial(socle_witness(params, R.table))
+        polys = [R.from_monomial(m) for m in lemma_targets(params, R.table)]
+        polys += [w] + [R.variable(i) * w for i in range(R.nvars)]
+        _assert_divisor_order_invisible(basis, polys)
+
+    names = ("x", "y", "z", "w")
+    for field in (PrimeField(32003), PrimeField(101), QQ):
+        for order in (MonomialOrder("lex"), MonomialOrder("grevlex", (2, 0, 3, 1))):
+            R = PolynomialRing(VariableTable.named(names), field, order)
+            for _ in range(3):
+                gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(3)]
+                gens = [g for g in gens if g]
+                basis = buchberger(IdealPresentation(R, gens))
+                polys = []
+                for _ in range(8):
+                    p = random_homogeneous(R, rng, rng.randrange(3, 7))
+                    g = rng.choice(gens)
+                    member = random_homogeneous(R, rng, p.degree() - g.degree()) * g
+                    polys += [p, member, member + p]
+                _assert_divisor_order_invisible(basis, polys)
+
+    ideal = build_ideal(FamilyParams(2, (1, 1)))
+    limit = 5
+    basis = buchberger(ideal, degree_limit=limit)
+    assert basis.truncated_at == limit
+    R = ideal.ring
+    polys = []
+    for d in range(1, limit + 1):
+        p = random_homogeneous(R, rng, d)
+        polys.append(p)
+        for g in ideal.generators:
+            if g.degree() <= d:
+                polys.append(random_homogeneous(R, rng, d - g.degree()) * g + p)
+                polys.append(random_homogeneous(R, rng, d - g.degree()) * g)
+    _assert_divisor_order_invisible(basis, polys)
+
+
+def test_membership_division_work_pinned(monkeypatch):
+    # Divisor tests made by the membership checks of one verification,
+    # measured with the reducers lowest lead degree first; the first
+    # divisor in element order made 783957 of them.
+    params = FamilyParams.parse("2:(2,3,4)")
+    basis = verification_basis(params)
+    calls = []
+    divides = groebner._divides
+
+    def counted(a, b):
+        calls.append(None)
+        return divides(a, b)
+
+    monkeypatch.setattr(groebner, "_divides", counted)
+    assert verify_socle(params, basis).conclusion
+    assert verify_lemma(params, basis).ok
+    assert len(calls) == 6461
