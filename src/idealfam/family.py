@@ -381,13 +381,16 @@ def verification_degree(params: FamilyParams) -> int:
 
 
 def verification_basis(params: FamilyParams, field=None) -> GroebnerBasis:
-    """Groebner basis truncated just above the largest membership degree.
+    """Groebner basis truncated at the largest membership degree.
 
     Homogeneous reduction never raises degree, so membership of elements
-    at or below the truncation degree is exact while the computation
-    stays far cheaper than a full basis.  Tails are kept as raw division
-    remainders and the final interreduction is skipped: both choices keep
-    this family's bases much sparser and change no membership answer.
+    at or below the truncation degree is exact.  Buchberger's kernel never
+    stores, chain-tests or forms a pair whose lcm lies above that degree,
+    and on this family such pairs are most of the candidates, so the
+    computation stays far cheaper than a full basis.  Tails are kept as
+    raw division remainders and the final interreduction is skipped: both
+    choices keep this family's bases much sparser and change no
+    membership answer.
     """
     return buchberger(
         build_ideal(params, field),

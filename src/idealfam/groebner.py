@@ -20,7 +20,7 @@ are built only when asked for.
 from __future__ import annotations
 
 import heapq
-from itertools import chain, count, islice
+from itertools import chain, islice
 from operator import add, sub
 
 from .errors import ResourceLimitError, ValidationError
@@ -60,7 +60,7 @@ def _divides(a, b):
 
 
 def _lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple([x if x >= y else y for x, y in zip(a, b)])
 
 
 def _ascending(hk):
@@ -206,6 +206,51 @@ def _interreduce(gens, heapkey, field):
     return changed
 
 
+def _chain_pairs(G, h, degree_limit=None):
+    """The pairs (g, h), g in G, that the chain and product criteria keep.
+
+    G lists the current generators in index order, leads pairwise
+    non-dividing.  A pair (g, h) goes when lead(p) divides lcm(g, h) for a
+    p later in G or kept before g; this equals lcm(h, p) dividing
+    lcm(g, h).  A coprime g makes no pair but is kept as a chain witness.
+    A candidate whose lcm degree exceeds ``degree_limit`` is kept as a
+    witness untested and reported only by the returned flag.  It never
+    witnesses against a pair within the limit: if its lead divided that
+    pair's lcm, its own lcm with h would divide that lcm too.  Returns
+    ``([(g, lcm, mask), ...], any_above_limit)``.
+    """
+    mh = h.lm
+    mask_h = h.mask
+    kept = []
+    new = []
+    above = False
+    for k, g in enumerate(G):
+        if mask_h & g.mask:
+            lcm = _lcm(mh, g.lm)
+            if degree_limit is not None and sum(lcm) > degree_limit:
+                above = True
+            else:
+                mask = mask_h | g.mask
+                if any(
+                    p.mask & mask == p.mask and _divides(p.lm, lcm)
+                    for p in chain(islice(G, k + 1, None), kept)
+                ):
+                    continue
+                new.append((g, lcm, mask))
+        kept.append(g)
+    return new, above
+
+
+def _b_filters(x, i, j, lcm, mask):
+    """Whether generator x's arrival drops the pair (i, j) with that lcm."""
+    return (
+        x.mask & mask == x.mask
+        and _divides(x.lm, lcm)
+        and _lcm(i.lm, x.lm) != lcm
+        and _lcm(j.lm, x.lm) != lcm
+    )
+
+
 def _buchberger_kernel(
     inputs,
     heapkey,
@@ -217,18 +262,39 @@ def _buchberger_kernel(
     tail_reduce=True,
     interreduce=True,
 ):
-    """Groebner basis of term dicts; returns (gens, truncated).
+    """Groebner basis of homogeneous term dicts; returns (gens, truncated).
 
     Pairs go through the Gebauer-Moeller update: when a generator h
     arrives, the product criterion drops a new pair (g, h) whose leads are
     coprime, the chain criterion drops a new pair (g, h) when another
-    generator's lead divides lcm(g, h), and the B-filter drops an old pair
-    (i, j) when lead(h) divides lcm(i, j) and that lcm differs from both
-    lcm(i, h) and lcm(j, h).  Each pair's lcm and its bit mask are computed
-    once, when the pair is made, and stored with the pair; a bit-mask test
-    runs before every divisibility test.  Pairs are selected by minimal
-    lcm degree with a sugar tie-break (``normal``), smallest lcm in the
-    monomial order first (``lcm``), or in creation order (``fifo``).
+    generator's lead divides lcm(g, h) (`_chain_pairs`), and the B-filter
+    drops an old pair (i, j) when lead(h) divides lcm(i, j) and that lcm
+    differs from both lcm(i, h) and lcm(j, h) (`_b_filters`).  Each pair's
+    lcm and its bit mask are computed once, when the pair is made, and
+    stored with the pair; a bit-mask test runs before every divisibility
+    test.  Pairs are selected by minimal lcm degree (``normal``), smallest
+    lcm in the monomial order first (``lcm``), or in creation order
+    (``fifo``).  The input is homogeneous, so a pair's sugar is its lcm
+    degree and every generator's is its degree.
+
+    A pair whose lcm degree exceeds ``degree_limit`` never yields a
+    generator, so it is neither chain-tested, stored nor B-filtered, and
+    ``pair_limit`` counts only the stored pairs within the limit.  No pair
+    within the limit is decided differently, since an above-limit
+    candidate is never its chain witness.
+
+    ``truncated`` is true exactly when a run that also queued the pairs
+    above the limit would select one of them while it is live: the pair
+    passed the chain test when its h arrived, and no generator that
+    arrived before its turn B-filtered it.  A generator made after that pair arrived before its
+    turn when the pair that made the generator has the smaller selection
+    key and was itself made before that turn.  Under ``normal`` selection,
+    or ``lcm`` in a degree-compatible order, every pair within the limit
+    is selected before every pair above it, so every later generator
+    counts.  When the queue is empty, the chain test is replayed over the
+    recorded ``(G, h)`` of each h that had candidates above the limit,
+    latest h first, until one such pair is found.
+
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
     notice but is cheaper on large inputs.
@@ -240,70 +306,47 @@ def _buchberger_kernel(
     while _interreduce(f, heapkey, field):
         pass
     for k, g in enumerate(f):
-        g.sugar = max(sum(g.lm), max((sum(e) for e, _ in g.tail), default=0))
+        g.sugar = sum(g.lm)
         g.idx = k
 
+    # Each selection key ends in its pair (i, j); pairs are made in the
+    # order of (j, i), which ``fifo`` follows.
     if strategy == "normal":
-        def select_key(pair, meta):
-            return meta[:3] + (pair,)
+        def select_key(pair, lcm):
+            return (sum(lcm), heapkey(lcm), pair)
     elif strategy == "lcm":
-        def select_key(pair, meta):
-            return (_ascending(meta[2]), pair)
+        def select_key(pair, lcm):
+            return (_ascending(heapkey(lcm)), pair)
     else:
-        def select_key(pair, meta):
-            return (meta[3], pair)
+        def select_key(pair, lcm):
+            return (pair[1], pair)
 
-    # Live pairs (i, j), i < j, each mapped to its (lcm degree, sugar,
-    # heapkey of the lcm, creation serial, lcm, lcm mask).  The heap may
-    # hold pairs the B-filter has since dropped; they are skipped.
+    # Live pairs (i, j), i < j, each mapped to its (lcm, lcm mask).  The
+    # heap may hold pairs the B-filter has since dropped; they are skipped.
     pairs = {}
     heap = []
-    serial = count()
+    # (G, h) for every h that had candidates above the limit, and the
+    # selection key of the pair each generator came from.
+    above_limit = []
+    origin = {}
 
     def update(G, h):
-        # Gebauer-Moeller update for the new generator h; G lists the
-        # current generators in index order, leads pairwise non-dividing.
-        mh = h.lm
-        mask_h = h.mask
-        # Chain criterion: (g, h) goes when lead(p) divides lcm(g, h) for
-        # a p later in G or kept before g; this equals lcm(h, p) dividing
-        # lcm(g, h).  Product criterion: a coprime g is kept as a chain
-        # witness but makes no pair.
-        kept = []
-        new = []
-        for k, g in enumerate(G):
-            if mask_h & g.mask:
-                lcm = _lcm(mh, g.lm)
-                mask = mask_h | g.mask
-                if any(
-                    p.mask & mask == p.mask and _divides(p.lm, lcm)
-                    for p in chain(islice(G, k + 1, None), kept)
-                ):
-                    continue
-                new.append((g, lcm, mask))
-            kept.append(g)
-
-        # B-filter on the old pairs, reading each pair's stored lcm.
+        new, above = _chain_pairs(G, h, degree_limit)
+        if above:
+            above_limit.append((G, h))
         dropped = [
             pair
-            for pair, meta in pairs.items()
-            if meta[5] & mask_h == mask_h
-            and _divides(mh, meta[4])
-            and _lcm(f[pair[0]].lm, mh) != meta[4]
-            and _lcm(f[pair[1]].lm, mh) != meta[4]
+            for pair, (lcm, mask) in pairs.items()
+            if _b_filters(h, f[pair[0]], f[pair[1]], lcm, mask)
         ]
         for pair in dropped:
             del pairs[pair]
-
         for g, lcm, mask in new:
-            deg = sum(lcm)
-            sugar = max(g.sugar + deg - sum(g.lm), h.sugar + deg - sum(mh))
             pair = (g.idx, h.idx)
-            meta = (deg, sugar, heapkey(lcm), next(serial), lcm, mask)
-            pairs[pair] = meta
-            heapq.heappush(heap, (select_key(pair, meta), pair))
-
-        G = [g for g in G if g.mask & mask_h != mask_h or not _divides(mh, g.lm)]
+            pairs[pair] = (lcm, mask)
+            heapq.heappush(heap, select_key(pair, lcm))
+        # A new list: the (G, h) records above keep the old one.
+        G = [g for g in G if g.mask & h.mask != h.mask or not _divides(h.lm, g.lm)]
         G.append(h)
         return G
 
@@ -311,30 +354,52 @@ def _buchberger_kernel(
     for g in f:
         G = update(G, g)
 
-    truncated = False
     while heap:
         if len(pairs) > pair_limit:
             raise ResourceLimitError(
                 f"pair queue exceeded the configured bound ({pair_limit})"
             )
-        pair = heapq.heappop(heap)[1]
+        key = heapq.heappop(heap)
+        pair = key[-1]
         meta = pairs.pop(pair, None)
         if meta is None:
             continue
         i, j = pair
-        sugar = meta[1]
-        if degree_limit is not None and sugar > degree_limit:
-            truncated = True
-            continue
         s = _spoly(f[i], f[j], field)
         if not s:
             continue
         r, _ = _reduce(s, lambda m: G, heapkey, field, full=tail_reduce)
         if not r:
             continue
-        h = _make_gen(r, heapkey, field, sugar, len(f))
+        h = _make_gen(r, heapkey, field, sum(meta[0]), len(f))
         f.append(h)
+        origin[h.idx] = key
         G = update(G, h)
+
+    def arrived_before(x, j, key):
+        # Whether x arrived before the turn of the pair with selection key
+        # ``key``, made when f[j] arrived.
+        while x.idx > j and x.idx in origin:
+            made_by = origin[x.idx]
+            if made_by > key:
+                return False
+            x = f[made_by[-1][1]]
+        return True
+
+    def live_above_limit():
+        for Gh, h in reversed(above_limit):
+            for g, lcm, mask in _chain_pairs(Gh, h)[0]:
+                if sum(lcm) <= degree_limit:
+                    continue
+                key = select_key((g.idx, h.idx), lcm)
+                if not any(
+                    _b_filters(x, g, h, lcm, mask) and arrived_before(x, h.idx, key)
+                    for x in islice(f, h.idx + 1, None)
+                ):
+                    return True
+        return False
+
+    truncated = live_above_limit()
 
     # The input leads are interreduced, each new lead is irreducible by G
     # and update drops its multiples, so the leads of G are minimal, and
@@ -493,12 +558,14 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal presentation.
 
-    With ``degree_limit`` the computation discards S-pairs above the limit
-    and returns a basis that is exact in all degrees up to the limit
-    (generators are processed degree by degree for homogeneous input).
-    ``interreduce=False`` skips the final tail interreduction; the result
-    still yields correct normal forms but is not the canonical reduced
-    basis.
+    With ``degree_limit`` no S-pair whose lcm lies above the limit is
+    formed, and the basis is exact in all degrees up to the limit.
+    ``truncated_at`` is then the limit when such a pair survived the pair
+    criteria, and None when none did, so that the basis is complete.
+    ``pair_limit`` bounds the queued pairs; pairs above ``degree_limit``
+    are never queued and do not count.  ``interreduce=False`` skips the
+    final tail interreduction; the result still yields correct normal
+    forms but is not the canonical reduced basis.
     """
     ring = ideal.ring
     if order is not None:

@@ -167,26 +167,79 @@ def test_membership_agrees_with_span_oracle(rng):
     assert hits  # some positives exercised
 
 
-def test_truncated_basis_exact_below_limit():
-    ideal = build_ideal(FamilyParams(2, (1, 1)))
-    full = buchberger(ideal)
+def test_truncated_basis_exact_below_limit(rng):
+    # Below the limit a truncated basis is the full basis.  truncated_at
+    # is None only when nothing above the limit was left out, so then the
+    # bases are equal; a flagged basis may still be complete, when the
+    # pairs left out above the limit would have reduced to zero.
+    ideals = [build_ideal(FamilyParams(2, (1, 1)))]
+    for field in (PrimeField(101), QQ):
+        R = PolynomialRing(VariableTable.named(("x", "y", "z")), field, MonomialOrder())
+        for _ in range(4):
+            gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(3)]
+            ideals.append(IdealPresentation(R, [g for g in gens if g]))
+    outcomes = set()
+    for ideal in ideals:
+        full = buchberger(ideal).elements
+        for limit in (4, 5):
+            full_low = [g for g in full if g.degree() <= limit]
+            for strategy in ("normal", "lcm", "fifo"):
+                trunc = buchberger(ideal, degree_limit=limit, strategy=strategy)
+                assert [g for g in trunc if g.degree() <= limit] == full_low
+                assert trunc.truncated_at in (None, limit)
+                equal = trunc.elements == full
+                assert equal or trunc.truncated_at == limit, (ideal, limit, strategy)
+                outcomes.add((equal, trunc.truncated_at))
+    assert {(True, None), (False, 4), (False, 5)} <= outcomes
+
+    ideal = ideals[0]
     trunc = buchberger(ideal, degree_limit=5)
-    full_low = [g for g in full.elements if g.degree() <= 5]
-    trunc_low = [g for g in trunc.elements if g.degree() <= 5]
-    assert full_low == trunc_low
     assert trunc.truncated_at == 5
-    R = ideal.ring
     with pytest.raises(ValidationError):
         trunc.normal_form(ideal.generators[0] * ideal.generators[1])
     with pytest.raises(ValidationError):
         trunc.contains(ideal.generators[0] * ideal.generators[1])
 
 
+def test_truncated_at_pinned():
+    # truncated_at is set when a pair above the limit survives the chain
+    # test and no generator that arrives before its turn B-filters it.
+    # Flagging every candidate above the limit would give 12 for 2:(2,1)
+    # at limit 12 and 6 for mccullough(2,1,3) at limit 6.
+    grid = (
+        (build_ideal(FamilyParams.parse("2:(2,1)")), {4: 4, 8: 8, 12: None}),
+        (mccullough_ideal(2, 1, 3), {5: 5, 6: None, 9: None}),
+    )
+    for ideal, want in grid:
+        for strategy in ("normal", "lcm", "fifo"):
+            got = {
+                limit: buchberger(ideal, degree_limit=limit, strategy=strategy).truncated_at
+                for limit in want
+            }
+            assert got == want, strategy
+    # Under fifo the above-limit pair here is selected before the
+    # generator that would B-filter it arrives.
+    R = PolynomialRing(VariableTable.named(("x", "y", "z")), PrimeField(101), MonomialOrder())
+    x, y, z = (R.variable(i) for i in range(3))
+    ideal = _ideal(
+        R,
+        52 * x**2,
+        71 * x**2 * y + 66 * z**3 + 45 * y**3,
+        12 * x * z**2,
+        4 * x * z + 64 * x**2 + 40 * y * z,
+    )
+    for strategy, want in (("normal", None), ("lcm", None), ("fifo", 5)):
+        assert buchberger(ideal, degree_limit=5, strategy=strategy).truncated_at == want
+
+
 def test_pair_limit_resource_error():
     R = small_ring(("x", "y", "z"))
     x, y, z = (R.variable(i) for i in range(3))
+    ideal = _ideal(R, x * y - z * z, y * y - x * z)
     with pytest.raises(ResourceLimitError):
-        buchberger(_ideal(R, x * y - z * z, y * y - x * z), pair_limit=0)
+        buchberger(ideal, pair_limit=0)
+    # The only pair has lcm x*y^2, above the limit, so it is never stored.
+    assert buchberger(ideal, pair_limit=0, degree_limit=2).truncated_at == 2
 
 
 # ---------------------------------------------------------------- hilbert
@@ -257,7 +310,13 @@ def _size(basis):
 def test_basis_sizes_pinned():
     # Element and term counts of known bases; any change to the kernel
     # that alters a basis shows up here.
-    assert _size(verification_basis(FamilyParams.parse("2:(2,2,2)"))) == (37, 684)
+    for spec, want in (
+        ("2:(2,2,2)", (37, 684)),
+        ("4:(2)", (151, 4590)),
+        ("2:(4,2,1)", (164, 24461)),
+        ("2:(2,3,4)", (121, 17575)),
+    ):
+        assert _size(verification_basis(FamilyParams.parse(spec))) == want, spec
     assert _size(buchberger(build_ideal(FamilyParams.parse("2:(3,1)")))) == (34, 210)
     assert _size(buchberger(caviglia_ideal(5))) == (7, 8)
     assert _size(buchberger(mccullough_ideal(2, 1, 3))) == (6, 10)
@@ -298,8 +357,14 @@ def test_spolynomial_counts_pinned(monkeypatch):
         build()
         return len(calls)
 
-    assert count(lambda: verification_basis(FamilyParams.parse("2:(2,2,2)"))) == 75
-    assert count(lambda: verification_basis(FamilyParams.parse("3:(2,1)"))) == 257
+    for spec, want in (
+        ("2:(2,2,2)", 75),
+        ("3:(2,1)", 257),
+        ("4:(2)", 333),
+        ("2:(4,2,1)", 365),
+        ("2:(2,3,4)", 372),
+    ):
+        assert count(lambda: verification_basis(FamilyParams.parse(spec))) == want, spec
     ideal = build_ideal(FamilyParams.parse("2:(3,1)"))
     for strategy, want in (("normal", 162), ("lcm", 162), ("fifo", 169)):
         assert count(lambda: buchberger(ideal, strategy=strategy)) == want, strategy
