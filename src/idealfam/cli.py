@@ -311,7 +311,9 @@ def cmd_betti(config) -> int:
     if config.fmt == "m2":
         _emit(_m2_script(ideal, compute_betti=True), config)
         return EXIT_OK
-    table = resolve(ideal, degree_limit=config.degree_limit)
+    limit = config.degree_limit
+    gb = buchberger(ideal, degree_limit=limit, pair_limit=config.pair_limit)
+    table = resolve(gb, degree_limit=limit)
     payload = {
         "params": str(extra) if kind == "family" else {"constructor": kind, "arguments": list(extra)},
         "constants": _constants_payload(extra) if kind == "family" else None,
@@ -409,7 +411,7 @@ def build_parser():
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for sweep")
     common.add_argument("--pair-limit", type=int, default=1_000_000,
-                        help="abort Groebner runs whose pair queue exceeds this bound")
+                        help="bound on queued Groebner pairs in verify and betti")
 
     parser = argparse.ArgumentParser(
         prog="idealfam",
@@ -474,6 +476,10 @@ def main(argv=None) -> int:
         )
         if config.degree_limit is not None and config.degree_limit <= 0:
             raise ValidationError("--degree-limit must be positive")
+        if config.pair_limit < 0:
+            raise ValidationError("--pair-limit must be nonnegative")
+        if config.jobs < 1:
+            raise ValidationError("--jobs must be at least 1")
         return _COMMANDS[args.command](config)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)

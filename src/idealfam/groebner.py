@@ -4,12 +4,16 @@ The kernel works on raw data.  A polynomial is a dict mapping exponent
 tuples to nonzero coefficients, and a basis element is a monic `_Gen`
 record.  A term of a free module is its exponent tuple with the component
 index appended, ``exps + (comp,)``, and a module vector is a `_Gen` whose
-``lm`` ends in its component and whose ``sugar`` holds its twist.  A term
-and any reducer of it share the component, so divisibility, bit masks,
-shifts and S-polynomials treat both kinds alike; only the order key and
-the list of candidate reducers differ, and `_reduce` takes both from its
-caller.  An order key for module terms must not hand the component to a
-monomial order.
+``lm`` ends in its component.  A term and any reducer of it share the
+component, so divisibility, bit masks, shifts and S-polynomials treat both
+kinds alike; only the order key and the list of candidate reducers differ,
+and `_reduce` takes both from its caller.  An order key for module terms
+must not hand the component to a monomial order.
+
+`_buchberger_kernel` is the one Buchberger loop, for ideals and for
+submodules of free modules.  `_divides` and `_lcm` read the component slot
+as one more exponent, so for modules it compares leads only within one
+component, and it uses no product criterion there.
 
 A :class:`GroebnerBasis` keeps the kernel's records as its one stored
 form: membership, normal forms, leading monomials and Hilbert numerators
@@ -176,7 +180,18 @@ def _spoly(f, g, field):
     return acc
 
 
-def _interreduce(gens, heapkey, field):
+def _reducers(gens, component):
+    """`_reduce`'s lookup over ``gens`` in list order: all of them for an
+    ideal term, those whose lead shares its component for a module term."""
+    if component is None:
+        return lambda m: gens
+    buckets = {}
+    for g in gens:
+        buckets.setdefault(g.lm[component], []).append(g)
+    return lambda m: buckets.get(m[component], ())
+
+
+def _interreduce(gens, heapkey, field, component=None):
     """One pass of mutual reduction in place; returns whether it changed.
 
     Each record is divided by all the others in list order, the earlier
@@ -192,8 +207,8 @@ def _interreduce(gens, heapkey, field):
         g = gens[a]
         t = {g.lm: one}
         t.update(g.tail)
-        others = gens[:a] + gens[a + 1 :]
-        r, _ = _reduce(t, lambda m: others, heapkey, field)
+        others = _reducers(gens[:a] + gens[a + 1 :], component)
+        r, _ = _reduce(t, others, heapkey, field)
         if r == t:
             a += 1
             continue
@@ -206,13 +221,15 @@ def _interreduce(gens, heapkey, field):
     return changed
 
 
-def _chain_pairs(G, h, degree_limit=None):
+def _chain_pairs(G, h, degree_limit=None, component=None):
     """The pairs (g, h), g in G, that the chain and product criteria keep.
 
     G lists the current generators in index order, leads pairwise
     non-dividing.  A pair (g, h) goes when lead(p) divides lcm(g, h) for a
     p later in G or kept before g; this equals lcm(h, p) dividing
     lcm(g, h).  A coprime g makes no pair but is kept as a chain witness.
+    For module terms only the g in h's lead component take part, and a
+    coprime g makes a pair too: the product criterion does not hold there.
     A candidate whose lcm degree exceeds ``degree_limit`` is kept as a
     witness untested and reported only by the returned flag.  It never
     witnesses against a pair within the limit: if its lead divided that
@@ -221,11 +238,14 @@ def _chain_pairs(G, h, degree_limit=None):
     """
     mh = h.lm
     mask_h = h.mask
+    if component is not None:
+        c = mh[component]
+        G = [g for g in G if g.lm[component] == c]
     kept = []
     new = []
     above = False
     for k, g in enumerate(G):
-        if mask_h & g.mask:
+        if mask_h & g.mask or component is not None:
             lcm = _lcm(mh, g.lm)
             if degree_limit is not None and sum(lcm) > degree_limit:
                 above = True
@@ -241,11 +261,12 @@ def _chain_pairs(G, h, degree_limit=None):
     return new, above
 
 
-def _b_filters(x, i, j, lcm, mask):
+def _b_filters(x, i, j, lcm, mask, component=None):
     """Whether generator x's arrival drops the pair (i, j) with that lcm."""
     return (
         x.mask & mask == x.mask
         and _divides(x.lm, lcm)
+        and (component is None or x.lm[component] == lcm[component])
         and _lcm(i.lm, x.lm) != lcm
         and _lcm(j.lm, x.lm) != lcm
     )
@@ -256,6 +277,7 @@ def _buchberger_kernel(
     heapkey,
     field,
     *,
+    component=None,
     degree_limit=None,
     pair_limit=DEFAULT_PAIR_LIMIT,
     strategy="normal",
@@ -265,17 +287,17 @@ def _buchberger_kernel(
     """Groebner basis of homogeneous term dicts; returns (gens, truncated).
 
     Pairs go through the Gebauer-Moeller update: when a generator h
-    arrives, the product criterion drops a new pair (g, h) whose leads are
-    coprime, the chain criterion drops a new pair (g, h) when another
-    generator's lead divides lcm(g, h) (`_chain_pairs`), and the B-filter
-    drops an old pair (i, j) when lead(h) divides lcm(i, j) and that lcm
-    differs from both lcm(i, h) and lcm(j, h) (`_b_filters`).  Each pair's
-    lcm and its bit mask are computed once, when the pair is made, and
-    stored with the pair; a bit-mask test runs before every divisibility
-    test.  Pairs are selected by minimal lcm degree (``normal``), smallest
-    lcm in the monomial order first (``lcm``), or in creation order
-    (``fifo``).  The input is homogeneous, so a pair's sugar is its lcm
-    degree and every generator's is its degree.
+    arrives, the product criterion drops a new pair (g, h) of an ideal
+    whose leads are coprime, the chain criterion drops a new pair (g, h)
+    when another generator's lead divides lcm(g, h) (`_chain_pairs`), and
+    the B-filter drops an old pair (i, j) when lead(h) divides lcm(i, j)
+    and that lcm differs from both lcm(i, h) and lcm(j, h) (`_b_filters`).
+    Each pair's lcm and its bit mask are computed once, when the pair is
+    made, and stored with the pair; a bit-mask test runs before every
+    divisibility test.  Pairs are selected by minimal lcm degree
+    (``normal``), smallest lcm in the monomial order first (``lcm``), or
+    in creation order (``fifo``).  The input is homogeneous, so a pair's
+    sugar is its lcm degree and every generator's is its degree.
 
     A pair whose lcm degree exceeds ``degree_limit`` never yields a
     generator, so it is neither chain-tested, stored nor B-filtered, and
@@ -298,12 +320,19 @@ def _buchberger_kernel(
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
     notice but is cheaper on large inputs.
+
+    For module vectors ``component`` is the position of a term's component
+    (-1 in the ``exps + (comp,)`` encoding); it is None for ideals.  Pairs,
+    chain witnesses, B-filters, the pruning of G and every division stay
+    within one lead component, and coprime leads still make a pair: the
+    product criterion is unsound for modules.  An lcm's degree counts the
+    component index, so module callers pass no ``degree_limit``.
     """
     if strategy not in _STRATEGIES:
         raise ValidationError(f"unknown selection strategy {strategy!r}")
     # Input leads may divide each other, so reduce until nothing changes.
     f = [_make_gen(t, heapkey, field, 0, 0) for t in inputs if t]
-    while _interreduce(f, heapkey, field):
+    while _interreduce(f, heapkey, field, component):
         pass
     for k, g in enumerate(f):
         g.sugar = sum(g.lm)
@@ -331,13 +360,13 @@ def _buchberger_kernel(
     origin = {}
 
     def update(G, h):
-        new, above = _chain_pairs(G, h, degree_limit)
+        new, above = _chain_pairs(G, h, degree_limit, component)
         if above:
             above_limit.append((G, h))
         dropped = [
             pair
             for pair, (lcm, mask) in pairs.items()
-            if _b_filters(h, f[pair[0]], f[pair[1]], lcm, mask)
+            if _b_filters(h, f[pair[0]], f[pair[1]], lcm, mask, component)
         ]
         for pair in dropped:
             del pairs[pair]
@@ -346,7 +375,13 @@ def _buchberger_kernel(
             pairs[pair] = (lcm, mask)
             heapq.heappush(heap, select_key(pair, lcm))
         # A new list: the (G, h) records above keep the old one.
-        G = [g for g in G if g.mask & h.mask != h.mask or not _divides(h.lm, g.lm)]
+        G = [
+            g
+            for g in G
+            if g.mask & h.mask != h.mask
+            or not _divides(h.lm, g.lm)
+            or component is not None and g.lm[component] != h.lm[component]
+        ]
         G.append(h)
         return G
 
@@ -368,7 +403,7 @@ def _buchberger_kernel(
         s = _spoly(f[i], f[j], field)
         if not s:
             continue
-        r, _ = _reduce(s, lambda m: G, heapkey, field, full=tail_reduce)
+        r, _ = _reduce(s, _reducers(G, component), heapkey, field, full=tail_reduce)
         if not r:
             continue
         h = _make_gen(r, heapkey, field, sum(meta[0]), len(f))
@@ -388,12 +423,13 @@ def _buchberger_kernel(
 
     def live_above_limit():
         for Gh, h in reversed(above_limit):
-            for g, lcm, mask in _chain_pairs(Gh, h)[0]:
+            for g, lcm, mask in _chain_pairs(Gh, h, None, component)[0]:
                 if sum(lcm) <= degree_limit:
                     continue
                 key = select_key((g.idx, h.idx), lcm)
                 if not any(
-                    _b_filters(x, g, h, lcm, mask) and arrived_before(x, h.idx, key)
+                    _b_filters(x, g, h, lcm, mask, component)
+                    and arrived_before(x, h.idx, key)
                     for x in islice(f, h.idx + 1, None)
                 ):
                     return True
@@ -405,7 +441,7 @@ def _buchberger_kernel(
     # and update drops its multiples, so the leads of G are minimal, and
     # one pass of tail reduction gives the unique reduced basis.
     if interreduce:
-        _interreduce(G, heapkey, field)
+        _interreduce(G, heapkey, field, component)
     G.sort(key=lambda g: heapkey(g.lm))
     return G, truncated
 

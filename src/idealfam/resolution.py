@@ -8,7 +8,9 @@ previous level's leading terms, so each level is again a Groebner basis
 and the chain continues by plain division, no basis completion needed.
 Module vectors are the groebner kernel's records, in its module-term
 encoding, and are divided by its `_reduce`; this module supplies the
-order keys and the per-component reducer lists.
+order keys.  `syzygies` of an arbitrary presentation matrix runs the
+groebner module's one Buchberger loop, `_buchberger_kernel`, on module
+vectors.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
 residue field: the differential d_i reduces there to its scalar blocks
@@ -31,19 +33,18 @@ from .groebner import (
     GroebnerBasis,
     HilbertNumerator,
     IdealPresentation,
+    _buchberger_kernel,
     _divides,
     _Gen,
-    _lcm,
-    _make_gen,
     _mask,
     _reduce,
+    _reducers,
     _spoly,
     buchberger,
 )
 from .ring import Polynomial, PolynomialRing, PrimeField
 
 DEFAULT_LEVEL_MARGIN = 6
-MODULE_PAIR_LIMIT = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +168,7 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             comp = t[-1]
             return _hk(tuple(a + b for a, b in zip(t, _mu[comp]))) + (_chain[comp],)
 
-        buckets = {}
-        for b in basis:
-            buckets.setdefault(b.lm[-1], []).append(b)
-
-        def reducers(m):
-            return buckets.get(m[-1], ())
-
+        reducers = _reducers(basis, -1)
         new_basis = []
         new_cols = {}
         for (i, j, mij) in pairs:
@@ -723,9 +718,11 @@ def hilbert_crosscheck(table: BettiTable, numerator: HilbertNumerator) -> bool:
 def syzygies(M: PresentationMatrix) -> PresentationMatrix:
     """Generators of the kernel of a homogeneous presentation matrix.
 
-    Buchberger completion runs on the columns augmented with unit tags,
-    under an order that makes every untagged term dominate every tagged
-    one; basis vectors supported entirely on the tags are the syzygies.
+    The columns, each augmented with a unit tag, go through the groebner
+    kernel as module vectors, under an order in which every untagged term
+    dominates every tagged one; the basis vectors supported entirely on
+    the tags generate the syzygies.  They are a generating set, not a
+    basis: their number depends on the kernel's pair criteria.
     """
     ring = M.ring
     field = ring.field
@@ -748,10 +745,10 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
         el[zero_exps + (t + c,)] = field.one
         elements.append(el)
 
-    basis = _module_buchberger(elements, key, field)
+    basis, _ = _buchberger_kernel(elements, key, field, component=-1)
     # A basis vector whose lead is tagged is all tagged: every untagged
     # term comes before every tagged one.
-    syz = sorted((b for b in basis if b.lm[-1] >= t), key=lambda b: key(b.lm))
+    syz = [b for b in basis if b.lm[-1] >= t]
 
     twists = []
     columns = []
@@ -763,52 +760,11 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
             M.source.twists[comp] + sum(e) for comp, p in grouped.items() for e in p
         }
         if len(degset) != 1:
-            raise ValidationError("syzygy column is not homogeneous")
+            # The entries are homogeneous (PresentationMatrix checks them)
+            # and S-vectors and reductions keep that, so this is a bug.
+            raise InternalError("syzygy column is not homogeneous")
         twists.append(degset.pop())
         columns.append({comp: ring.poly(p) for comp, p in grouped.items()})
     return PresentationMatrix(
         ring, GradedFreeModule(tuple(twists)), M.source, columns
     )
-
-
-def _module_buchberger(elements, key, field):
-    """Groebner basis of a submodule of a free module, plain Buchberger.
-
-    Every pair with a shared leading component is reduced; coprime-lead
-    skipping is not sound for modules, so no product criterion is used.
-    Each pair is queued once, when its later vector is added.
-    """
-    basis = []
-    buckets = {}
-
-    def reducers(m):
-        return buckets.get(m[-1], ())
-
-    heap = []
-
-    def add(el):
-        g = _make_gen(el, key, field, 0, len(basis))
-        basis.append(g)
-        bucket = buckets.setdefault(g.lm[-1], [])
-        for h in bucket:
-            lcm = _lcm(h.lm, g.lm)
-            pair = (h.idx, g.idx)
-            heapq.heappush(heap, ((sum(lcm[:-1]), key(lcm), pair), pair))
-        bucket.append(g)
-
-    for el in elements:
-        if el:
-            add(el)
-
-    count = 0
-    while heap:
-        count += 1
-        if count > MODULE_PAIR_LIMIT:
-            raise ResourceLimitError("module pair queue exceeded its bound")
-        i, j = heapq.heappop(heap)[1]
-        rem, _ = _reduce(
-            _spoly(basis[i], basis[j], field), reducers, key, field, full=False
-        )
-        if rem:
-            add(rem)
-    return basis

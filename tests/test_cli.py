@@ -147,6 +147,30 @@ def test_resource_limit_exit_3(capsys):
     assert "resource limit" in err
 
 
+def test_negative_pair_limit_exit_2(capsys):
+    code, _, err = run(capsys, "verify", "2:(1,1)", "--pair-limit", "-1")
+    assert code == 2
+    assert "--pair-limit" in err
+
+
+def test_jobs_below_one_exit_2(monkeypatch, capsys):
+    import idealfam.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, _, err = run(capsys, "sweep", "--max-g", "2", "--max-n", "1", "--jobs", "0")
+    assert code == 2
+    assert "--jobs" in err
+
+
+def test_betti_pair_limit_exit_3(capsys):
+    code, _, err = run(capsys, "betti", "2:(1,1)", "--pair-limit", "0")
+    assert code == 3
+    assert "resource limit" in err
+
+
 def test_unknown_target_exit_2(capsys):
     code, _, err = run(capsys, "construct", "nonsense")
     assert code == 2

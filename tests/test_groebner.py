@@ -123,6 +123,50 @@ def test_all_s_pairs_reduce_to_zero():
             assert not G.normal_form(s_polynomial(elems[i], elems[j]))
 
 
+def _random_module_vectors(rng, nvars, rank):
+    """Homogeneous vectors of R^rank in the kernel's ``exps + (comp,)`` terms."""
+    vectors = []
+    for _ in range(rng.choice((2, 3, 4, 5))):
+        degree = rng.choice((1, 2, 3))
+        v = {}
+        for comp in range(rank):
+            if rng.random() < 0.6:
+                for _ in range(rng.randrange(1, 3)):
+                    exps = [0] * nvars
+                    for _ in range(degree):
+                        exps[rng.randrange(nvars)] += 1
+                    v[tuple(exps) + (comp,)] = rng.randrange(1, 101)
+        if v:
+            vectors.append(v)
+    return vectors
+
+
+def test_module_basis_is_groebner(rng):
+    # The kernel on module vectors must pair, chain-test, B-filter, prune
+    # and divide within one lead component; every same-component S-vector
+    # and every input then reduces to zero.
+    field = PrimeField(101)
+    base = MonomialOrder("grevlex").heapkey_fn()
+    orders = (
+        lambda m: base(m[:-1]) + (m[-1],),  # term over position
+        lambda m: (m[-1],) + base(m[:-1]),  # position over term
+    )
+    for _ in range(200):
+        key = rng.choice(orders)
+        vectors = _random_module_vectors(rng, rng.choice((2, 3)), rng.choice((2, 3, 4)))
+        basis, _ = groebner._buchberger_kernel(vectors, key, field, component=-1)
+        reducers = groebner._reducers(basis, -1)
+
+        def remainder(terms):
+            return groebner._reduce(terms, reducers, key, field, full=False)[0]
+
+        for a, f in enumerate(basis):
+            for g in basis[a + 1 :]:
+                if f.lm[-1] == g.lm[-1]:
+                    assert not remainder(groebner._spoly(f, g, field))
+        assert not any(remainder(v) for v in vectors)
+
+
 def test_reduced_basis_unique_across_strategies():
     R = small_ring(("x", "y", "z"))
     x, y, z = (R.variable(i) for i in range(3))

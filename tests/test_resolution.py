@@ -1,6 +1,5 @@
 import random
 import warnings
-
 import pytest
 
 from idealfam import (
@@ -8,6 +7,7 @@ from idealfam import (
     FamilyParams,
     GradedFreeModule,
     IdealPresentation,
+    InternalError,
     MonomialOrder,
     PresentationMatrix,
     PrimeField,
@@ -28,7 +28,7 @@ from idealfam import (
     variable_count,
     verify_socle,
 )
-from idealfam import resolution
+from idealfam import groebner, resolution
 
 from conftest import small_ring
 
@@ -311,6 +311,65 @@ def test_syzygy_of_nonzerodivisor_is_zero():
         R, GradedFreeModule((2,)), GradedFreeModule((0,)), [{0: x * x + y * y}]
     )
     assert syzygies(M).source.rank == 0
+
+
+def _module_vectors(P):
+    """The columns of a presentation matrix as kernel term dicts."""
+    return [
+        {e + (r,): c for r, p in col.items() for e, c in p.terms} for col in P.columns
+    ]
+
+
+def _generates_within(P, Q):
+    """Whether every column of P lies in the submodule Q's columns generate.
+
+    Q's columns go through the groebner kernel under a term-over-position
+    order; a column is a member when same-component division by that
+    module basis leaves no remainder.
+    """
+    field = Q.ring.field
+    base = Q.ring.order.heapkey_fn()
+
+    def key(m):
+        return base(m[:-1]) + (m[-1],)
+
+    basis, _ = groebner._buchberger_kernel(_module_vectors(Q), key, field, component=-1)
+    reducers = groebner._reducers(basis, -1)
+    return all(
+        not groebner._reduce(v, reducers, key, field, full=False)[0]
+        for v in _module_vectors(P)
+    )
+
+
+def test_syzygies_of_the_2_31_generator_row():
+    # The module kernel's pair criteria make this a tier-1 test; plain
+    # Buchberger on module vectors ran for minutes here.
+    mres = minimal_free_resolution(build_ideal(FamilyParams.parse("2:(3,1)")))
+    M, second = mres.matrices[0], mres.matrices[1]
+    S = syzygies(M)
+    assert M.composes_to_zero(S)
+    assert _generates_within(S, second)
+    assert _generates_within(second, S)
+
+
+def test_syzygies_reports_a_non_homogeneous_column_as_a_bug(monkeypatch):
+    # Homogeneous entries give homogeneous syzygies, so a mixed-degree
+    # column is an internal failure, not invalid input.
+    R = small_ring()
+    x, y = R.variable("x"), R.variable("y")
+    M = PresentationMatrix(
+        R, GradedFreeModule((1, 1)), GradedFreeModule((0,)), [{0: x}, {0: y}]
+    )
+    kernel = resolution._buchberger_kernel
+
+    def mixed_degrees(*args, **kwargs):
+        basis, truncated = kernel(*args, **kwargs)
+        basis[-1].tail += (((0, 0, 1), R.field.one),)
+        return basis, truncated
+
+    monkeypatch.setattr(resolution, "_buchberger_kernel", mixed_degrees)
+    with pytest.raises(InternalError):
+        syzygies(M)
 
 
 def test_presentation_matrix_validation():
