@@ -341,7 +341,7 @@ def cmd_betti(config) -> int:
 
 
 def _sweep_instance(args):
-    g, m, do_verify, field = args
+    g, m, do_verify, field, pair_limit = args
     params = FamilyParams(g, m)
     formula = pd_formula(params)
     count = variable_count(params)
@@ -352,7 +352,7 @@ def _sweep_instance(args):
         "agree": formula == count,
     }
     if do_verify:
-        gb = verification_basis(params, field)
+        gb = verification_basis(params, field, pair_limit=pair_limit)
         row["socle"] = verify_socle(params, gb).conclusion
         row["lemma"] = verify_lemma(params, gb).ok
     return row
@@ -373,7 +373,7 @@ def cmd_sweep(config) -> int:
             ranges.append(range(lo, args.max_m + 1))
         for m in itertools.product(*ranges):
             for g in range(2, args.max_g + 1):
-                instances.append((g, m, args.verify, config.field))
+                instances.append((g, m, args.verify, config.field, config.pair_limit))
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             rows = list(pool.map(_sweep_instance, instances))
@@ -411,7 +411,8 @@ def build_parser():
     common.add_argument("--jobs", type=int, default=1,
                         help="parallel workers for sweep")
     common.add_argument("--pair-limit", type=int, default=1_000_000,
-                        help="bound on queued Groebner pairs in verify and betti")
+                        help="bound on queued Groebner pairs in verify, betti "
+                             "and sweep --verify")
 
     parser = argparse.ArgumentParser(
         prog="idealfam",

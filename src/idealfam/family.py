@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .errors import ValidationError
-from .groebner import GroebnerBasis, IdealPresentation, buchberger
+from .groebner import DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealPresentation, buchberger
 from .ring import (
     Monomial,
     MonomialOrder,
@@ -380,7 +380,9 @@ def verification_degree(params: FamilyParams) -> int:
     return top
 
 
-def verification_basis(params: FamilyParams, field=None) -> GroebnerBasis:
+def verification_basis(
+    params: FamilyParams, field=None, *, pair_limit=DEFAULT_PAIR_LIMIT
+) -> GroebnerBasis:
     """Groebner basis truncated at the largest membership degree.
 
     Homogeneous reduction never raises degree, so membership of elements
@@ -390,11 +392,13 @@ def verification_basis(params: FamilyParams, field=None) -> GroebnerBasis:
     computation stays far cheaper than a full basis.  Tails are kept as
     raw division remainders and the final interreduction is skipped: both
     choices keep this family's bases much sparser and change no
-    membership answer.
+    membership answer.  ``pair_limit`` bounds the pair queue as in
+    :func:`~idealfam.groebner.buchberger`.
     """
     return buchberger(
         build_ideal(params, field),
         degree_limit=verification_degree(params),
+        pair_limit=pair_limit,
         tail_reduce=False,
         interreduce=False,
     )

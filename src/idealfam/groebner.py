@@ -2,13 +2,15 @@
 
 The kernel works on raw data.  A polynomial is a dict mapping exponent
 tuples to nonzero coefficients, and a basis element is a monic `_Gen`
-record.  A term of a free module is its exponent tuple with the component
-index appended, ``exps + (comp,)``, and a module vector is a `_Gen` whose
+record; inputs are homogeneous, so it keeps no degree or sugar.  A term
+of a free module is its exponent tuple with the component index
+appended, ``exps + (comp,)``, and a module vector is a `_Gen` whose
 ``lm`` ends in its component.  A term and any reducer of it share the
-component, so divisibility, bit masks, shifts and S-polynomials treat both
-kinds alike; only the order key and the list of candidate reducers differ,
-and `_reduce` takes both from its caller.  An order key for module terms
-must not hand the component to a monomial order.
+component (and the Schreyer tower's shift of ``exps``), so divisibility,
+bit masks, shifts and S-polynomials treat both kinds alike; only the
+order key and the list of candidate reducers differ, and `_reduce` takes
+both from its caller.  An order key for module terms must not hand the
+component to a monomial order.
 
 `_buchberger_kernel` is the one Buchberger loop, for ideals and for
 submodules of free modules.  `_divides` and `_lcm` read the component slot
@@ -36,15 +38,14 @@ _STRATEGIES = ("normal", "lcm", "fifo")
 
 
 class _Gen:
-    """Monic basis polynomial or module vector in kernel form."""
+    """Monic polynomial or module vector in kernel form; degree is the lead's."""
 
-    __slots__ = ("lm", "mask", "tail", "sugar", "idx")
+    __slots__ = ("lm", "mask", "tail", "idx")
 
-    def __init__(self, lm, mask, tail, sugar, idx):
+    def __init__(self, lm, mask, tail, idx):
         self.lm = lm
         self.mask = mask
         self.tail = tail      # tuple of (exps, coeff), lead term excluded
-        self.sugar = sugar
         self.idx = idx
 
 
@@ -72,7 +73,7 @@ def _ascending(hk):
     return tuple(_ascending(x) if type(x) is tuple else -x for x in hk)
 
 
-def _make_gen(terms, key, field, sugar, idx):
+def _make_gen(terms, key, field, idx):
     """Monic kernel record from a nonzero term dict."""
     ordered = sorted(terms, key=key)
     lm = ordered[0]
@@ -83,7 +84,7 @@ def _make_gen(terms, key, field, sugar, idx):
         tail = tuple((e, mul(terms[e], inv)) for e in ordered[1:])
     else:
         tail = tuple((e, terms[e]) for e in ordered[1:])
-    return _Gen(lm, _mask(lm), tail, sugar, idx)
+    return _Gen(lm, _mask(lm), tail, idx)
 
 
 def _reduce(terms, reducers, key, field, *, full=True, track=False):
@@ -99,9 +100,9 @@ def _reduce(terms, reducers, key, field, *, full=True, track=False):
     divide by records that are not yet a Groebner basis, and the Schreyer
     tower because it keeps the quotients: there the divisor chosen shows
     in non-canonical bases, in the S-polynomials formed and in syzygy
-    columns.  Returns ``(remainder, quotients)``; quotients maps a
-    record's ``idx`` to a term dict of shifts, and is None unless
-    ``track``.
+    columns; only its ``key`` reads the Schreyer shift of its terms.
+    Returns ``(remainder, quotients)``; quotients maps a record's ``idx``
+    to a term dict of shifts, and is None unless ``track``.
     """
     work = dict(terms)
     heap = [key(e) + (e,) for e in work]
@@ -214,7 +215,7 @@ def _interreduce(gens, heapkey, field, component=None):
             continue
         changed = True
         if r:
-            gens[a] = _make_gen(r, heapkey, field, g.sugar, g.idx)
+            gens[a] = _make_gen(r, heapkey, field, g.idx)
             a += 1
         else:
             del gens[a]
@@ -296,8 +297,8 @@ def _buchberger_kernel(
     made, and stored with the pair; a bit-mask test runs before every
     divisibility test.  Pairs are selected by minimal lcm degree
     (``normal``), smallest lcm in the monomial order first (``lcm``), or
-    in creation order (``fifo``).  The input is homogeneous, so a pair's
-    sugar is its lcm degree and every generator's is its degree.
+    in creation order (``fifo``).  The input is homogeneous, so minimal
+    lcm degree is the sugar strategy, and records keep no sugar.
 
     A pair whose lcm degree exceeds ``degree_limit`` never yields a
     generator, so it is neither chain-tested, stored nor B-filtered, and
@@ -331,11 +332,10 @@ def _buchberger_kernel(
     if strategy not in _STRATEGIES:
         raise ValidationError(f"unknown selection strategy {strategy!r}")
     # Input leads may divide each other, so reduce until nothing changes.
-    f = [_make_gen(t, heapkey, field, 0, 0) for t in inputs if t]
+    f = [_make_gen(t, heapkey, field, 0) for t in inputs if t]
     while _interreduce(f, heapkey, field, component):
         pass
     for k, g in enumerate(f):
-        g.sugar = sum(g.lm)
         g.idx = k
 
     # Each selection key ends in its pair (i, j); pairs are made in the
@@ -396,8 +396,7 @@ def _buchberger_kernel(
             )
         key = heapq.heappop(heap)
         pair = key[-1]
-        meta = pairs.pop(pair, None)
-        if meta is None:
+        if pairs.pop(pair, None) is None:
             continue
         i, j = pair
         s = _spoly(f[i], f[j], field)
@@ -406,7 +405,7 @@ def _buchberger_kernel(
         r, _ = _reduce(s, _reducers(G, component), heapkey, field, full=tail_reduce)
         if not r:
             continue
-        h = _make_gen(r, heapkey, field, sum(meta[0]), len(f))
+        h = _make_gen(r, heapkey, field, len(f))
         f.append(h)
         origin[h.idx] = key
         G = update(G, h)
@@ -507,7 +506,7 @@ class GroebnerBasis:
         self._by_degree = None
         heapkey = ring.order.heapkey_fn()
         self._gens = [
-            _make_gen(dict(p.terms), heapkey, ring.field, 0, k)
+            _make_gen(dict(p.terms), heapkey, ring.field, k)
             for k, p in enumerate(self._elements)
         ]
 
@@ -648,8 +647,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     heapkey = ring.order.heapkey
     field = ring.field
-    gf = _make_gen(dict(f.terms), heapkey, field, 0, 0)
-    gg = _make_gen(dict(g.terms), heapkey, field, 0, 1)
+    gf = _make_gen(dict(f.terms), heapkey, field, 0)
+    gg = _make_gen(dict(g.terms), heapkey, field, 1)
     return ring.poly(_spoly(gf, gg, field))
 
 

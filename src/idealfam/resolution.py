@@ -6,11 +6,11 @@ elements to zero and collecting the division quotients yields one syzygy
 whose leading term is known in advance under the order induced by the
 previous level's leading terms, so each level is again a Groebner basis
 and the chain continues by plain division, no basis completion needed.
-Module vectors are the groebner kernel's records, in its module-term
-encoding, and are divided by its `_reduce`; this module supplies the
-order keys.  `syzygies` of an arbitrary presentation matrix runs the
-groebner module's one Buchberger loop, `_buchberger_kernel`, on module
-vectors.
+Module vectors are the groebner kernel's records, divided by its
+`_reduce`; each term carries its Schreyer-shifted monomial, which keys the
+order, and a generator's twist is its lead's degree.  `syzygies` of an
+arbitrary presentation matrix runs the groebner module's one Buchberger
+loop, `_buchberger_kernel`, on module vectors.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
 residue field: the differential d_i reduces there to its scalar blocks
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import add
 
 from .errors import InternalError, ResourceLimitError, ValidationError
 from .groebner import (
@@ -114,20 +115,22 @@ def _retained_pairs(basis, heapkey):
 def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_cap=None):
     """Iterated syzygy bases starting from a reduced Groebner basis.
 
-    Each level is a list of `_Gen` module vectors in the groebner
-    module's encoding, twists in ``sugar``; the ideal's basis is the first
-    level, all in component 0.  Terms compare by the Schreyer order the
-    previous level induces: ``e + (c,)`` is keyed by ``heapkey(e +
-    mu[c])``, where ``mu[c]`` is the exponent product of the leads down
-    the chain of ``c``, and then by that chain of indices.  Reducing the
-    S-vector of a retained pair (i, j) to zero gives one syzygy whose
-    lead is ``mij + (i,)``, so each level is again a Groebner basis.
+    Each level is a list of `_Gen` module vectors; the ideal's basis is
+    the first, in component 0.  A term ``m e_c`` is stored Schreyer-shifted
+    as ``(m + mu[c]) + (c,)``, ``mu[c]`` being the product of the leads
+    down the chain of ``c``.  The induced order keys it by ``heapkey`` of
+    the stored exponents, then by ``c``, a smaller index being larger:
+    records are made in the order of their lead components, so index
+    order is the order of those chains of leads.  A term and its reducers
+    share ``mu[c]``, which division never sees.  The S-vector of a
+    retained pair (i, j) reduces to zero and gives one syzygy with lead
+    ``mij e_i``, stored as ``lcm + (i,)``: each level is again a Groebner
+    basis, its leads are the next ``mu``, and a twist is a lead's degree.
 
     Returns ``(twists, cols, truncated)`` in :class:`FreeResolution`'s
-    layout: ``twists[i]`` maps each level-i generator id to its twist, and
-    ``cols[i]`` (i >= 1) maps each level-i id to its differential column, a
-    dict from level i-1 id to term dict.  Ids are positions within their
-    level.
+    layout, unshifted: ``twists[i]`` maps each level-i generator id to its
+    twist, and ``cols[i]`` (i >= 1) maps each level-i id to its column, a
+    dict from level i-1 id to term dict.  Ids are positions in a level.
     """
     if level_cap is None:
         level_cap = nvars + DEFAULT_LEVEL_MARGIN
@@ -135,23 +138,23 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
     neg_one = field.neg(one)
 
     basis = [
-        _Gen(g.lm + (0,), g.mask, tuple((e + (0,), c) for e, c in g.tail), sum(g.lm), i)
+        _Gen(g.lm + (0,), g.mask, tuple((e + (0,), c) for e, c in g.tail), i)
         for i, g in enumerate(gb_gens)
     ]
-    twists = [{0: 0}, {b.idx: b.sugar for b in basis}]
+    twists = [{0: 0}, {b.idx: sum(b.lm) for b in basis}]
     cols = [None, {i: {0: {g.lm: one, **dict(g.tail)}} for i, g in enumerate(gb_gens)}]
 
-    # Schreyer data for the component space of `basis` (one level below).
-    comp_mu = [(0,) * nvars]
-    comp_chain = [()]
     truncated = False
+
+    def key(t, _hk=heapkey):
+        return _hk(t[:-1]) + (t[-1],)
 
     while True:
         pairs = _retained_pairs(basis, heapkey)
         if degree_limit is not None:
             kept = []
             for (i, j, mij) in pairs:
-                if sum(mij) + basis[i].sugar > degree_limit:
+                if sum(mij) + twists[-1][i] > degree_limit:
                     truncated = True
                 else:
                     kept.append((i, j, mij))
@@ -164,10 +167,9 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             )
         pairs.sort(key=lambda t: (t[0], heapkey(t[2]), t[1]))
 
-        def key(t, _mu=comp_mu, _chain=comp_chain, _hk=heapkey):
-            comp = t[-1]
-            return _hk(tuple(a + b for a, b in zip(t, _mu[comp]))) + (_chain[comp],)
-
+        # The next level's e_k, stored shifted; a quotient term q e_k, its
+        # component slot 0 as `_reduce` gives it, is stored as q + units[k].
+        units = [b.lm[:-1] + (b.idx,) for b in basis]
         reducers = _reducers(basis, -1)
         new_basis = []
         new_cols = {}
@@ -178,33 +180,23 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             )
             if rem:
                 raise InternalError("an S-vector failed to reduce to zero")
-            lead = mij + (i,)
+            # A quotient term q e_k has q lm_k below the S-vector's lcm e_c,
+            # so it meets neither term of the pair and none cancels.
             mji = tuple(a + b - c for a, b, c in zip(mij, bi.lm, bj.lm))
-            syz = {lead: one, mji + (j,): neg_one}
+            lcm = tuple(map(add, mij, bi.lm))
+            tail = [(lcm + (j,), neg_one)]
+            col = {i: {mij: one}, j: {mji: neg_one}}
             for k, q in quot.items():
+                row = col.setdefault(k, {})
                 for e, c in q.items():
-                    t = e[:-1] + (k,)
-                    prev = syz.get(t)
-                    nc = field.sub(prev, c) if prev is not None else field.neg(c)
-                    if nc == field.zero:
-                        syz.pop(t, None)
-                    else:
-                        syz[t] = nc
-            idx = len(new_basis)
-            tail = tuple((t, c) for t, c in syz.items() if t != lead)
-            new_basis.append(_Gen(lead, _mask(lead), tail, sum(mij) + bi.sugar, idx))
-            grouped = {}
-            for t, c in syz.items():
-                grouped.setdefault(t[-1], {})[t[:-1]] = c
-            new_cols[idx] = grouped
+                    row[e[:-1]] = c = field.neg(c)
+                    tail.append((tuple(map(add, e, units[k])), c))
+            lm = lcm + (i,)
+            new_basis.append(_Gen(lm, _mask(lm), tuple(tail), len(new_basis)))
+            new_cols[len(new_cols)] = col
 
-        twists.append({b.idx: b.sugar for b in new_basis})
+        twists.append({b.idx: sum(b.lm) - b.lm[-1] for b in new_basis})
         cols.append(new_cols)
-        # The next component space is the current basis.
-        comp_mu, comp_chain = (
-            [tuple(a + b for a, b in zip(b.lm, comp_mu[b.lm[-1]])) for b in basis],
-            [comp_chain[b.lm[-1]] + (b.idx,) for b in basis],
-        )
         basis = new_basis
 
     return twists, cols, truncated

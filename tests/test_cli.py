@@ -171,6 +171,16 @@ def test_betti_pair_limit_exit_3(capsys):
     assert "resource limit" in err
 
 
+def test_sweep_verify_pair_limit_exit_3(capsys):
+    code, _, err = run(
+        capsys,
+        "sweep", "--max-g", "2", "--max-n", "2", "--max-m", "1", "--verify",
+        "--pair-limit", "0", "--jobs", "1",
+    )
+    assert code == 3
+    assert "resource limit" in err
+
+
 def test_unknown_target_exit_2(capsys):
     code, _, err = run(capsys, "construct", "nonsense")
     assert code == 2
@@ -234,9 +244,9 @@ def test_sweep_verify_uses_the_requested_field(monkeypatch, capsys):
     seen = []
     real = cli.verification_basis
 
-    def spy(params, field=None):
+    def spy(params, field=None, **kwargs):
         seen.append(field)
-        return real(params, field)
+        return real(params, field, **kwargs)
 
     monkeypatch.setattr(cli, "verification_basis", spy)
     code, _, _ = run(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import warnings
 import pytest
@@ -490,3 +491,117 @@ def test_diagonal_rescaling_invariance(name, seed):
 def test_nonminimal_ranks_pinned(name, ideal, ranks):
     # The tower's retained-pair selection fixes the ranks of every level.
     assert [m.rank for m in schreyer_resolution(ideal()).modules] == ranks
+
+
+# ------------------------------------------------ the Schreyer tower's output
+
+def _chain_digest(res):
+    """sha256 of a resolution's stored chain, rows and terms sorted."""
+    parts = [sorted(tw.items()) for tw in res._twists]
+    for level in res._cols[1:]:
+        parts.append(sorted(
+            (cid, sorted((rid, sorted(poly.items())) for rid, poly in col.items()))
+            for cid, col in level.items()
+        ))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+# Measured when the tower stored terms unshifted and each order key rebuilt
+# e + mu[c]; the Schreyer-shifted terms must give the same chain.
+CHAIN_DIGESTS = {
+    "2:(2,1)": (
+        _family("2:(2,1)"),
+        None,
+        "6594ad533a63e0d1e7f7dc58445b79a864aa0055409563714074b4c1cd025ab9",
+    ),
+    "2:(2,1) lex": (
+        _family("2:(2,1)", order=MonomialOrder("lex")),
+        None,
+        "e00e582f48e51901b2d70b5ca2cde7fc5cab938a053b7b4b9654eb3cc44848fd",
+    ),
+    "2:(2,1) permuted": (
+        _family("2:(2,1)", order=_permuted_grevlex(6)),
+        None,
+        "14cf138b6df8e1afc633663d95fedbfcd90edd46e92bc6367d73d2b0be4c877c",
+    ),
+    "mccullough(2,1,3) over QQ": (
+        lambda: mccullough_ideal(2, 1, 3, QQ),
+        None,
+        "f6fbf1cd09a1c31e2f7bfe6f98806b7a62621d1b3efe013802fee3397a1fde8d",
+    ),
+    "caviglia(4) over F_101 to degree 9": (
+        lambda: caviglia_ideal(4, PrimeField(101)),
+        9,
+        "40b209d0bff5c1a69ac7e3a1147f14041b554e030cbe5a9f7caaf14ee4ebfaf5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
+def test_nonminimal_chain_pinned(name):
+    # Every twist, column, quotient term and coefficient of the tower's
+    # chain: a changed reducer choice or Schreyer order shows here.
+    make, limit, digest = CHAIN_DIGESTS[name]
+    assert _chain_digest(schreyer_resolution(make(), degree_limit=limit)) == digest
+
+
+def _schreyer_leads(res):
+    """Each generator's leading term in the order the lower levels induce.
+
+    Level 1 compares the column's monomials by the ring's order.  A term
+    ``m e_r`` of level L is expanded through the leads below it: ``m`` times
+    the lead ``n e_s`` of r is the level-(L-1) term ``(m n) e_s``, and so on
+    down to a monomial.  Terms compare by that monomial, then by the chain
+    of components met on the way (level 1 first), a smaller index being the
+    larger term.  Returns one ``{id: (exps, component)}`` per level.
+    """
+    order = res.ring.order
+    leads = [None]
+
+    def weight(level, exps, comp):
+        chain = []
+        while level >= 1:
+            chain.append(comp)
+            lead_exps, comp = leads[level][comp]
+            exps = tuple(a + b for a, b in zip(exps, lead_exps))
+            level -= 1
+        return order.key(exps), tuple(-c for c in reversed(chain))
+
+    for level in range(1, len(res._twists)):
+        below = level - 1
+        leads.append({
+            cid: max(
+                ((e, rid) for rid, poly in col.items() for e in poly),
+                key=lambda t: weight(below, *t),
+            )
+            for cid, col in res._cols[level].items()
+        })
+    return leads
+
+
+@pytest.mark.parametrize(
+    "order", [MonomialOrder(), _permuted_grevlex(6)], ids=["grevlex", "permuted"]
+)
+def test_syzygy_leads_follow_the_schreyer_order(order):
+    res = schreyer_resolution(_family("2:(2,1)", order=order)())
+    field = res.ring.field
+    leads = _schreyer_leads(res)
+    assert len(leads) > 3
+    for level in range(2, len(leads)):
+        below = leads[level - 1]
+        for cid, col in res._cols[level].items():
+            # The lead is mij e_i with coefficient 1, and some later e_j
+            # with the lead component of e_i has lcm(lm_i, lm_j) = mij lm_i
+            # and carries -lcm/lm_j.
+            mij, i = leads[level][cid]
+            assert col[i][mij] == field.one
+            lm_i, comp = below[i]
+            lcm = tuple(a + b for a, b in zip(mij, lm_i))
+            assert any(
+                j > i
+                and comp_j == comp
+                and tuple(max(a, b) for a, b in zip(lm_i, lm_j)) == lcm
+                and col.get(j, {}).get(tuple(b - a for a, b in zip(lm_j, lcm)))
+                == field.neg(field.one)
+                for j, (lm_j, comp_j) in below.items()
+            )
