@@ -132,9 +132,6 @@ class ExponentMatrix:
     def column(self, k: int) -> tuple[int, ...]:
         return tuple(r[k] for r in self.rows)
 
-    def column_sum(self, k: int) -> int:
-        return sum(r[k] for r in self.rows)
-
     def colmajor(self) -> tuple[int, ...]:
         return tuple(self.rows[j][k] for k in range(self.n) for j in range(self.g))
 

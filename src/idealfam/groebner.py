@@ -1,21 +1,21 @@
 """Buchberger's algorithm, normal forms, ideal membership, Hilbert numerators.
 
-The kernel works on raw data.  A polynomial is a dict mapping exponent
-tuples to nonzero coefficients, and a basis element is a monic `_Gen`
+The kernel works on raw data.  A monomial is one int, packed by a
+`_Packing`: products are sums, divisibility is one subtraction and a
+mask, and a smaller int is a larger monomial, so a heap of plain ints
+pops the largest term first.  A polynomial is a dict from packed
+monomials to nonzero coefficients, and a basis element is a monic `_Gen`
 record; inputs are homogeneous, so it keeps no degree or sugar.  A term
-of a free module is its exponent tuple with the component index
-appended, ``exps + (comp,)``, and a module vector is a `_Gen` whose
-``lm`` ends in its component.  A term and any reducer of it share the
-component (and the Schreyer tower's shift of ``exps``), so divisibility,
-bit masks, shifts and S-polynomials treat both kinds alike; only the
-order key and the list of candidate reducers differ, and `_reduce` takes
-both from its caller.  An order key for module terms must not hand the
-component to a monomial order.
+of a free module carries its component in the lowest bits, and a module
+vector is a `_Gen` whose ``lm`` carries its component.  A term and any
+reducer of it share the component (and the Schreyer tower's shift of
+the monomial), so divisibility, shifts and S-polynomials treat both
+kinds alike.  Monomials are packed where kernel records are made from
+exponent tuples and unpacked only where they leave the kernel.
 
 `_buchberger_kernel` is the one Buchberger loop, for ideals and for
-submodules of free modules.  `_divides` and `_lcm` read the component slot
-as one more exponent, so for modules it compares leads only within one
-component, and it uses no product criterion there.
+submodules of free modules; for modules it compares leads only within
+one component and uses no product criterion.
 
 A :class:`GroebnerBasis` keeps the kernel's records as its one stored
 form: membership, normal forms, leading monomials and Hilbert numerators
@@ -27,55 +27,180 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain, islice
-from operator import add, sub
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import InternalError, ResourceLimitError, ValidationError
 from .ring import Monomial, MonomialOrder, Polynomial, PolynomialRing, PrimeField
 
 DEFAULT_PAIR_LIMIT = 1_000_000
 
 _STRATEGIES = ("normal", "lcm", "fifo")
 
+# The narrowest exponent field: computations whose degrees are not known
+# up front then seldom outgrow their fields and rerun wider.
+_MIN_WIDTH = 8
+
+
+class _Overflow(InternalError):
+    """A monomial of degree ``args[0]`` does not fit the packing's fields."""
+
+
+def _width(bound):
+    return max(_MIN_WIDTH, bound.bit_length())
+
+
+class _Packing:
+    """Monomials of one order packed into single ints (Bachmann and
+    Schoenemann, "Monomial representations for Groebner bases
+    computations", ISSAC 1998).
+
+    Each exponent gets a ``width``-bit field under a guard bit; the fields
+    read as one int ``low`` of ``LW`` bits, and the packed int is ``low``
+    less a multiple of ``2**LW`` that makes a smaller int a larger
+    monomial: ``low - (deg << LW)`` for grevlex (the variable compared
+    last on top), ``low - (low << LW) - (deg << 2*LW)`` for grlex and
+    ``low - (low << LW)`` for lex (the first on top).  The map is linear:
+    a product is ``a + b``, a quotient ``b - a``, and ``a`` divides ``b``
+    exactly when ``(b - a) & guard`` is 0.  A module term ``m e_c`` is
+    ``(pack(m) << cw) + c``, so a smaller component is larger among equal
+    monomials (the Schreyer tie-break); from component ``tagged`` on, a
+    copy of ``c`` above the monomial and a tag bit above all order terms
+    position over term, below every untagged term.  ``bound(x)`` bounds the
+    exponents of a homogeneous vector with term ``x`` (for a module, graded
+    by ``twists``), and ``pack`` refuses a term whose bound exceeds
+    ``2**width - 1``.
+    """
+
+    __slots__ = (
+        "order", "nvars", "width", "components", "tagged", "twists", "module",
+        "maxdeg", "cw", "cmask", "guard", "pack", "unpack", "deg", "bound", "quo",
+        "lcm",
+    )
+
+    def __init__(self, order, nvars, width, components=None, tagged=None, twists=None):
+        self.order, self.nvars, self.width = order, nvars, width
+        self.components, self.tagged, self.twists = components, tagged, twists
+        self.module = module = components is not None
+        self.maxdeg = maxdeg = (1 << width) - 1
+        f = width + 1
+        lw = nvars * f
+        perm = order.perm if order.perm is not None else range(nvars)
+        slots = {v: k if order.kind == "grevlex" else nvars - 1 - k for k, v in enumerate(perm)}
+        offsets = [slots[v] * f for v in range(nvars)]
+        lowmask, fmask = (1 << lw) - 1, (1 << f) - 1
+        ones = sum(1 << (k * f) for k in range(nvars))
+        guard, top = ones << width, max(nvars - 1, 0) * f
+        self.cw = cw = (components - 1).bit_length() if components else 0
+        self.cmask = cmask = (1 << cw) - 1
+        self.guard = guard << cw
+        # Above every monomial (under 2*LW + width + 2 bits with its sign)
+        # the tagged components' copy, then the tag.
+        tagshift = cw + 2 * lw + f + 2
+        tag = 1 << (tagshift + cw + 1)
+        least = min(twists) if twists else 0
+        excess = [t - least for t in twists] if twists else None
+
+        # The fields' sum collects in the top field: no partial sum carries
+        # while the total stays below 2**(width + 1).
+        if order.kind == "grevlex":
+            def item(low):
+                return low - (((low * ones >> top) & fmask) << lw)
+        elif order.kind == "grlex":
+            def item(low):
+                return low - (low << lw) - (((low * ones >> top) & fmask) << 2 * lw)
+        else:
+            def item(low):
+                return low - (low << lw)
+
+        def pack(t):
+            """Packed exponent tuple, ``exps + (comp,)`` for a module."""
+            exps, c = (t[:-1], t[-1]) if module else (t, 0)
+            if not 0 <= c <= cmask:
+                raise InternalError(f"component {c} outside the packing")
+            bound = sum(exps) + (excess[c] if excess else 0)
+            if bound > maxdeg:
+                raise _Overflow(bound)
+            x = item(sum(e << off for e, off in zip(exps, offsets)))
+            if not module:
+                return x
+            if tagged is not None and c >= tagged:
+                c += (c << tagshift) + tag
+            return (x << cw) + c
+
+        def unpack(x):
+            low = (x >> cw) & lowmask
+            exps = tuple((low >> off) & fmask for off in offsets)
+            return exps + (x & cmask,) if module else exps
+
+        def deg(x):
+            return (((x >> cw) & lowmask) * ones >> top) & fmask
+
+        def bound(x):
+            return deg(x) + excess[x & cmask] if excess else deg(x)
+
+        def quo(a, b):
+            """Packed monomial lcm(a, b) / a of two terms of one component."""
+            la = (a >> cw) & lowmask
+            lb = (b >> cw) & lowmask
+            # Fieldwise max: a field's guard survives a - b when a >= b.
+            ge = (((la | guard) - lb) & guard) >> width
+            ge = (ge << width) - ge
+            return item((lb ^ ((la ^ lb) & ge)) - la)
+
+        def lcm(a, b):
+            return a + (quo(a, b) << cw)
+
+        self.pack, self.unpack, self.deg, self.bound = pack, unpack, deg, bound
+        self.quo, self.lcm = quo, lcm
+
+    def with_components(self, components):
+        return _Packing(self.order, self.nvars, self.width, components)
+
+    def widened(self, degree):
+        """A packing like this one whose fields hold ``degree``."""
+        return _Packing(
+            self.order, self.nvars, max(2 * self.width, degree.bit_length()),
+            self.components, self.tagged, self.twists,
+        )
+
+    def pack_terms(self, terms):
+        """A term dict with packed monomials from ``(exps, coeff)`` pairs."""
+        pack = self.pack
+        return {pack(e): c for e, c in terms}
+
+    def convert(self, gens, src):
+        """Records of packing ``src`` in this one."""
+        if src is self:
+            return gens
+        pack, unpack = self.pack, src.unpack
+        return [
+            _Gen(pack(unpack(g.lm)), tuple((pack(unpack(e)), c) for e, c in g.tail), g.idx)
+            for g in gens
+        ]
+
+
+def _widening(run, pk):
+    """``run(pk)``, rerun on a wider packing while a monomial overflows."""
+    while True:
+        try:
+            return run(pk)
+        except _Overflow as exc:
+            pk = pk.widened(exc.args[0])
+
 
 class _Gen:
     """Monic polynomial or module vector in kernel form; degree is the lead's."""
 
-    __slots__ = ("lm", "mask", "tail", "idx")
+    __slots__ = ("lm", "tail", "idx")
 
-    def __init__(self, lm, mask, tail, idx):
+    def __init__(self, lm, tail, idx):
         self.lm = lm
-        self.mask = mask
-        self.tail = tail      # tuple of (exps, coeff), lead term excluded
+        self.tail = tail      # tuple of (packed term, coeff), lead term excluded
         self.idx = idx
 
 
-def _mask(exps):
-    m = 0
-    for i, e in enumerate(exps):
-        if e:
-            m |= 1 << i
-    return m
-
-
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _lcm(a, b):
-    return tuple([x if x >= y else y for x, y in zip(a, b)])
-
-
-def _ascending(hk):
-    """Sort key, smallest monomial first, from a heapkey (largest first)."""
-    return tuple(_ascending(x) if type(x) is tuple else -x for x in hk)
-
-
-def _make_gen(terms, key, field, idx):
+def _make_gen(terms, field, idx):
     """Monic kernel record from a nonzero term dict."""
-    ordered = sorted(terms, key=key)
+    ordered = sorted(terms)
     lm = ordered[0]
     lc = terms[lm]
     if lc != field.one:
@@ -84,115 +209,98 @@ def _make_gen(terms, key, field, idx):
         tail = tuple((e, mul(terms[e], inv)) for e in ordered[1:])
     else:
         tail = tuple((e, terms[e]) for e in ordered[1:])
-    return _Gen(lm, _mask(lm), tail, idx)
+    return _Gen(lm, tail, idx)
 
 
-def _reduce(terms, reducers, key, field, *, full=True, track=False):
-    """Divide a term dict by monic records, largest term first.
+def _reduce(terms, reducers, pk, field, *, full=True, track=False):
+    """Divide a term dict, packed in ``pk``, by monic records, largest term first.
 
     ``reducers(m)`` lists the candidate records for the term ``m`` in a
     fixed order and the first whose lead divides ``m`` is used, so the
-    result is deterministic and the caller picks the reducer order.
-    Against a Groebner basis membership and the full remainder do not
-    depend on that order, so `GroebnerBasis` offers its records lowest
-    lead degree first, which finds a divisor after far fewer tests.
-    Buchberger's kernel and `_interreduce` keep list order because they
-    divide by records that are not yet a Groebner basis, and the Schreyer
-    tower because it keeps the quotients: there the divisor chosen shows
-    in non-canonical bases, in the S-polynomials formed and in syzygy
-    columns; only its ``key`` reads the Schreyer shift of its terms.
-    Returns ``(remainder, quotients)``; quotients maps a record's ``idx``
-    to a term dict of shifts, and is None unless ``track``.
+    caller picks the reducer order.  Against a Groebner basis membership
+    and the full remainder do not depend on it, so `GroebnerBasis` offers
+    its records lowest lead degree first, which finds a divisor after far
+    fewer tests.  Buchberger's kernel, `_interreduce` and the Schreyer
+    tower keep list order: there the divisor chosen shows in non-canonical
+    bases, in the S-polynomials formed and in syzygy columns.  Records are
+    homogeneous, so every term formed has the degree of a term of the
+    input, and the caller's degree bound holds for all of them.  Returns
+    ``(remainder, quotients)``; quotients maps a record's ``idx`` to a term
+    dict of shifts, and is None unless ``track``.
     """
+    guard = pk.guard
     work = dict(terms)
-    heap = [key(e) + (e,) for e in work]
+    heap = list(work)
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     remainder = {}
     quotients = {} if track else None
+    # Prime field elements are ints reduced mod p, rationals are Fractions;
+    # both take the arithmetic operators.
     prime = field.p if isinstance(field, PrimeField) else None
     while heap:
-        m = heapq.heappop(heap)[-1]
+        m = heappop(heap)
         c = work.pop(m, None)
         if not c:
             continue
-        mm = _mask(m)
         for red in reducers(m):
-            if red.mask & mm == red.mask and _divides(red.lm, m):
+            if not (m - red.lm) & guard:
                 break
         else:
             remainder[m] = c
             if full:
                 continue
             break
-        shift = tuple(map(sub, m, red.lm))
+        shift = m - red.lm
         if track:
             q = quotients.setdefault(red.idx, {})
             q[shift] = field.add(q.get(shift, field.zero), c)
-        if prime is not None:
-            for e2, c2 in red.tail:
-                e = tuple(map(add, e2, shift))
-                prev = work.get(e)
+        for e, c2 in red.tail:
+            e += shift
+            prev = work.get(e)
+            v = -c * c2 if prev is None else prev - c * c2
+            if prime:
+                v %= prime
+            if v:
                 if prev is None:
-                    v = -c * c2 % prime
-                    if v:
-                        work[e] = v
-                        heapq.heappush(heap, key(e) + (e,))
-                else:
-                    v = (prev - c * c2) % prime
-                    if v:
-                        work[e] = v
-                    else:
-                        del work[e]
-        else:
-            for e2, c2 in red.tail:
-                e = tuple(map(add, e2, shift))
-                prev = work.get(e)
-                if prev is None:
-                    v = field.neg(field.mul(c, c2))
-                    if v != field.zero:
-                        work[e] = v
-                        heapq.heappush(heap, key(e) + (e,))
-                else:
-                    v = field.sub(prev, field.mul(c, c2))
-                    if v != field.zero:
-                        work[e] = v
-                    else:
-                        del work[e]
+                    heappush(heap, e)
+                work[e] = v
+            elif prev is not None:
+                del work[e]
     remainder.update(work)
     return remainder, quotients
 
 
-def _spoly(f, g, field):
+def _spoly(f, g, pk, field):
     """S-polynomial term dict of two monic kernel generators."""
-    lcm = _lcm(f.lm, g.lm)
-    u = tuple(map(sub, lcm, f.lm))
-    v = tuple(map(sub, lcm, g.lm))
-    acc = {}
+    lcm = pk.lcm(f.lm, g.lm)
+    u = lcm - f.lm
+    v = lcm - g.lm
+    acc = {e + u: c for e, c in f.tail}
     zero = field.zero
-    for e, c in f.tail:
-        acc[tuple(map(add, e, u))] = c
     for e, c in g.tail:
-        key = tuple(map(add, e, v))
-        val = field.sub(acc.get(key, zero), c)
+        e += v
+        val = field.sub(acc.get(e, zero), c)
         if val == zero:
-            acc.pop(key, None)
+            acc.pop(e, None)
         else:
-            acc[key] = val
+            acc[e] = val
     return acc
 
 
-def _reducers(gens, component):
+def _reducers(gens, pk):
     """`_reduce`'s lookup over ``gens`` in list order: all of them for an
     ideal term, those whose lead shares its component for a module term."""
-    if component is None:
+    if not pk.module:
         return lambda m: gens
+    cmask = pk.cmask
     buckets = {}
     for g in gens:
-        buckets.setdefault(g.lm[component], []).append(g)
-    return lambda m: buckets.get(m[component], ())
+        buckets.setdefault(g.lm & cmask, []).append(g)
+    return lambda m: buckets.get(m & cmask, ())
 
 
-def _interreduce(gens, heapkey, field, component=None):
+def _interreduce(gens, pk, field):
     """One pass of mutual reduction in place; returns whether it changed.
 
     Each record is divided by all the others in list order, the earlier
@@ -208,21 +316,21 @@ def _interreduce(gens, heapkey, field, component=None):
         g = gens[a]
         t = {g.lm: one}
         t.update(g.tail)
-        others = _reducers(gens[:a] + gens[a + 1 :], component)
-        r, _ = _reduce(t, others, heapkey, field)
+        others = _reducers(gens[:a] + gens[a + 1 :], pk)
+        r, _ = _reduce(t, others, pk, field)
         if r == t:
             a += 1
             continue
         changed = True
         if r:
-            gens[a] = _make_gen(r, heapkey, field, g.idx)
+            gens[a] = _make_gen(r, field, g.idx)
             a += 1
         else:
             del gens[a]
     return changed
 
 
-def _chain_pairs(G, h, degree_limit=None, component=None):
+def _chain_pairs(G, h, pk, degree_limit=None):
     """The pairs (g, h), g in G, that the chain and product criteria keep.
 
     G lists the current generators in index order, leads pairwise
@@ -235,57 +343,61 @@ def _chain_pairs(G, h, degree_limit=None, component=None):
     witness untested and reported only by the returned flag.  It never
     witnesses against a pair within the limit: if its lead divided that
     pair's lcm, its own lcm with h would divide that lcm too.  Returns
-    ``([(g, lcm, mask), ...], any_above_limit)``.
+    ``([(g, lcm), ...], any_above_limit)``.
     """
     mh = h.lm
-    mask_h = h.mask
-    if component is not None:
-        c = mh[component]
-        G = [g for g in G if g.lm[component] == c]
+    guard = pk.guard
+    if pk.module:
+        c = mh & pk.cmask
+        G = [g for g in G if g.lm & pk.cmask == c]
     kept = []
     new = []
     above = False
     for k, g in enumerate(G):
-        if mask_h & g.mask or component is not None:
-            lcm = _lcm(mh, g.lm)
-            if degree_limit is not None and sum(lcm) > degree_limit:
+        lcm = pk.lcm(mh, g.lm)
+        if pk.module or lcm != mh + g.lm:
+            if degree_limit is not None and pk.deg(lcm) > degree_limit:
                 above = True
             else:
-                mask = mask_h | g.mask
                 if any(
-                    p.mask & mask == p.mask and _divides(p.lm, lcm)
+                    not (lcm - p.lm) & guard
                     for p in chain(islice(G, k + 1, None), kept)
                 ):
                     continue
-                new.append((g, lcm, mask))
+                new.append((g, lcm))
         kept.append(g)
     return new, above
 
 
-def _b_filters(x, i, j, lcm, mask, component=None):
+def _b_filters(x, i, j, lcm, pk):
     """Whether generator x's arrival drops the pair (i, j) with that lcm."""
     return (
-        x.mask & mask == x.mask
-        and _divides(x.lm, lcm)
-        and (component is None or x.lm[component] == lcm[component])
-        and _lcm(i.lm, x.lm) != lcm
-        and _lcm(j.lm, x.lm) != lcm
+        not (lcm - x.lm) & pk.guard
+        and (x.lm & pk.cmask) == (lcm & pk.cmask)
+        and pk.lcm(i.lm, x.lm) != lcm
+        and pk.lcm(j.lm, x.lm) != lcm
     )
 
 
 def _buchberger_kernel(
     inputs,
-    heapkey,
+    pk,
     field,
     *,
-    component=None,
     degree_limit=None,
     pair_limit=DEFAULT_PAIR_LIMIT,
     strategy="normal",
     tail_reduce=True,
     interreduce=True,
 ):
-    """Groebner basis of homogeneous term dicts; returns (gens, truncated).
+    """Groebner basis of homogeneous term dicts; returns (gens, truncated, pk).
+
+    The inputs map exponent tuples (``exps + (comp,)`` for module vectors)
+    to coefficients and are packed in ``pk``.  Every term a pair's
+    reduction forms has the degree of the pair's lcm, so one bound check
+    per selected pair keeps every exponent in its field; a pair above the
+    bound raises `_Overflow`, and callers rerun the kernel on a wider
+    packing (`_widening`).
 
     Pairs go through the Gebauer-Moeller update: when a generator h
     arrives, the product criterion drops a new pair (g, h) of an ideal
@@ -293,9 +405,8 @@ def _buchberger_kernel(
     when another generator's lead divides lcm(g, h) (`_chain_pairs`), and
     the B-filter drops an old pair (i, j) when lead(h) divides lcm(i, j)
     and that lcm differs from both lcm(i, h) and lcm(j, h) (`_b_filters`).
-    Each pair's lcm and its bit mask are computed once, when the pair is
-    made, and stored with the pair; a bit-mask test runs before every
-    divisibility test.  Pairs are selected by minimal lcm degree
+    Each pair's lcm is computed once, when the pair is made, and stored
+    with the pair.  Pairs are selected by minimal lcm degree
     (``normal``), smallest lcm in the monomial order first (``lcm``), or
     in creation order (``fifo``).  The input is homogeneous, so minimal
     lcm degree is the sugar strategy, and records keep no sugar.
@@ -309,78 +420,84 @@ def _buchberger_kernel(
     ``truncated`` is true exactly when a run that also queued the pairs
     above the limit would select one of them while it is live: the pair
     passed the chain test when its h arrived, and no generator that
-    arrived before its turn B-filtered it.  A generator made after that pair arrived before its
-    turn when the pair that made the generator has the smaller selection
-    key and was itself made before that turn.  Under ``normal`` selection,
-    or ``lcm`` in a degree-compatible order, every pair within the limit
-    is selected before every pair above it, so every later generator
-    counts.  When the queue is empty, the chain test is replayed over the
-    recorded ``(G, h)`` of each h that had candidates above the limit,
-    latest h first, until one such pair is found.
+    arrived before its turn B-filtered it.  A generator made after that
+    pair arrived before its turn when the pair that made the generator has
+    the smaller selection key and was itself made before that turn.  Under
+    ``normal`` selection, or ``lcm`` in a degree-compatible order, every
+    pair within the limit is selected before every pair above it, so every
+    later generator counts.  When the queue is empty, the chain test is
+    replayed over the recorded ``(G, h)`` of each h that had candidates
+    above the limit, latest h first, until one such pair is found.
 
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
     notice but is cheaper on large inputs.
 
-    For module vectors ``component`` is the position of a term's component
-    (-1 in the ``exps + (comp,)`` encoding); it is None for ideals.  Pairs,
-    chain witnesses, B-filters, the pruning of G and every division stay
-    within one lead component, and coprime leads still make a pair: the
-    product criterion is unsound for modules.  An lcm's degree counts the
+    For a module packing, pairs, chain witnesses, B-filters, the pruning
+    of G and every division stay within one lead component, and coprime
+    leads still make a pair: the product criterion is unsound for
+    modules.  An lcm's degree for ``normal`` selection counts the
     component index, so module callers pass no ``degree_limit``.
     """
     if strategy not in _STRATEGIES:
         raise ValidationError(f"unknown selection strategy {strategy!r}")
+    f = []
+    for t in inputs:
+        if t:
+            terms = pk.pack_terms(t.items())
+            if len({pk.bound(x) for x in terms}) != 1:
+                raise InternalError("a kernel input is not homogeneous")
+            f.append(_make_gen(terms, field, 0))
     # Input leads may divide each other, so reduce until nothing changes.
-    f = [_make_gen(t, heapkey, field, 0) for t in inputs if t]
-    while _interreduce(f, heapkey, field, component):
+    while _interreduce(f, pk, field):
         pass
     for k, g in enumerate(f):
         g.idx = k
 
     # Each selection key ends in its pair (i, j); pairs are made in the
     # order of (j, i), which ``fifo`` follows.
+    deg, cmask = pk.deg, pk.cmask
     if strategy == "normal":
         def select_key(pair, lcm):
-            return (sum(lcm), heapkey(lcm), pair)
+            return (deg(lcm) + (lcm & cmask), lcm, pair)
     elif strategy == "lcm":
         def select_key(pair, lcm):
-            return (_ascending(heapkey(lcm)), pair)
+            return (-lcm, pair)
     else:
         def select_key(pair, lcm):
             return (pair[1], pair)
 
-    # Live pairs (i, j), i < j, each mapped to its (lcm, lcm mask).  The
-    # heap may hold pairs the B-filter has since dropped; they are skipped.
+    # Live pairs (i, j), i < j, each mapped to its lcm.  The heap may hold
+    # pairs the B-filter has since dropped; they are skipped.
     pairs = {}
     heap = []
     # (G, h) for every h that had candidates above the limit, and the
     # selection key of the pair each generator came from.
     above_limit = []
     origin = {}
+    guard = pk.guard
 
     def update(G, h):
-        new, above = _chain_pairs(G, h, degree_limit, component)
+        new, above = _chain_pairs(G, h, pk, degree_limit)
         if above:
             above_limit.append((G, h))
+        hl = h.lm
         dropped = [
             pair
-            for pair, (lcm, mask) in pairs.items()
-            if _b_filters(h, f[pair[0]], f[pair[1]], lcm, mask, component)
+            for pair, lcm in pairs.items()
+            if _b_filters(h, f[pair[0]], f[pair[1]], lcm, pk)
         ]
         for pair in dropped:
             del pairs[pair]
-        for g, lcm, mask in new:
+        for g, lcm in new:
             pair = (g.idx, h.idx)
-            pairs[pair] = (lcm, mask)
+            pairs[pair] = lcm
             heapq.heappush(heap, select_key(pair, lcm))
         # A new list: the (G, h) records above keep the old one.
         G = [
             g
             for g in G
-            if g.mask & h.mask != h.mask
-            or not _divides(h.lm, g.lm)
-            or component is not None and g.lm[component] != h.lm[component]
+            if (g.lm - hl) & guard or (g.lm & cmask) != (hl & cmask)
         ]
         G.append(h)
         return G
@@ -396,16 +513,20 @@ def _buchberger_kernel(
             )
         key = heapq.heappop(heap)
         pair = key[-1]
-        if pairs.pop(pair, None) is None:
+        lcm = pairs.pop(pair, None)
+        if lcm is None:
             continue
+        bound = pk.bound(lcm)
+        if bound > pk.maxdeg:
+            raise _Overflow(bound)
         i, j = pair
-        s = _spoly(f[i], f[j], field)
+        s = _spoly(f[i], f[j], pk, field)
         if not s:
             continue
-        r, _ = _reduce(s, _reducers(G, component), heapkey, field, full=tail_reduce)
+        r, _ = _reduce(s, _reducers(G, pk), pk, field, full=tail_reduce)
         if not r:
             continue
-        h = _make_gen(r, heapkey, field, len(f))
+        h = _make_gen(r, field, len(f))
         f.append(h)
         origin[h.idx] = key
         G = update(G, h)
@@ -422,12 +543,12 @@ def _buchberger_kernel(
 
     def live_above_limit():
         for Gh, h in reversed(above_limit):
-            for g, lcm, mask in _chain_pairs(Gh, h, None, component)[0]:
-                if sum(lcm) <= degree_limit:
+            for g, lcm in _chain_pairs(Gh, h, pk)[0]:
+                if deg(lcm) <= degree_limit:
                     continue
                 key = select_key((g.idx, h.idx), lcm)
                 if not any(
-                    _b_filters(x, g, h, lcm, mask, component)
+                    _b_filters(x, g, h, lcm, pk)
                     and arrived_before(x, h.idx, key)
                     for x in islice(f, h.idx + 1, None)
                 ):
@@ -440,9 +561,9 @@ def _buchberger_kernel(
     # and update drops its multiples, so the leads of G are minimal, and
     # one pass of tail reduction gives the unique reduced basis.
     if interreduce:
-        _interreduce(G, heapkey, field, component)
-    G.sort(key=lambda g: heapkey(g.lm))
-    return G, truncated
+        _interreduce(G, pk, field)
+    G.sort(key=lambda g: g.lm)
+    return G, truncated, pk
 
 
 class IdealPresentation:
@@ -484,16 +605,19 @@ class IdealPresentation:
 class GroebnerBasis:
     """A monic Groebner basis with a fixed deterministic element order.
 
-    The basis is stored as the kernel's monic records; ``elements`` builds
-    the public polynomials on first access.  Membership and normal forms
-    divide by the records lowest lead degree first (ties in element
-    order), a list built once on first use.  The constructor trusts its
-    input to be a Groebner basis and does not check it; for any other
-    input ``normal_form`` depends on that reducer order.
+    The basis is stored as the kernel's monic records and their packing;
+    ``elements`` builds the public polynomials on first access.
+    Membership and normal forms divide by the records lowest lead degree
+    first (ties in element order), a list built on first use and again,
+    repacked wider, for a polynomial above its packing's degree bound.
+    The constructor takes homogeneous polynomials and
+    trusts them to be a Groebner basis; for any other input
+    ``normal_form`` depends on that reducer order.
     """
 
     __slots__ = (
-        "ring", "reduced", "truncated_at", "source", "_gens", "_elements", "_by_degree"
+        "ring", "reduced", "truncated_at", "source", "_gens", "_pk", "_elements",
+        "_by_degree",
     )
 
     def __init__(self, ring, elements, *, reduced, truncated_at=None, source=None):
@@ -504,17 +628,23 @@ class GroebnerBasis:
         self.source = source
         self._elements = tuple(elements)
         self._by_degree = None
-        heapkey = ring.order.heapkey_fn()
+        degrees = [p.homogeneous_degree() for p in self._elements]
+        if None in degrees:
+            raise ValidationError("Groebner basis elements must be homogeneous")
+        self._pk = _Packing(
+            ring.order, ring.nvars, _width(max((d for d in degrees if d != "any"), default=0))
+        )
         self._gens = [
-            _make_gen(dict(p.terms), heapkey, ring.field, k)
+            _make_gen(self._pk.pack_terms(p.terms), ring.field, k)
             for k, p in enumerate(self._elements)
         ]
 
     @classmethod
-    def _from_kernel(cls, ring, gens, **flags):
+    def _from_kernel(cls, ring, gens, pk, **flags):
         """A basis that keeps the kernel records ``buchberger`` computed."""
         basis = cls(ring, (), **flags)
         basis._gens = gens
+        basis._pk = pk
         basis._elements = None
         return basis
 
@@ -522,45 +652,60 @@ class GroebnerBasis:
     def elements(self):
         if self._elements is None:
             one = self.ring.field.one
+            unpack = self._pk.unpack
             self._elements = tuple(
-                Polynomial(self.ring, ((g.lm, one),) + g.tail) for g in self._gens
+                Polynomial(
+                    self.ring,
+                    ((unpack(g.lm), one),) + tuple((unpack(e), c) for e, c in g.tail),
+                )
+                for g in self._gens
             )
         return self._elements
 
     def _remainder(self, p, full):
+        """Remainder of ``p`` and the packing it is in."""
         if p.ring != self.ring:
             raise ValidationError("polynomial is not in the basis ring")
-        if self.truncated_at is not None and p and p.degree() > self.truncated_at:
+        if not p:
+            return {}, self._pk
+        degree = p.degree()
+        if self.truncated_at is not None and degree > self.truncated_at:
             raise ValidationError(
-                f"normal form of degree {p.degree()} is not exact against a "
+                f"normal form of degree {degree} is not exact against a "
                 f"basis truncated at degree {self.truncated_at}"
             )
-        if self._by_degree is None:
-            self._by_degree = sorted(self._gens, key=lambda g: sum(g.lm))
-        by_degree = self._by_degree
+        # The records sorted by lead degree, in a packing that holds p's
+        # degree: they are homogeneous, so no term formed exceeds it.
+        packed = self._by_degree
+        if packed is None or degree > packed[0].maxdeg:
+            pk = self._pk if degree <= self._pk.maxdeg else self._pk.widened(degree)
+            gens = sorted(pk.convert(self._gens, self._pk), key=lambda g: pk.deg(g.lm))
+            self._by_degree = packed = (pk, gens)
+        pk, by_degree = packed
         r, _ = _reduce(
-            dict(p.terms), lambda m: by_degree, self.ring.order.heapkey_fn(),
-            self.ring.field, full=full,
+            pk.pack_terms(p.terms), lambda m: by_degree, pk, self.ring.field, full=full
         )
-        return r
+        return r, pk
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        return self.ring.poly(self._remainder(p, full=True))
+        r, pk = self._remainder(p, full=True)
+        return self.ring.poly({pk.unpack(e): c for e, c in r.items()})
 
     def contains(self, p: Polynomial) -> bool:
-        return not self._remainder(p, full=False)
+        return not self._remainder(p, full=False)[0]
 
     __contains__ = contains
 
     def leading_monomials(self):
-        return tuple(Monomial(self.ring.table, g.lm) for g in self._gens)
+        unpack = self._pk.unpack
+        return tuple(Monomial(self.ring.table, unpack(g.lm)) for g in self._gens)
 
     def hilbert_numerator(self) -> "HilbertNumerator":
         if not self.reduced:
             raise ValidationError("Hilbert numerator needs a reduced basis")
         if self.truncated_at is not None:
             raise ValidationError("Hilbert numerator needs an untruncated basis")
-        lms = [g.lm for g in self._gens]
+        lms = [self._pk.unpack(g.lm) for g in self._gens]
         coeffs = _hilbert_kernel(_minimal_monomials(lms), {})
         return HilbertNumerator(coeffs, self.ring.nvars)
 
@@ -608,25 +753,19 @@ def buchberger(
             order = MonomialOrder(order)
         if order != ring.order:
             ring = ring.with_order(order)
-    heapkey = ring.order.heapkey_fn()
-    field = ring.field
+    # With a limit no pair above it is reduced, so its fields always fit.
+    bound = max(max(ideal.degrees()), degree_limit or 0)
     inputs = [dict(g.terms) for g in ideal.generators]
-    gens, truncated = _buchberger_kernel(
-        inputs,
-        heapkey,
-        field,
-        degree_limit=degree_limit,
-        pair_limit=pair_limit,
-        strategy=strategy,
-        tail_reduce=tail_reduce,
-        interreduce=interreduce,
+    gens, truncated, pk = _widening(
+        lambda pk: _buchberger_kernel(
+            inputs, pk, ring.field, degree_limit=degree_limit, pair_limit=pair_limit,
+            strategy=strategy, tail_reduce=tail_reduce, interreduce=interreduce,
+        ),
+        _Packing(ring.order, ring.nvars, _width(bound)),
     )
     return GroebnerBasis._from_kernel(
-        ring,
-        gens,
-        reduced=interreduce,
-        truncated_at=degree_limit if truncated else None,
-        source=ideal,
+        ring, gens, pk, reduced=interreduce,
+        truncated_at=degree_limit if truncated else None, source=ideal,
     )
 
 
@@ -645,11 +784,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if not f or not g:
         raise ValidationError("S-polynomial of zero is undefined")
     ring = f.ring
-    heapkey = ring.order.heapkey
     field = ring.field
-    gf = _make_gen(dict(f.terms), heapkey, field, 0)
-    gg = _make_gen(dict(g.terms), heapkey, field, 1)
-    return ring.poly(_spoly(gf, gg, field))
+    # A term of the S-polynomial is a term of one times part of the other's lead.
+    pk = _Packing(ring.order, ring.nvars, _width(f.degree() + g.degree()))
+    gf = _make_gen(pk.pack_terms(f.terms), field, 0)
+    gg = _make_gen(pk.pack_terms(g.terms), field, 1)
+    return ring.poly({pk.unpack(e): c for e, c in _spoly(gf, gg, pk, field).items()})
 
 
 def _minimal_monomials(exps_list):
@@ -657,7 +797,13 @@ def _minimal_monomials(exps_list):
     uniq = sorted(set(exps_list), key=lambda e: (sum(e), e))
     out = []
     for e in uniq:
-        if not any(_divides(m, e) for m in out):
+        for m in out:
+            for x, y in zip(m, e):
+                if x > y:
+                    break
+            else:
+                break  # m divides e
+        else:
             out.append(e)
     return out
 
@@ -665,10 +811,10 @@ def _minimal_monomials(exps_list):
 def _support_masks_disjoint(gens):
     seen = 0
     for e in gens:
-        m = _mask(e)
-        if m & seen:
+        mask = sum(1 << i for i, x in enumerate(e) if x)
+        if mask & seen:
             return False
-        seen |= m
+        seen |= mask
     return True
 
 

@@ -7,10 +7,12 @@ whose leading term is known in advance under the order induced by the
 previous level's leading terms, so each level is again a Groebner basis
 and the chain continues by plain division, no basis completion needed.
 Module vectors are the groebner kernel's records, divided by its
-`_reduce`; each term carries its Schreyer-shifted monomial, which keys the
-order, and a generator's twist is its lead's degree.  `syzygies` of an
-arbitrary presentation matrix runs the groebner module's one Buchberger
-loop, `_buchberger_kernel`, on module vectors.
+`_reduce`: each term is one packed int of its Schreyer-shifted monomial
+and its component, whose order is the induced order, and a generator's
+twist is its lead's degree.  `syzygies` of an arbitrary presentation
+matrix runs the groebner module's one Buchberger loop,
+`_buchberger_kernel`, on module vectors.  Columns leave the tower as
+exponent tuples.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
 residue field: the differential d_i reduces there to its scalar blocks
@@ -25,9 +27,9 @@ modules or matrices are asked for.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
-from operator import add
 
 from .errors import InternalError, ResourceLimitError, ValidationError
 from .groebner import (
@@ -35,12 +37,14 @@ from .groebner import (
     HilbertNumerator,
     IdealPresentation,
     _buchberger_kernel,
-    _divides,
     _Gen,
-    _mask,
+    _Overflow,
+    _Packing,
     _reduce,
     _reducers,
     _spoly,
+    _widening,
+    _width,
     buchberger,
 )
 from .ring import Polynomial, PolynomialRing, PrimeField
@@ -54,33 +58,25 @@ DEFAULT_LEVEL_MARGIN = 6
 def _sub_product(a, f, b, field):
     """a - f*b for term dicts (a may be None)."""
     out = dict(a) if a else {}
-    if isinstance(field, PrimeField):
-        p = field.p
-        for e1, c1 in f.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = (out.get(e, 0) - c1 * c2) % p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-    else:
-        zero = field.zero
-        for e1, c1 in f.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = field.sub(out.get(e, zero), field.mul(c1, c2))
-                if v == zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = v
+    # Prime field elements are ints reduced mod p, rationals are Fractions.
+    prime = field.p if isinstance(field, PrimeField) else None
+    for e1, c1 in f.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = out.get(e, 0) - c1 * c2
+            if prime:
+                v %= prime
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Schreyer tower
 
-def _retained_pairs(basis, heapkey):
+def _retained_pairs(basis, lvl, pk):
     """Pairs whose syzygy leading terms minimally generate the lead module.
 
     For each vector i the monomials lcm(lm_i, lm_j)/lm_i over the later
@@ -88,73 +84,84 @@ def _retained_pairs(basis, heapkey):
     set (ties keep the smallest j).  The surviving syzygies still generate
     the full syzygy module and remain a Groebner basis for the induced
     order, because their leading terms span the same monomial module.
-    Returns ``(i, j, mij)`` with ``mij`` an exponent tuple (no component).
+    The vectors are packed in the level's module packing ``lvl``; returns
+    ``(i, j, mij)`` with ``mij`` packed in the ideal packing ``pk``.
     """
+    cmask = lvl.cmask
     by_comp = {}
     for b in basis:
-        by_comp.setdefault(b.lm[-1], []).append(b)
+        by_comp.setdefault(b.lm & cmask, []).append(b)
+    quo, deg, guard = lvl.quo, pk.deg, pk.guard
     pairs = []
     for comp in sorted(by_comp):
         bucket = by_comp[comp]
         for a, bi in enumerate(bucket):
-            ei = bi.lm[:-1]
             cands = []
             for bj in bucket[a + 1 :]:
-                mij = tuple(y - x if y > x else 0 for x, y in zip(ei, bj.lm))
-                cands.append((sum(mij), heapkey(mij), mij, bj.idx))
-            cands.sort(key=lambda t: (t[0], t[1], t[3]))
+                mij = quo(bi.lm, bj.lm)
+                cands.append((deg(mij), mij, bj.idx))
+            cands.sort()
             kept = []
-            for _, _, mij, jidx in cands:
-                if not any(_divides(k, mij) for k, _ in kept):
+            for _, mij, jidx in cands:
+                if all((mij - k) & guard for k, _ in kept):
                     kept.append((mij, jidx))
             for mij, jidx in kept:
                 pairs.append((bi.idx, jidx, mij))
     return pairs
 
 
-def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_cap=None):
+def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     """Iterated syzygy bases starting from a reduced Groebner basis.
 
-    Each level is a list of `_Gen` module vectors; the ideal's basis is
-    the first, in component 0.  A term ``m e_c`` is stored Schreyer-shifted
-    as ``(m + mu[c]) + (c,)``, ``mu[c]`` being the product of the leads
-    down the chain of ``c``.  The induced order keys it by ``heapkey`` of
-    the stored exponents, then by ``c``, a smaller index being larger:
-    records are made in the order of their lead components, so index
-    order is the order of those chains of leads.  A term and its reducers
-    share ``mu[c]``, which division never sees.  The S-vector of a
-    retained pair (i, j) reduces to zero and gives one syzygy with lead
-    ``mij e_i``, stored as ``lcm + (i,)``: each level is again a Groebner
-    basis, its leads are the next ``mu``, and a twist is a lead's degree.
+    ``gens`` are the basis records, packed in ``pk``.  Each level is a
+    list of `_Gen` module vectors; the ideal's basis is the first, in
+    component 0.  A term ``m e_c`` is stored Schreyer-shifted: its
+    monomial is ``m mu[c]``, ``mu[c]`` being the product of the leads down
+    the chain of ``c``, packed with ``c`` in the level's module packing.
+    So the packed order compares the stored monomial, then ``c``, a
+    smaller index being larger: records are made in the order of their
+    lead components, so index order is the order of those chains of
+    leads.  A term and its reducers share ``mu[c]``, which division never
+    sees.  The S-vector of a retained pair (i, j) reduces to zero and
+    gives one syzygy with lead ``mij e_i``, stored as ``lcm(lm_i, lm_j)``
+    in component i: each level is again a Groebner basis, its leads are
+    the next ``mu``, and a twist is a lead's degree.  Every term of a
+    level has its twist's degree, so twists within ``pk``'s bound keep
+    every exponent in its field; a larger one raises `_Overflow`.
 
     Returns ``(twists, cols, truncated)`` in :class:`FreeResolution`'s
-    layout, unshifted: ``twists[i]`` maps each level-i generator id to its
-    twist, and ``cols[i]`` (i >= 1) maps each level-i id to its column, a
-    dict from level i-1 id to term dict.  Ids are positions in a level.
+    layout, unshifted and unpacked: ``twists[i]`` maps each level-i
+    generator id to its twist, and ``cols[i]`` (i >= 1) maps each level-i
+    id to its column, a dict from level i-1 id to term dict.  Ids are
+    positions in a level.
     """
     if level_cap is None:
-        level_cap = nvars + DEFAULT_LEVEL_MARGIN
+        level_cap = pk.nvars + DEFAULT_LEVEL_MARGIN
     one = field.one
     neg_one = field.neg(one)
+    # Quotient monomials recur across columns; each unpacks once per tower.
+    unpack = functools.cache(pk.unpack)
 
-    basis = [
-        _Gen(g.lm + (0,), g.mask, tuple((e + (0,), c) for e, c in g.tail), i)
-        for i, g in enumerate(gb_gens)
+    lvl = pk.with_components(1)
+    basis = [_Gen(g.lm, g.tail, i) for i, g in enumerate(gens)]
+    twists = [{0: 0}, {b.idx: pk.deg(b.lm) for b in basis}]
+    cols = [
+        None,
+        {
+            b.idx: {0: {unpack(b.lm): one, **{unpack(e): c for e, c in b.tail}}}
+            for b in basis
+        },
     ]
-    twists = [{0: 0}, {b.idx: sum(b.lm) for b in basis}]
-    cols = [None, {i: {0: {g.lm: one, **dict(g.tail)}} for i, g in enumerate(gb_gens)}]
 
     truncated = False
 
-    def key(t, _hk=heapkey):
-        return _hk(t[:-1]) + (t[-1],)
-
     while True:
-        pairs = _retained_pairs(basis, heapkey)
+        twist = twists[-1]
+        pairs = _retained_pairs(basis, lvl, pk)
         if degree_limit is not None:
             kept = []
             for (i, j, mij) in pairs:
-                if sum(mij) + twists[-1][i] > degree_limit:
+                if pk.deg(mij) + twist[i] > degree_limit:
                     truncated = True
                 else:
                     kept.append((i, j, mij))
@@ -165,39 +172,49 @@ def _schreyer_tower(gb_gens, nvars, heapkey, field, *, degree_limit=None, level_
             raise ResourceLimitError(
                 f"resolution exceeded {level_cap} levels", partial=(twists, cols)
             )
-        pairs.sort(key=lambda t: (t[0], heapkey(t[2]), t[1]))
+        pairs.sort(key=lambda t: (t[0], t[2], t[1]))
+        top = max(pk.deg(mij) + twist[i] for i, _, mij in pairs)
+        if top > pk.maxdeg:
+            raise _Overflow(top)
 
-        # The next level's e_k, stored shifted; a quotient term q e_k, its
-        # component slot 0 as `_reduce` gives it, is stored as q + units[k].
-        units = [b.lm[:-1] + (b.idx,) for b in basis]
-        reducers = _reducers(basis, -1)
+        # The next level's packing and its e_k, stored shifted: a quotient
+        # term q e_k, in component 0 as `_reduce` gives it, is stored as q
+        # times lm_k in component k.
+        nxt = pk.with_components(len(basis))
+        cw, cw2 = lvl.cw, nxt.cw
+        units = [((b.lm >> cw) << cw2) + b.idx for b in basis]
+        reducers = _reducers(basis, lvl)
         new_basis = []
+        new_twists = {}
         new_cols = {}
         for (i, j, mij) in pairs:
             bi, bj = basis[i], basis[j]
             rem, quot = _reduce(
-                _spoly(bi, bj, field), reducers, key, field, full=False, track=True
+                _spoly(bi, bj, lvl, field), reducers, lvl, field, full=False, track=True
             )
             if rem:
                 raise InternalError("an S-vector failed to reduce to zero")
             # A quotient term q e_k has q lm_k below the S-vector's lcm e_c,
             # so it meets neither term of the pair and none cancels.
-            mji = tuple(a + b - c for a, b, c in zip(mij, bi.lm, bj.lm))
-            lcm = tuple(map(add, mij, bi.lm))
-            tail = [(lcm + (j,), neg_one)]
-            col = {i: {mij: one}, j: {mji: neg_one}}
+            lcm = mij + (bi.lm >> cw)
+            tail = [((lcm << cw2) + j, neg_one)]
+            col = {i: {unpack(mij): one}, j: {unpack(lcm - (bj.lm >> cw)): neg_one}}
             for k, q in quot.items():
                 row = col.setdefault(k, {})
+                unit = units[k]
                 for e, c in q.items():
-                    row[e[:-1]] = c = field.neg(c)
-                    tail.append((tuple(map(add, e, units[k])), c))
-            lm = lcm + (i,)
-            new_basis.append(_Gen(lm, _mask(lm), tuple(tail), len(new_basis)))
-            new_cols[len(new_cols)] = col
+                    e >>= cw
+                    row[unpack(e)] = c = field.neg(c)
+                    tail.append(((e << cw2) + unit, c))
+            k = len(new_basis)
+            new_basis.append(_Gen((lcm << cw2) + i, tuple(tail), k))
+            new_twists[k] = twist[i] + pk.deg(mij)
+            new_cols[k] = col
 
-        twists.append({b.idx: sum(b.lm) - b.lm[-1] for b in new_basis})
+        twists.append(new_twists)
         cols.append(new_cols)
         basis = new_basis
+        lvl = nxt
 
     return twists, cols, truncated
 
@@ -663,13 +680,12 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     else:
         raise ValidationError("expected an IdealPresentation or GroebnerBasis")
     ring = gb.ring
-    twists, cols, truncated = _schreyer_tower(
-        gb._gens,
-        ring.nvars,
-        ring.order.heapkey_fn(),
-        ring.field,
-        degree_limit=degree_limit,
-        level_cap=level_cap,
+    twists, cols, truncated = _widening(
+        lambda pk: _schreyer_tower(
+            pk.convert(gb._gens, gb._pk), pk, ring.field,
+            degree_limit=degree_limit, level_cap=level_cap,
+        ),
+        gb._pk,
     )
     truncated_at = (
         degree_limit if (truncated or gb.truncated_at is not None) else None
@@ -712,21 +728,15 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
 
     The columns, each augmented with a unit tag, go through the groebner
     kernel as module vectors, under an order in which every untagged term
-    dominates every tagged one; the basis vectors supported entirely on
-    the tags generate the syzygies.  They are a generating set, not a
-    basis: their number depends on the kernel's pair criteria.
+    dominates every tagged one: the packing's tag (`_Packing`).  The basis
+    vectors supported entirely on the tags generate the syzygies.  They
+    are a generating set, not a basis: their number depends on the
+    kernel's pair criteria.
     """
     ring = M.ring
     field = ring.field
-    base = ring.order.heapkey_fn()
     t = M.target.rank
     zero_exps = (0,) * ring.nvars
-
-    def key(m):
-        comp = m[-1]
-        if comp < t:
-            return (0, base(m[:-1]), (comp,))
-        return (1, (comp,), base(m[:-1]))
 
     elements = []
     for c, col in enumerate(M.columns):
@@ -737,16 +747,21 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
         el[zero_exps + (t + c,)] = field.one
         elements.append(el)
 
-    basis, _ = _buchberger_kernel(elements, key, field, component=-1)
+    pk = _Packing(
+        ring.order, ring.nvars, _width(0), components=t + M.source.rank, tagged=t,
+        twists=M.target.twists + M.source.twists,
+    )
+    basis, _, pk = _widening(lambda pk: _buchberger_kernel(elements, pk, field), pk)
     # A basis vector whose lead is tagged is all tagged: every untagged
     # term comes before every tagged one.
-    syz = [b for b in basis if b.lm[-1] >= t]
+    syz = [b for b in basis if b.lm & pk.cmask >= t]
 
     twists = []
     columns = []
     for b in syz:
         grouped = {}
         for m, cf in ((b.lm, field.one),) + b.tail:
+            m = pk.unpack(m)
             grouped.setdefault(m[-1] - t, {})[m[:-1]] = cf
         degset = {
             M.source.twists[comp] + sum(e) for comp, p in grouped.items() for e in p

@@ -306,19 +306,6 @@ class MonomialOrder:
             return (-sum(e), tuple(-x for x in e))
         return (-sum(e), e[::-1] if type(e) is tuple else tuple(reversed(e)))
 
-    def heapkey_fn(self):
-        """Specialized heapkey closure for kernel loops."""
-        if self.perm is None:
-            if self.kind == "grevlex":
-                return lambda e: (-sum(e), e[::-1])
-            if self.kind == "grlex":
-                return lambda e: (-sum(e), tuple(-x for x in e))
-            return lambda e: tuple(-x for x in e)
-        return self.heapkey
-
-    def greater(self, a, b) -> bool:
-        return self.key(a) > self.key(b)
-
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
@@ -381,10 +368,6 @@ class Monomial:
         if not other.divides(self):
             raise NotDivisibleError(f"{other} does not divide {self}")
         return Monomial(self.table, (a - b for a, b in zip(self.exps, other.exps)))
-
-    @property
-    def is_one(self) -> bool:
-        return self.degree == 0
 
     def support(self):
         return tuple(i for i, e in enumerate(self.exps) if e)

@@ -5,6 +5,7 @@ from idealfam import (
     FamilyParams,
     GroebnerBasis,
     IdealPresentation,
+    InternalError,
     MonomialOrder,
     PolynomialRing,
     PrimeField,
@@ -20,7 +21,9 @@ from idealfam import (
     mccullough_ideal,
     normal_form,
     s_polynomial,
+    schreyer_resolution,
     socle_witness,
+    syzygies,
     verification_basis,
     verification_degree,
     verify_lemma,
@@ -146,25 +149,24 @@ def test_module_basis_is_groebner(rng):
     # and divide within one lead component; every same-component S-vector
     # and every input then reduces to zero.
     field = PrimeField(101)
-    base = MonomialOrder("grevlex").heapkey_fn()
-    orders = (
-        lambda m: base(m[:-1]) + (m[-1],),  # term over position
-        lambda m: (m[-1],) + base(m[:-1]),  # position over term
-    )
+    order = MonomialOrder("grevlex")
     for _ in range(200):
-        key = rng.choice(orders)
-        vectors = _random_module_vectors(rng, rng.choice((2, 3)), rng.choice((2, 3, 4)))
-        basis, _ = groebner._buchberger_kernel(vectors, key, field, component=-1)
-        reducers = groebner._reducers(basis, -1)
+        nvars, rank = rng.choice((2, 3)), rng.choice((2, 3, 4))
+        # Term over position, or position over term (every component tagged).
+        tagged = rng.choice((None, 0))
+        pk = groebner._Packing(order, nvars, 8, components=rank, tagged=tagged)
+        vectors = _random_module_vectors(rng, nvars, rank)
+        basis, _, pk = groebner._buchberger_kernel(vectors, pk, field)
+        reducers = groebner._reducers(basis, pk)
 
         def remainder(terms):
-            return groebner._reduce(terms, reducers, key, field, full=False)[0]
+            return groebner._reduce(terms, reducers, pk, field, full=False)[0]
 
         for a, f in enumerate(basis):
             for g in basis[a + 1 :]:
-                if f.lm[-1] == g.lm[-1]:
-                    assert not remainder(groebner._spoly(f, g, field))
-        assert not any(remainder(v) for v in vectors)
+                if f.lm & pk.cmask == g.lm & pk.cmask:
+                    assert not remainder(groebner._spoly(f, g, pk, field))
+        assert not any(remainder(pk.pack_terms(v.items())) for v in vectors)
 
 
 def test_reduced_basis_unique_across_strategies():
@@ -390,9 +392,9 @@ def test_spolynomial_counts_pinned(monkeypatch):
     calls = []
     spoly = groebner._spoly
 
-    def counted(f, g, field):
+    def counted(*args):
         calls.append(None)
-        return spoly(f, g, field)
+        return spoly(*args)
 
     monkeypatch.setattr(groebner, "_spoly", counted)
 
@@ -431,12 +433,11 @@ def test_basis_from_polynomials_matches_computed():
 def _list_order_remainder(basis, p, full):
     # The route the degree-ordered reducers replaced: the first divisor
     # in element order, largest lead first.
-    ring = basis.ring
+    pk = basis._pk
     r, _ = groebner._reduce(
-        dict(p.terms), lambda m: basis._gens, ring.order.heapkey_fn(), ring.field,
-        full=full,
+        pk.pack_terms(p.terms), lambda m: basis._gens, pk, basis.ring.field, full=full
     )
-    return r
+    return {pk.unpack(e): c for e, c in r.items()}
 
 
 def _assert_divisor_order_invisible(basis, polys):
@@ -488,20 +489,200 @@ def test_membership_independent_of_divisor_order(rng):
     _assert_divisor_order_invisible(basis, polys)
 
 
-def test_membership_division_work_pinned(monkeypatch):
-    # Divisor tests made by the membership checks of one verification,
-    # measured with the reducers lowest lead degree first; the first
-    # divisor in element order made 783957 of them.
+class _CountedReducers(list):
+    """A reducer list counting the records `_reduce` tests as divisors.
+
+    `_reduce` tests each record its loop takes from the list, in order,
+    until one divides the term, so the records yielded are the packed
+    divisibility tests it makes.
+    """
+
+    tests = 0
+
+    def __iter__(self):
+        for g in list.__iter__(self):
+            self.tests += 1
+            yield g
+
+
+def test_membership_division_work_pinned():
+    # Every packed divisibility test made by the membership checks of one
+    # verification, with the reducers lowest lead degree first, against
+    # the same checks dividing by the records in element order.
     params = FamilyParams.parse("2:(2,3,4)")
     basis = verification_basis(params)
-    calls = []
-    divides = groebner._divides
+    assert not basis.contains(basis.ring.one())  # builds the degree-ordered list
 
-    def counted(a, b):
-        calls.append(None)
-        return divides(a, b)
+    pk, by_degree = basis._by_degree
 
-    monkeypatch.setattr(groebner, "_divides", counted)
-    assert verify_socle(params, basis).conclusion
-    assert verify_lemma(params, basis).ok
-    assert len(calls) == 6461
+    def tests(reducers):
+        counted = _CountedReducers(reducers)
+        basis._by_degree = (pk, counted)
+        assert verify_socle(params, basis).conclusion
+        assert verify_lemma(params, basis).ok
+        return counted.tests
+
+    lowest_degree_first = tests(by_degree)
+    in_element_order = tests(basis._gens)
+    assert lowest_degree_first == 6818
+    assert 100 * lowest_degree_first < in_element_order
+
+
+# ------------------------------------------------- packed monomials
+
+PACKED_ORDERS = (
+    MonomialOrder("grevlex"),
+    MonomialOrder("grlex"),
+    MonomialOrder("lex"),
+    MonomialOrder("grevlex", (2, 0, 3, 1)),
+    MonomialOrder("lex", (3, 1, 0, 2)),
+)
+
+
+def _random_exps(rng, nvars, maxdeg):
+    """Exponents of total degree at most ``maxdeg``, often at a field's maximum."""
+    exps = [0] * nvars
+    if rng.random() < 0.2:
+        exps[rng.randrange(nvars)] = maxdeg
+        return tuple(exps)
+    for _ in range(rng.randrange(maxdeg + 1)):
+        exps[rng.randrange(nvars)] += 1
+    return tuple(exps)
+
+
+def _schreyer_key(order, t):
+    # The tuple route: the ring's heap key of the monomial, then the
+    # component, a smaller index being the larger term.
+    return order.heapkey(t[:-1]) + (t[-1],)
+
+
+def _tagged_key(order, tagged, t):
+    # The tuple route of `syzygies`: untagged terms term over position,
+    # tagged ones position over term and below every untagged one.
+    if t[-1] < tagged:
+        return (0, order.heapkey(t[:-1]), (t[-1],))
+    return (1, (t[-1],), order.heapkey(t[:-1]))
+
+
+def test_packed_monomials_match_tuples(rng):
+    # The packed fast path against the tuple definitions it replaced:
+    # round trip, divisibility, lcm, products, the heap order against
+    # MonomialOrder.key, and the module orders.
+    for order in PACKED_ORDERS:
+        for width in (1, 2, 3, 5, 8):
+            pk = groebner._Packing(order, 4, width)
+            maxdeg = pk.maxdeg
+            for _ in range(300):
+                a = _random_exps(rng, 4, maxdeg)
+                b = _random_exps(rng, 4, maxdeg)
+                pa, pb = pk.pack(a), pk.pack(b)
+                assert pk.unpack(pa) == a and pk.deg(pa) == sum(a)
+                assert (not (pb - pa) & pk.guard) == all(x <= y for x, y in zip(a, b))
+                if a != b:
+                    assert (pa < pb) == (order.key(a) > order.key(b))
+                else:
+                    assert pa == pb
+                lcm = tuple(map(max, a, b))
+                plcm = pk.lcm(pa, pb)
+                assert pk.unpack(plcm) == lcm and pk.deg(plcm) == sum(lcm)
+                assert pk.quo(pa, pb) == plcm - pa
+                if sum(lcm) <= maxdeg:
+                    assert plcm == pk.pack(lcm)
+                if sum(a) + sum(b) <= maxdeg:
+                    assert pa + pb == pk.pack(tuple(map(sum, zip(a, b))))
+
+            mod = groebner._Packing(order, 4, width, components=5)
+            tag = groebner._Packing(order, 4, width, components=5, tagged=2)
+            for _ in range(300):
+                a = _random_exps(rng, 4, maxdeg) + (rng.randrange(5),)
+                b = _random_exps(rng, 4, maxdeg) + (rng.choice((a[-1], rng.randrange(5))),)
+                for pk, key in (
+                    (mod, lambda t: _schreyer_key(order, t)),
+                    (tag, lambda t: _tagged_key(order, 2, t)),
+                ):
+                    pa, pb = pk.pack(a), pk.pack(b)
+                    assert pk.unpack(pa) == a and pa & pk.cmask == a[-1]
+                    if a != b:
+                        assert (pa < pb) == (key(a) < key(b))
+                    if a[-1] == b[-1]:
+                        divides = all(x <= y for x, y in zip(a[:-1], b[:-1]))
+                        assert (not (pb - pa) & pk.guard) == divides
+                        lcm = tuple(map(max, a, b))
+                        assert pk.unpack(pk.lcm(pa, pb)) == lcm
+
+
+def test_packing_never_wraps():
+    pk = groebner._Packing(MonomialOrder(), 3, 2)
+    assert pk.unpack(pk.pack((3, 0, 0))) == (3, 0, 0)
+    for exps in ((4, 0, 0), (1, 2, 1)):
+        with pytest.raises(groebner._Overflow) as err:
+            pk.pack(exps)
+        assert isinstance(err.value, InternalError)
+    wide = pk.widened(9)
+    assert wide.maxdeg >= 9 and wide.unpack(wide.pack((1, 4, 4))) == (1, 4, 4)
+    twisted = groebner._Packing(MonomialOrder(), 3, 2, components=2, twists=(0, 2))
+    twisted.pack((3, 0, 0, 0))
+    with pytest.raises(groebner._Overflow):
+        twisted.pack((2, 0, 0, 1))  # degree 2 in the twist-2 component
+
+
+def test_tiny_fields_repack_to_the_same_answers(monkeypatch):
+    # With one-bit fields every kind of computation outgrows its packing;
+    # each must rerun wider and give the answers of the default width.
+    widened = []
+    seen = {}
+
+    def step(name):
+        seen[name] = seen.get(name, 0) + len(widened)
+        widened.clear()
+
+    def answers():
+        out = []
+        for ideal in (
+            build_ideal(FamilyParams.parse("2:(2,1)")),
+            caviglia_ideal(4),
+            mccullough_ideal(2, 1, 3),
+        ):
+            G = buchberger(ideal)
+            step("buchberger")
+            # A basis from polynomials packs as narrow as its degree allows.
+            H = GroebnerBasis(G.ring, G.elements, reduced=True)
+            res = schreyer_resolution(H)
+            step("tower")
+            mres = res.minimalize()
+            syz = syzygies(mres.matrices[0])
+            step("syzygies")
+            out.append((
+                G.elements,
+                res.betti(),
+                [m.rank for m in res.modules],
+                [m.columns for m in mres.matrices],
+                syz.columns,
+            ))
+        params = FamilyParams.parse("2:(1,1)")
+        basis = verification_basis(params)
+        out.append((
+            basis.elements,
+            verify_socle(params, basis).conclusion,
+            verify_lemma(params, basis).ok,
+        ))
+        ring = basis.ring
+        x, y = ring.variable(0), ring.variable(1)
+        small = GroebnerBasis(ring, [x * x], reduced=True)
+        step("basis")
+        out.append((small.normal_form(x**5 + y**5), small.contains(x**5)))
+        step("membership")
+        return out
+
+    want = answers()
+    assert not any(seen.values())
+    wider = groebner._Packing.widened
+
+    def counted(self, degree):
+        widened.append(degree)
+        return wider(self, degree)
+
+    monkeypatch.setattr(groebner._Packing, "widened", counted)
+    monkeypatch.setattr(groebner, "_MIN_WIDTH", 1)
+    assert answers() == want
+    assert all(seen[name] for name in ("buchberger", "tower", "syzygies", "membership"))

@@ -329,15 +329,13 @@ def _generates_within(P, Q):
     module basis leaves no remainder.
     """
     field = Q.ring.field
-    base = Q.ring.order.heapkey_fn()
-
-    def key(m):
-        return base(m[:-1]) + (m[-1],)
-
-    basis, _ = groebner._buchberger_kernel(_module_vectors(Q), key, field, component=-1)
-    reducers = groebner._reducers(basis, -1)
+    pk = groebner._Packing(
+        Q.ring.order, Q.ring.nvars, 8, components=Q.target.rank, twists=Q.target.twists
+    )
+    basis, _, pk = groebner._buchberger_kernel(_module_vectors(Q), pk, field)
+    reducers = groebner._reducers(basis, pk)
     return all(
-        not groebner._reduce(v, reducers, key, field, full=False)[0]
+        not groebner._reduce(pk.pack_terms(v.items()), reducers, pk, field, full=False)[0]
         for v in _module_vectors(P)
     )
 
@@ -364,9 +362,9 @@ def test_syzygies_reports_a_non_homogeneous_column_as_a_bug(monkeypatch):
     kernel = resolution._buchberger_kernel
 
     def mixed_degrees(*args, **kwargs):
-        basis, truncated = kernel(*args, **kwargs)
-        basis[-1].tail += (((0, 0, 1), R.field.one),)
-        return basis, truncated
+        basis, truncated, pk = kernel(*args, **kwargs)
+        basis[-1].tail += ((pk.pack((0, 0, 1)), R.field.one),)
+        return basis, truncated, pk
 
     monkeypatch.setattr(resolution, "_buchberger_kernel", mixed_degrees)
     with pytest.raises(InternalError):
