@@ -225,8 +225,9 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False):
     bases, in the S-polynomials formed and in syzygy columns.  Records are
     homogeneous, so every term formed has the degree of a term of the
     input, and the caller's degree bound holds for all of them.  Returns
-    ``(remainder, quotients)``; quotients maps a record's ``idx`` to a term
-    dict of shifts, and is None unless ``track``.
+    ``(remainder, quotients)``; quotients is None unless ``track``, and
+    then lists one ``(m, idx, c)`` per step: ``c m`` was divided by record
+    ``idx``.  No term is divided twice, so no (record, shift) repeats.
     """
     guard = pk.guard
     work = dict(terms)
@@ -234,7 +235,7 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False):
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     remainder = {}
-    quotients = {} if track else None
+    quotients = [] if track else None
     # Prime field elements are ints reduced mod p, rationals are Fractions;
     # both take the arithmetic operators.
     prime = field.p if isinstance(field, PrimeField) else None
@@ -253,8 +254,7 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False):
             break
         shift = m - red.lm
         if track:
-            q = quotients.setdefault(red.idx, {})
-            q[shift] = field.add(q.get(shift, field.zero), c)
+            quotients.append((m, red.idx, c))
         for e, c2 in red.tail:
             e += shift
             prev = work.get(e)
@@ -610,7 +610,7 @@ class GroebnerBasis:
     Membership and normal forms divide by the records lowest lead degree
     first (ties in element order), a list built on first use and again,
     repacked wider, for a polynomial above its packing's degree bound.
-    The constructor takes homogeneous polynomials and
+    The constructor takes nonzero homogeneous polynomials and
     trusts them to be a Groebner basis; for any other input
     ``normal_form`` depends on that reducer order.
     """
@@ -629,11 +629,11 @@ class GroebnerBasis:
         self._elements = tuple(elements)
         self._by_degree = None
         degrees = [p.homogeneous_degree() for p in self._elements]
+        if "any" in degrees:
+            raise ValidationError("Groebner basis elements must be nonzero")
         if None in degrees:
             raise ValidationError("Groebner basis elements must be homogeneous")
-        self._pk = _Packing(
-            ring.order, ring.nvars, _width(max((d for d in degrees if d != "any"), default=0))
-        )
+        self._pk = _Packing(ring.order, ring.nvars, _width(max(degrees, default=0)))
         self._gens = [
             _make_gen(self._pk.pack_terms(p.terms), ring.field, k)
             for k, p in enumerate(self._elements)

@@ -11,8 +11,8 @@ Module vectors are the groebner kernel's records, divided by its
 and its component, whose order is the induced order, and a generator's
 twist is its lead's degree.  `syzygies` of an arbitrary presentation
 matrix runs the groebner module's one Buchberger loop,
-`_buchberger_kernel`, on module vectors.  Columns leave the tower as
-exponent tuples.
+`_buchberger_kernel`, on module vectors.  The tower's packed records
+are the chain a resolution keeps; exponent tuples are made on demand.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
 residue field: the differential d_i reduces there to its scalar blocks
@@ -27,7 +27,6 @@ modules or matrices are asked for.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 
@@ -129,29 +128,24 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     level has its twist's degree, so twists within ``pk``'s bound keep
     every exponent in its field; a larger one raises `_Overflow`.
 
-    Returns ``(twists, cols, truncated)`` in :class:`FreeResolution`'s
-    layout, unshifted and unpacked: ``twists[i]`` maps each level-i
-    generator id to its twist, and ``cols[i]`` (i >= 1) maps each level-i
-    id to its column, a dict from level i-1 id to term dict.  Ids are
-    positions in a level.
+    Returns ``(twists, levels, truncated)``: ``twists[i]`` maps each
+    level-i id, its position, to its twist, and ``levels[i - 1]`` is
+    ``(cw, records, scalars)``: level i's records with components in the
+    low ``cw`` bits, and ``(id, {row: coeff})`` for each record with
+    constant entries, the terms equal to their row's shifted lead.  Past
+    ``level_cap`` the `ResourceLimitError` carries the levels so far as
+    ``partial``, in `_columns`' ``(twists, cols)`` layout.
     """
     if level_cap is None:
         level_cap = pk.nvars + DEFAULT_LEVEL_MARGIN
     one = field.one
     neg_one = field.neg(one)
-    # Quotient monomials recur across columns; each unpacks once per tower.
-    unpack = functools.cache(pk.unpack)
 
     lvl = pk.with_components(1)
     basis = [_Gen(g.lm, g.tail, i) for i, g in enumerate(gens)]
     twists = [{0: 0}, {b.idx: pk.deg(b.lm) for b in basis}]
-    cols = [
-        None,
-        {
-            b.idx: {0: {unpack(b.lm): one, **{unpack(e): c for e, c in b.tail}}}
-            for b in basis
-        },
-    ]
+    # The ring's lead is the packed 1, 0.
+    levels = [(lvl.cw, basis, [(b.idx, {0: one}) for b in basis if not b.lm])]
 
     truncated = False
 
@@ -170,53 +164,72 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
             break
         if len(twists) > level_cap:
             raise ResourceLimitError(
-                f"resolution exceeded {level_cap} levels", partial=(twists, cols)
+                f"resolution exceeded {level_cap} levels",
+                partial=(twists, _columns(levels, pk, one)),
             )
         pairs.sort(key=lambda t: (t[0], t[2], t[1]))
         top = max(pk.deg(mij) + twist[i] for i, _, mij in pairs)
         if top > pk.maxdeg:
             raise _Overflow(top)
 
-        # The next level's packing and its e_k, stored shifted: a quotient
-        # term q e_k, in component 0 as `_reduce` gives it, is stored as q
-        # times lm_k in component k.
+        # The S-vector of (j, i) is minus that of (i, j), so its quotients
+        # are the syzygy's coefficients.  A quotient q e_k is stored as q lm_k,
+        # the divided term's monomial, in component k; it is below the lcm,
+        # so it meets neither term of the pair and none cancels.  A term is
+        # constant when that monomial is lm_k; the pair's are when one lead
+        # divides the other, as in a basis that is not reduced.
         nxt = pk.with_components(len(basis))
         cw, cw2 = lvl.cw, nxt.cw
-        units = [((b.lm >> cw) << cw2) + b.idx for b in basis]
         reducers = _reducers(basis, lvl)
+        lms = [b.lm for b in basis]
         new_basis = []
         new_twists = {}
-        new_cols = {}
+        scalars = []
         for (i, j, mij) in pairs:
             bi, bj = basis[i], basis[j]
             rem, quot = _reduce(
-                _spoly(bi, bj, lvl, field), reducers, lvl, field, full=False, track=True
+                _spoly(bj, bi, lvl, field), reducers, lvl, field, full=False, track=True
             )
             if rem:
                 raise InternalError("an S-vector failed to reduce to zero")
-            # A quotient term q e_k has q lm_k below the S-vector's lcm e_c,
-            # so it meets neither term of the pair and none cancels.
-            lcm = mij + (bi.lm >> cw)
-            tail = [((lcm << cw2) + j, neg_one)]
-            col = {i: {unpack(mij): one}, j: {unpack(lcm - (bj.lm >> cw)): neg_one}}
-            for k, q in quot.items():
-                row = col.setdefault(k, {})
-                unit = units[k]
-                for e, c in q.items():
-                    e >>= cw
-                    row[unpack(e)] = c = field.neg(c)
-                    tail.append(((e << cw2) + unit, c))
+            lcm = bi.lm + (mij << cw)
+            terms = [(lcm, j, neg_one), *quot]
+            tail = tuple([(((m >> cw) << cw2) + r, c) for m, r, c in terms])
             k = len(new_basis)
-            new_basis.append(_Gen((lcm << cw2) + i, tuple(tail), k))
+            new_basis.append(_Gen(((lcm >> cw) << cw2) + i, tail, k))
             new_twists[k] = twist[i] + pk.deg(mij)
-            new_cols[k] = col
+            units = {r: c for m, r, c in [(lcm, i, one), *terms] if m == lms[r]}
+            if units:
+                scalars.append((k, units))
 
         twists.append(new_twists)
-        cols.append(new_cols)
+        levels.append((cw2, new_basis, scalars))
         basis = new_basis
         lvl = nxt
 
-    return twists, cols, truncated
+    return twists, levels, truncated
+
+
+def _columns(levels, pk, one):
+    """Tuple columns of packed levels: ``cols[i]`` maps each level-i id to
+    a dict from level i-1 id to term dict.  ``t >> cw`` of a term in row r
+    is its monomial times r's shifted lead; the ring's lead is 0.
+    """
+    unpack = pk.unpack
+    cols = [None]
+    below = [0]
+    for cw, records, _ in levels:
+        cmask = (1 << cw) - 1
+        level = {}
+        for g in records:
+            col = {}
+            for t, c in ((g.lm, one),) + g.tail:
+                r = t & cmask
+                col.setdefault(r, {})[unpack((t >> cw) - below[r])] = c
+            level[g.idx] = col
+        cols.append(level)
+        below = [g.lm >> cw for g in records]
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +357,18 @@ def _rank(columns, field):
     return len(pivots)
 
 
-def _constant_ranks(twists, cols, field, nvars):
+def _constant_ranks(twists, levels, field):
     """Ranks of the differentials tensored with the residue field.
 
-    Takes :class:`FreeResolution`'s layout and returns ``{(i, j): rank}``,
-    the rank of the block of constant coefficients of d_i between the
-    twist-j generators of levels i and i-1, for every nonzero block.
+    Returns ``{(i, j): rank}`` for `_schreyer_tower`'s twists and levels:
+    the rank of the block of the constant entries the tower marked in d_i
+    between twist-j generators, for every nonzero block.
     """
-    zero_exps = (0,) * nvars
     ranks = {}
-    for i in range(1, len(twists)):
-        twist_src, twist_tgt = twists[i], twists[i - 1]
+    for i, (_, _, scalars) in enumerate(levels, 1):
         blocks = {}
-        for cid, col in cols[i].items():
-            j = twist_src[cid]
-            entries = {}
-            for rid, poly in col.items():
-                if twist_tgt[rid] == j:
-                    c = poly.get(zero_exps)
-                    if c is not None:
-                        entries[rid] = c
-            if entries:
-                blocks.setdefault(j, []).append(entries)
+        for k, entries in scalars:
+            blocks.setdefault(twists[i][k], []).append(entries)
         for j, block in blocks.items():
             ranks[(i, j)] = _rank(block, field)
     return ranks
@@ -535,40 +538,42 @@ class FreeResolution:
     """A chain of graded free modules over a polynomial ring.
 
     Levels are numbered 0..length with level 0 the ring itself; matrix i
-    maps level i into level i-1.  The chain is stored in the layout the
-    Schreyer tower emits and minimalization keeps: ``_twists[i]`` maps
-    each level-i generator id to its twist, ``_cols[i]`` maps each level-i
-    id to its column, a dict from level i-1 id to term dict.  Ids are
-    stable, so a minimalized chain keeps the surviving ids;
-    ``matrices`` materializes public objects on demand.
+    maps level i into level i-1.  ``_twists[i]`` maps each level-i
+    generator id to its twist.  A Schreyer resolution keeps the tower's
+    ``(pk, levels)`` in ``_packed``; ``modules``, ``length`` and
+    ``betti()`` read them, and the layout minimalization keeps,
+    ``_cols[i]`` mapping each level-i id to a dict from level i-1 id to
+    term dict, is built only for matrices, the complex checks and
+    minimalization.  Ids are stable, so a minimalized chain keeps the
+    surviving ids; ``matrices`` materializes public objects on demand.
 
-    ``betti()`` works on any resolution, minimal or not, by subtracting
-    the ranks of the scalar blocks of the differentials from the
-    generator counts.  The resolution :meth:`minimalize` returns is lazy:
-    it holds its source in ``_source`` and no chain (``_twists`` is
-    None) until ``modules``, ``length``, ``matrices``,
-    ``check_complex``, ``is_minimal_complex`` or ``repr`` needs one;
-    until then its ``betti()`` is the source's.
+    ``betti()`` subtracts the ranks of the scalar blocks of the packed
+    differentials from the generator counts.  The resolution
+    :meth:`minimalize` returns is lazy: it holds its source in ``_source``
+    and no chain (``_twists`` is None) until ``modules``, ``length``,
+    ``matrices``, ``check_complex``, ``is_minimal_complex`` or ``repr``
+    needs one; until then its ``betti()`` is the source's.
     """
 
     __slots__ = (
-        "ring", "minimal", "truncated_at", "_twists", "_cols", "_matrices", "_source"
+        "ring", "minimal", "truncated_at", "_twists", "_packed", "_cols", "_matrices", "_source"
     )
 
-    def __init__(self, ring, twists, cols, *, minimal, truncated_at=None):
+    def __init__(self, ring, twists, packed, *, minimal, truncated_at=None):
         self.ring = ring
         self._twists = twists    # list of dict id -> twist
-        self._cols = cols        # [None] + list of dict cid -> dict rid -> termdict
+        self._packed = packed    # the Schreyer tower's (pk, levels), or None
+        self._cols = None        # [None] + list of dict cid -> dict rid -> termdict
         self.minimal = minimal
         self.truncated_at = truncated_at
         self._matrices = None
         self._source = None      # the resolution a lazy minimalization came from
 
     def _chain(self):
-        """The stored ``(twists, cols)``, minimalizing the source on first use.
+        """The ``(twists, cols)`` tuple layout, built on first use.
 
-        The source is then released; ``betti()`` of the minimal chain
-        finds no scalar entries and counts generators.
+        A lazy minimalization minimalizes its source and releases it; its
+        chain has no scalar entries, so its ``betti()`` counts generators.
         """
         if self._twists is None:
             twists, cols = self._source._chain()
@@ -576,18 +581,23 @@ class FreeResolution:
                 twists, cols, self.ring.field, self.ring.nvars
             )
             self._source = None
+        elif self._cols is None:
+            pk, levels = self._packed
+            self._cols = _columns(levels, pk, self.ring.field.one)
         return self._twists, self._cols
+
+    def _twist_maps(self):
+        return self._chain()[0] if self._twists is None else self._twists
 
     @property
     def length(self) -> int:
-        return len(self._chain()[0]) - 1
+        return len(self._twist_maps()) - 1
 
     @property
     def modules(self):
-        out = []
-        for tw in self._chain()[0]:
-            out.append(GradedFreeModule(tuple(tw[i] for i in sorted(tw))))
-        return tuple(out)
+        return tuple(
+            GradedFreeModule(tuple(tw[i] for i in sorted(tw))) for tw in self._twist_maps()
+        )
 
     @property
     def matrices(self):
@@ -595,19 +605,13 @@ class FreeResolution:
             twists, cols = self._chain()
             mats = []
             modules = self.modules
-            for i in range(1, self.length + 1):
-                src_ids = sorted(twists[i])
-                tgt_ids = sorted(twists[i - 1])
-                tgt_pos = {rid: k for k, rid in enumerate(tgt_ids)}
-                columns = []
-                for cid in src_ids:
-                    col = cols[i].get(cid, {})
-                    columns.append(
-                        {tgt_pos[rid]: self.ring.poly(p) for rid, p in col.items()}
-                    )
-                mats.append(
-                    PresentationMatrix(self.ring, modules[i], modules[i - 1], columns)
-                )
+            for i in range(1, len(twists)):
+                tgt_pos = {rid: k for k, rid in enumerate(sorted(twists[i - 1]))}
+                columns = [
+                    {tgt_pos[rid]: self.ring.poly(p) for rid, p in cols[i].get(cid, {}).items()}
+                    for cid in sorted(twists[i])
+                ]
+                mats.append(PresentationMatrix(self.ring, modules[i], modules[i - 1], columns))
             self._matrices = tuple(mats)
         return self._matrices
 
@@ -619,10 +623,11 @@ class FreeResolution:
         for i, tw in enumerate(self._twists):
             for j in tw.values():
                 entries[(i, j)] = entries.get((i, j), 0) + 1
-        ranks = _constant_ranks(self._twists, self._cols, self.ring.field, self.ring.nvars)
-        for (i, j), r in ranks.items():
-            entries[(i, j)] -= r
-            entries[(i - 1, j)] -= r
+        if self._packed is not None:
+            ranks = _constant_ranks(self._twists, self._packed[1], self.ring.field)
+            for (i, j), r in ranks.items():
+                entries[(i, j)] -= r
+                entries[(i - 1, j)] -= r
         return BettiTable(entries, truncated_at=self.truncated_at)
 
     def check_complex(self) -> bool:
@@ -644,13 +649,10 @@ class FreeResolution:
     def is_minimal_complex(self) -> bool:
         """True when no differential entry has a degree-zero term."""
         zero_exps = (0,) * self.ring.nvars
-        cols = self._chain()[1]
-        for i in range(1, self.length + 1):
-            for col in cols[i].values():
-                for p in col.values():
-                    if zero_exps in p:
-                        return False
-        return True
+        return not any(
+            zero_exps in p
+            for level in self._chain()[1][1:] for col in level.values() for p in col.values()
+        )
 
     def minimalize(self) -> "FreeResolution":
         """The minimal resolution, built lazily from this one.
@@ -659,14 +661,12 @@ class FreeResolution:
         column operations of `_minimalize_raw` run on first use of its
         modules or matrices.
         """
-        out = FreeResolution(
-            self.ring, None, None, minimal=True, truncated_at=self.truncated_at
-        )
+        out = FreeResolution(self.ring, None, None, minimal=True, truncated_at=self.truncated_at)
         out._source = self
         return out
 
     def __repr__(self):
-        ranks = ", ".join(str(len(t)) for t in self._chain()[0])
+        ranks = ", ".join(str(len(t)) for t in self._twist_maps())
         kind = "minimal" if self.minimal else "non-minimal"
         return f"FreeResolution({kind}; ranks {ranks})"
 
@@ -680,17 +680,17 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     else:
         raise ValidationError("expected an IdealPresentation or GroebnerBasis")
     ring = gb.ring
-    twists, cols, truncated = _widening(
-        lambda pk: _schreyer_tower(
+    pk, (twists, levels, truncated) = _widening(
+        lambda pk: (pk, _schreyer_tower(
             pk.convert(gb._gens, gb._pk), pk, ring.field,
             degree_limit=degree_limit, level_cap=level_cap,
-        ),
+        )),
         gb._pk,
     )
     truncated_at = (
         degree_limit if (truncated or gb.truncated_at is not None) else None
     )
-    return FreeResolution(ring, twists, cols, minimal=False, truncated_at=truncated_at)
+    return FreeResolution(ring, twists, (pk, levels), minimal=False, truncated_at=truncated_at)
 
 
 def minimal_free_resolution(ideal, *, degree_limit=None, level_cap=None) -> FreeResolution:

@@ -261,7 +261,7 @@ def test_internal_error_exit_4(monkeypatch, capsys):
     import idealfam.resolution as resolution
 
     def unreduced(terms, reducers, key, field, *, full=True, track=False):
-        return dict(terms) or {(0,) * 5: field.one}, {}
+        return dict(terms) or {(0,) * 5: field.one}, []
 
     # An S-vector that does not reduce to zero is a bug, not bad input.
     monkeypatch.setattr(resolution, "_reduce", unreduced)

@@ -430,6 +430,15 @@ def test_basis_from_polynomials_matches_computed():
     assert not H.contains(ideal.ring.variable(0))
 
 
+def test_basis_from_polynomials_rejects_zero_and_mixed_degrees():
+    R = small_ring()
+    x, y = R.variable("x"), R.variable("y")
+    with pytest.raises(ValidationError):
+        GroebnerBasis(R, [x * y, R.zero()], reduced=False)
+    with pytest.raises(ValidationError):
+        GroebnerBasis(R, [x * x + y], reduced=False)
+
+
 def _list_order_remainder(basis, p, full):
     # The route the degree-ordered reducers replaced: the first divisor
     # in element order, largest lead first.

@@ -7,12 +7,14 @@ from idealfam import (
     BettiTable,
     FamilyParams,
     GradedFreeModule,
+    GroebnerBasis,
     IdealPresentation,
     InternalError,
     MonomialOrder,
     PresentationMatrix,
     PrimeField,
     QQ,
+    ResourceLimitError,
     ValidationError,
     build_ideal,
     buchberger,
@@ -184,9 +186,7 @@ def test_degree_truncated_resolution_marks_and_matches():
 
 def _counted(res):
     """Betti table counted from the column-operation minimalization."""
-    twists, _ = resolution._minimalize_raw(
-        res._twists, res._cols, res.ring.field, res.ring.nvars
-    )
+    twists, _ = resolution._minimalize_raw(*res._chain(), res.ring.field, res.ring.nvars)
     entries = {}
     for i, tw in enumerate(twists):
         for j in tw.values():
@@ -495,8 +495,9 @@ def test_nonminimal_ranks_pinned(name, ideal, ranks):
 
 def _chain_digest(res):
     """sha256 of a resolution's stored chain, rows and terms sorted."""
-    parts = [sorted(tw.items()) for tw in res._twists]
-    for level in res._cols[1:]:
+    twists, cols = res._chain()
+    parts = [sorted(tw.items()) for tw in twists]
+    for level in cols[1:]:
         parts.append(sorted(
             (cid, sorted((rid, sorted(poly.items())) for rid, poly in col.items()))
             for cid, col in level.items()
@@ -554,6 +555,7 @@ def _schreyer_leads(res):
     larger term.  Returns one ``{id: (exps, component)}`` per level.
     """
     order = res.ring.order
+    twists, cols = res._chain()
     leads = [None]
 
     def weight(level, exps, comp):
@@ -565,14 +567,14 @@ def _schreyer_leads(res):
             level -= 1
         return order.key(exps), tuple(-c for c in reversed(chain))
 
-    for level in range(1, len(res._twists)):
+    for level in range(1, len(twists)):
         below = level - 1
         leads.append({
             cid: max(
                 ((e, rid) for rid, poly in col.items() for e in poly),
                 key=lambda t: weight(below, *t),
             )
-            for cid, col in res._cols[level].items()
+            for cid, col in cols[level].items()
         })
     return leads
 
@@ -587,7 +589,7 @@ def test_syzygy_leads_follow_the_schreyer_order(order):
     assert len(leads) > 3
     for level in range(2, len(leads)):
         below = leads[level - 1]
-        for cid, col in res._cols[level].items():
+        for cid, col in res._chain()[1][level].items():
             # The lead is mij e_i with coefficient 1, and some later e_j
             # with the lead component of e_i has lcm(lm_i, lm_j) = mij lm_i
             # and carries -lcm/lm_j.
@@ -603,3 +605,99 @@ def test_syzygy_leads_follow_the_schreyer_order(order):
                 == field.neg(field.one)
                 for j, (lm_j, comp_j) in below.items()
             )
+
+
+# ------------------------------------- packed levels and their tuple columns
+
+def _tuple_constant_ranks(twists, cols, field, nvars):
+    """The constant ranks read from the tuple columns: the route the packed
+    levels replaced, ``{(i, j): rank}`` of each nonzero constant block."""
+    zero_exps = (0,) * nvars
+    ranks = {}
+    for i in range(1, len(twists)):
+        blocks = {}
+        for cid, col in cols[i].items():
+            j = twists[i][cid]
+            entries = {
+                rid: poly[zero_exps]
+                for rid, poly in col.items()
+                if twists[i - 1][rid] == j and zero_exps in poly
+            }
+            if entries:
+                blocks.setdefault(j, []).append(entries)
+        for j, block in blocks.items():
+            ranks[(i, j)] = resolution._rank(block, field)
+    return ranks
+
+
+ORACLE_IDEALS = {
+    "2:(2,1)": (lambda f, o: build_ideal(FamilyParams.parse("2:(2,1)"), f, order=o), 12),
+    "2:(3,1)": (lambda f, o: build_ideal(FamilyParams.parse("2:(3,1)"), f, order=o), 15),
+    "caviglia(4)": (lambda f, o: caviglia_ideal(4, f, order=o), 13),
+    "mccullough(2,1,3)": (lambda f, o: mccullough_ideal(2, 1, 3, f, order=o), 7),
+}
+ORACLE_FIELDS = {"F_32003": PrimeField(32003), "F_101": PrimeField(101), "QQ": QQ}
+ORACLE_CASES = [
+    (name, field, order, limited)
+    for name in sorted(ORACLE_IDEALS)
+    for field in sorted(ORACLE_FIELDS)
+    for order in ("grevlex", "lex", "permuted")
+    for limited in (False, True)
+    # The lex basis of 2:(3,1) alone does not finish in a minute.
+    if (name, order) != ("2:(3,1)", "lex")
+]
+
+
+@pytest.mark.parametrize("name, field, order, limited", ORACLE_CASES)
+def test_packed_constant_ranks_match_tuple_columns(name, field, order, limited):
+    # The tower marks a constant entry by one int comparison as it makes
+    # the term; the tuple columns look for the zero exponent vector.
+    make, limit = ORACLE_IDEALS[name]
+    ideal = make(ORACLE_FIELDS[field], None)
+    if order == "permuted":
+        ideal = make(ORACLE_FIELDS[field], _permuted_grevlex(ideal.ring.nvars))
+    elif order == "lex":
+        ideal = make(ORACLE_FIELDS[field], MonomialOrder("lex"))
+    res = schreyer_resolution(ideal, degree_limit=limit if limited else None)
+    assert res.truncated_at == (limit if limited else None)
+    packed = resolution._constant_ranks(res._twists, res._packed[1], res.ring.field)
+    oracle = _tuple_constant_ranks(*res._chain(), res.ring.field, res.ring.nvars)
+    assert packed and packed == oracle
+
+
+@pytest.mark.parametrize("elements", ["xy, x", "x, xy", "1, x", "1"])
+def test_constant_entries_of_a_basis_that_is_not_reduced(elements):
+    # A lead that divides another gives a constant entry: the syzygy of xy
+    # and x is e_0 - y e_1, a constant lead, and that of x and xy is
+    # y e_0 - e_1, a constant second term.  The unit 1 is one in level 1.
+    R = small_ring()
+    x, y = R.variable("x"), R.variable("y")
+    polys = {"x": x, "xy": x * y, "1": R.one()}
+    res = schreyer_resolution(
+        GroebnerBasis(R, [polys[p] for p in elements.split(", ")], reduced=False)
+    )
+    ranks = resolution._constant_ranks(res._twists, res._packed[1], R.field)
+    assert ranks and ranks == _tuple_constant_ranks(*res._chain(), R.field, R.nvars)
+    assert res.betti() == _counted(res)
+    want = [] if "1" in elements else [(0, 0, 1), (1, 1, 1)]
+    assert res.betti().triples() == want
+
+
+def test_betti_modules_and_length_leave_the_columns_unbuilt():
+    res = schreyer_resolution(_family("2:(2,1)")())
+    table = res.betti()
+    assert [m.rank for m in res.modules] == [1, 12, 40, 63, 53, 23, 4]
+    assert res.length == 6 and "non-minimal" in repr(res)
+    assert res._cols is None
+    assert res.minimalize().betti() == table and res._cols is None
+    assert len(res.matrices) == 6 and res._cols is not None
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_level_cap_raises_with_the_first_levels(cap):
+    ideal = _family("2:(2,1)")()
+    with pytest.raises(ResourceLimitError) as info:
+        schreyer_resolution(ideal, level_cap=cap)
+    twists, cols = schreyer_resolution(ideal)._chain()
+    assert info.value.partial == (twists[: cap + 1], cols[: cap + 1])
+    assert len(schreyer_resolution(ideal, level_cap=6)._chain()[0]) == 7
