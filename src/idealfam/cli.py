@@ -1,5 +1,17 @@
 """Command-line front end: construct, verify, pd, betti, sweep.
 
+Each command takes only the options it reads; any other exits 2:
+
+    construct TARGET  --field --format {text,json,m2} --out
+    verify TARGET     --field --degree-limit --pair-limit --format {text,json} --out
+    pd PARAMS         --format {text,json} --out
+    betti TARGET      --field --degree-limit --pair-limit --format {text,json,m2} --out
+    sweep             --field --jobs --pair-limit --max-g --max-n --max-m --verify
+                      --format {text,json} --out
+
+TARGET is family parameters such as ``2:(2,1,2)``, ``caviglia D`` or
+``mccullough M N D``; PARAMS is family parameters only.
+
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input,
 3 resource limit exceeded, 4 internal error (a bug in idealfam, not in
 the input).
@@ -12,7 +24,6 @@ import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .errors import (
     IdealfamError,
@@ -28,10 +39,10 @@ from .family import (
     derived_constants,
     mccullough_ideal,
     mccullough_witness,
+    membership_basis,
     pd_formula,
     preset_many_generators,
     preset_three_generators,
-    socle_witness,
     stage_count,
     variable_count,
     verification_basis,
@@ -40,7 +51,7 @@ from .family import (
     verify_socle,
     verify_socle_ideal,
 )
-from .groebner import buchberger
+from .groebner import DEFAULT_PAIR_LIMIT, buchberger
 from .resolution import resolve
 from .ring import PrimeField, QQ
 
@@ -49,19 +60,6 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE_LIMIT = 3
 EXIT_INTERNAL_ERROR = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    target: list[str]
-    field: object
-    degree_limit: int | None
-    fmt: str
-    out: str | None
-    jobs: int
-    pair_limit: int
-    args: argparse.Namespace
 
 
 def _parse_field(text):
@@ -84,9 +82,7 @@ def _int_arguments(values, usage):
 
 
 def _build_target(target, field):
-    """Resolve a CLI target into (kind, ideal, extras)."""
-    if not target:
-        raise ValidationError("missing construction target")
+    """Resolve a CLI target (argparse ensures one word at least) into (kind, ideal, extras)."""
     head = target[0]
     if head == "mccullough":
         if len(target) != 4:
@@ -117,15 +113,16 @@ def _constants_payload(params):
     }
 
 
-def _construct_payload(kind, ideal, extra):
-    payload = {
-        "params": str(extra) if kind == "family" else {"constructor": kind, "arguments": list(extra)},
-        "constants": _constants_payload(extra) if kind == "family" else None,
-        "generators": [str(g) for g in ideal.generators],
-        "variables": list(ideal.ring.table.names),
-        "report": None,
+def _payload(kind, extra, ideal, report, **more):
+    """The JSON payload: params, constants, generators, ``more``, report."""
+    family = kind == "family"
+    return {
+        "params": str(extra) if family else {"constructor": kind, "arguments": list(extra)},
+        "constants": _constants_payload(extra) if family else None,
+        "generators": None if ideal is None else [str(g) for g in ideal.generators],
+        **more,
+        "report": report,
     }
-    return payload
 
 
 def _m2_script(ideal, compute_betti=False):
@@ -160,22 +157,25 @@ def _m2_script(ideal, compute_betti=False):
     return "\n".join(lines) + "\n"
 
 
-def _emit(text, config):
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(text, args):
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as err:
+            raise ValidationError(f"cannot write --out {args.out}: {err.strerror}") from None
     else:
         print(text)
 
 
-def cmd_construct(config) -> int:
-    kind, ideal, extra = _build_target(config.target, config.field)
-    if config.fmt == "m2":
-        _emit(_m2_script(ideal), config)
+def cmd_construct(args) -> int:
+    kind, ideal, extra = _build_target(args.target, args.field)
+    if args.fmt == "m2":
+        _emit(_m2_script(ideal), args)
         return EXIT_OK
-    payload = _construct_payload(kind, ideal, extra)
-    if config.fmt == "json":
-        _emit(json.dumps(payload, indent=2), config)
+    payload = _payload(kind, extra, ideal, None, variables=list(ideal.ring.table.names))
+    if args.fmt == "json":
+        _emit(json.dumps(payload, indent=2), args)
         return EXIT_OK
     lines = []
     if kind == "family":
@@ -192,56 +192,34 @@ def cmd_construct(config) -> int:
     lines.append("generators:")
     for g in payload["generators"]:
         lines.append(f"  {g}")
-    _emit("\n".join(lines), config)
+    _emit("\n".join(lines), args)
     return EXIT_OK
 
 
-def cmd_verify(config) -> int:
-    kind, ideal, extra = _build_target(config.target, config.field)
+def cmd_verify(args) -> int:
+    kind, ideal, extra = _build_target(args.target, args.field)
     if kind == "family":
-        limit = config.degree_limit or verification_degree(extra)
-        gb = buchberger(
-            ideal,
-            degree_limit=limit,
-            pair_limit=config.pair_limit,
-            tail_reduce=False,
-            interreduce=False,
-        )
-        socle = verify_socle(extra, gb)
-        lemma = verify_lemma(extra, gb)
-        payload = {
-            "params": str(extra),
-            "constants": _constants_payload(extra),
-            "generators": [str(g) for g in ideal.generators],
-            "report": {"socle": socle.as_dict(), "lemma": lemma.as_dict()},
-        }
-        ok = socle.conclusion and lemma.ok
+        witness = None
+    elif kind == "mccullough":
+        witness = mccullough_witness(*extra, ideal.ring.table)
     else:
-        if kind == "mccullough":
-            m, n, d = extra
-            witness = mccullough_witness(m, n, d, ideal.ring.table)
-        else:
-            (d,) = extra
-            # witness x^(d-1) y^(d-1) w^(d-2) z^(d-2) over the table (w,x,y,z)
-            witness = ideal.ring.monomial([d - 2, d - 1, d - 1, d - 2])
-        limit = config.degree_limit or witness.degree + 1
-        gb = buchberger(
-            ideal,
-            degree_limit=limit,
-            pair_limit=config.pair_limit,
-            tail_reduce=False,
-            interreduce=False,
-        )
+        (d,) = extra
+        # witness x^(d-1) y^(d-1) w^(d-2) z^(d-2) over the table (w,x,y,z)
+        witness = ideal.ring.monomial([d - 2, d - 1, d - 1, d - 2])
+    limit = args.degree_limit or (
+        verification_degree(extra) if witness is None else witness.degree + 1
+    )
+    gb = membership_basis(ideal, limit, pair_limit=args.pair_limit)
+    if witness is None:
+        socle = verify_socle(extra, gb)
+        lemma = verify_lemma(extra, gb).as_dict()
+    else:
         socle = verify_socle_ideal(ideal, witness, gb)
-        payload = {
-            "params": {"constructor": kind, "arguments": list(extra)},
-            "constants": None,
-            "generators": [str(g) for g in ideal.generators],
-            "report": {"socle": socle.as_dict(), "lemma": None},
-        }
-        ok = socle.conclusion
-    if config.fmt == "json":
-        _emit(json.dumps(payload, indent=2), config)
+        lemma = None
+    ok = socle.conclusion and (lemma is None or lemma["ok"])
+    payload = _payload(kind, extra, ideal, {"socle": socle.as_dict(), "lemma": lemma})
+    if args.fmt == "json":
+        _emit(json.dumps(payload, indent=2), args)
     else:
         lines = [f"target: {payload['params']}"]
         lines.append(f"witness: {payload['report']['socle']['witness']}")
@@ -252,12 +230,12 @@ def cmd_verify(config) -> int:
             f"every variable kills the witness: {not bad}"
             + (f" (failing: {', '.join(bad)})" if bad else "")
         )
-        if payload["report"]["lemma"] is not None:
-            lines.append(f"stage monomials in ideal: {payload['report']['lemma']['ok']}")
+        if lemma is not None:
+            lines.append(f"stage monomials in ideal: {lemma['ok']}")
         lines.append(
             f"depth-zero verified: {ok}; implied pd = {payload['report']['socle']['implied_pd']}"
         )
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
@@ -280,53 +258,43 @@ def _corollary_notes(params):
     return notes
 
 
-def cmd_pd(config) -> int:
-    if len(config.target) != 1:
+def cmd_pd(args) -> int:
+    if len(args.target) != 1:
         raise ValidationError("pd expects family parameters like 2:(2,2,2)")
-    params = FamilyParams.parse(config.target[0])
+    params = FamilyParams.parse(args.target[0])
     formula = pd_formula(params)
     count = variable_count(params)
-    if config.fmt == "json":
-        payload = {
-            "params": str(params),
-            "constants": _constants_payload(params),
-            "generators": None,
-            "report": {
-                "pd_formula": formula,
-                "variable_count": count,
-                "agree": formula == count,
-                "corollary_notes": _corollary_notes(params),
-            },
+    if args.fmt == "json":
+        report = {
+            "pd_formula": formula,
+            "variable_count": count,
+            "agree": formula == count,
+            "corollary_notes": _corollary_notes(params),
         }
-        _emit(json.dumps(payload, indent=2), config)
+        _emit(json.dumps(_payload("family", params, None, report), indent=2), args)
     else:
         lines = [f"pd formula: {formula}", f"variable count: {count}"]
         lines += _corollary_notes(params)
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return EXIT_OK if formula == count else EXIT_VERIFICATION_FAILED
 
 
-def cmd_betti(config) -> int:
-    kind, ideal, extra = _build_target(config.target, config.field)
-    if config.fmt == "m2":
-        _emit(_m2_script(ideal, compute_betti=True), config)
+def cmd_betti(args) -> int:
+    kind, ideal, extra = _build_target(args.target, args.field)
+    if args.fmt == "m2":
+        _emit(_m2_script(ideal, compute_betti=True), args)
         return EXIT_OK
-    limit = config.degree_limit
-    gb = buchberger(ideal, degree_limit=limit, pair_limit=config.pair_limit)
+    limit = args.degree_limit
+    gb = buchberger(ideal, degree_limit=limit, pair_limit=args.pair_limit)
     table = resolve(gb, degree_limit=limit)
-    payload = {
-        "params": str(extra) if kind == "family" else {"constructor": kind, "arguments": list(extra)},
-        "constants": _constants_payload(extra) if kind == "family" else None,
-        "generators": [str(g) for g in ideal.generators],
-        "report": {
-            "betti": table.triples(),
-            "pd": table.pd,
-            "reg": table.reg,
-            "truncated_at": table.truncated_at,
-        },
+    report = {
+        "betti": table.triples(),
+        "pd": table.pd,
+        "reg": table.reg,
+        "truncated_at": table.truncated_at,
     }
-    if config.fmt == "json":
-        _emit(json.dumps(payload, indent=2), config)
+    if args.fmt == "json":
+        _emit(json.dumps(_payload(kind, extra, ideal, report), indent=2), args)
     else:
         lines = []
         if table.truncated_at is not None:
@@ -336,7 +304,7 @@ def cmd_betti(config) -> int:
             )
         lines.append(table.render())
         lines.append(f"pd = {table.pd}   reg = {table.reg}")
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return EXIT_OK
 
 
@@ -358,8 +326,7 @@ def _sweep_instance(args):
     return row
 
 
-def cmd_sweep(config) -> int:
-    args = config.args
+def cmd_sweep(args) -> int:
     instances = []
     for n in range(1, args.max_n + 1):
         ranges = []
@@ -373,9 +340,9 @@ def cmd_sweep(config) -> int:
             ranges.append(range(lo, args.max_m + 1))
         for m in itertools.product(*ranges):
             for g in range(2, args.max_g + 1):
-                instances.append((g, m, args.verify, config.field, config.pair_limit))
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+                instances.append((g, m, args.verify, args.field, args.pair_limit))
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_instance, instances))
     else:
         rows = [_sweep_instance(item) for item in instances]
@@ -383,8 +350,8 @@ def cmd_sweep(config) -> int:
         row["agree"] and row.get("socle", True) and row.get("lemma", True)
         for row in rows
     )
-    if config.fmt == "json":
-        _emit(json.dumps({"rows": rows, "ok": ok}, indent=2), config)
+    if args.fmt == "json":
+        _emit(json.dumps({"rows": rows, "ok": ok}, indent=2), args)
     else:
         lines = []
         for row in rows:
@@ -396,24 +363,53 @@ def cmd_sweep(config) -> int:
                 f" agree={row['agree']}{extra}"
             )
         lines.append(f"{len(rows)} instances; all consistent: {ok}")
-        _emit("\n".join(lines), config)
+        _emit("\n".join(lines), args)
     return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=str(DEFAULT_PRIME), help="prime modulus or QQ")
-    common.add_argument("--degree-limit", type=int, default=None,
-                        help="truncate Groebner/resolution computations at this degree")
-    common.add_argument("--format", dest="fmt", choices=("text", "json", "m2"),
-                        default="text")
-    common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweep")
-    common.add_argument("--pair-limit", type=int, default=1_000_000,
-                        help="bound on queued Groebner pairs in verify, betti "
-                             "and sweep --verify")
+# Every option, by the name the commands list it under.
+_OPTIONS = {
+    "--field": dict(default=str(DEFAULT_PRIME), help="prime modulus or QQ"),
+    "--degree-limit": dict(type=int, default=None,
+                           help="truncate Groebner/resolution computations at this degree"),
+    "--out": dict(default=None, help="write output to a file"),
+    "--jobs": dict(type=int, default=1, help="parallel workers"),
+    "--pair-limit": dict(type=int, default=DEFAULT_PAIR_LIMIT,
+                         help="bound on queued Groebner pairs"),
+    "--max-g": dict(type=int, default=4),
+    "--max-n": dict(type=int, default=3),
+    "--max-m": dict(type=int, default=4),
+    "--verify": dict(action="store_true",
+                     help="also run socle/lemma verification per instance"),
+}
 
+# command: (handler, help, takes a target, --format choices, other options)
+_COMMANDS = {
+    "construct": (cmd_construct, "build an ideal and print it", True,
+                  ("text", "json", "m2"), ("--field",)),
+    "verify": (cmd_verify, "run the socle and stage-monomial checks", True,
+               ("text", "json"), ("--field", "--degree-limit", "--pair-limit")),
+    "pd": (cmd_pd, "evaluate the projective-dimension formula", True,
+           ("text", "json"), ()),
+    "betti": (cmd_betti, "resolve and print the Betti table", True,
+              ("text", "json", "m2"), ("--field", "--degree-limit", "--pair-limit")),
+    "sweep": (cmd_sweep, "scan parameter space for consistency", False,
+              ("text", "json"),
+              ("--field", "--jobs", "--pair-limit", "--max-g", "--max-n", "--max-m", "--verify")),
+}
+
+# (attribute, least allowed value, message) for the integer options
+_LOWER_BOUNDS = (
+    ("degree_limit", 1, "--degree-limit must be positive"),
+    ("pair_limit", 0, "--pair-limit must be nonnegative"),
+    ("jobs", 1, "--jobs must be at least 1"),
+    ("max_g", 2, "--max-g must be at least 2"),
+    ("max_n", 1, "--max-n must be at least 1"),
+    ("max_m", 0, "--max-m must be nonnegative"),
+)
+
+
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="idealfam",
         description=(
@@ -423,65 +419,27 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", parents=[common],
-                       help="build an ideal and print it")
-    p.add_argument("target", nargs="+")
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the socle and stage-monomial checks")
-    p.add_argument("target", nargs="+")
-
-    p = sub.add_parser("pd", parents=[common],
-                       help="evaluate the projective-dimension formula")
-    p.add_argument("target", nargs="+")
-
-    p = sub.add_parser("betti", parents=[common],
-                       help="resolve and print the Betti table")
-    p.add_argument("target", nargs="+")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="scan parameter space for consistency")
-    p.add_argument("--max-g", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=3)
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--verify", action="store_true",
-                   help="also run socle/lemma verification per instance")
-
+    for name, (_, text, takes_target, formats, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
+        p.add_argument("--out", **_OPTIONS["--out"])
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        if takes_target:
+            p.add_argument("target", nargs="+")
     return parser
 
 
-_COMMANDS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "pd": cmd_pd,
-    "betti": cmd_betti,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            target=getattr(args, "target", []),
-            field=_parse_field(args.field),
-            degree_limit=args.degree_limit,
-            fmt=args.fmt,
-            out=args.out,
-            jobs=args.jobs,
-            pair_limit=args.pair_limit,
-            args=args,
-        )
-        if config.degree_limit is not None and config.degree_limit <= 0:
-            raise ValidationError("--degree-limit must be positive")
-        if config.pair_limit < 0:
-            raise ValidationError("--pair-limit must be nonnegative")
-        if config.jobs < 1:
-            raise ValidationError("--jobs must be at least 1")
-        return _COMMANDS[args.command](config)
+        if "field" in args:
+            args.field = _parse_field(args.field)
+        for name, low, message in _LOWER_BOUNDS:
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise ValidationError(message)
+        return _COMMANDS[args.command][0](args)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .groebner import DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealPresentation, buchberger
 from .ring import (
     Monomial,
@@ -377,10 +377,10 @@ def verification_degree(params: FamilyParams) -> int:
     return top
 
 
-def verification_basis(
-    params: FamilyParams, field=None, *, pair_limit=DEFAULT_PAIR_LIMIT
+def membership_basis(
+    ideal: IdealPresentation, degree_limit: int, *, pair_limit=DEFAULT_PAIR_LIMIT
 ) -> GroebnerBasis:
-    """Groebner basis truncated at the largest membership degree.
+    """Groebner basis truncated at ``degree_limit``, for membership tests.
 
     Homogeneous reduction never raises degree, so membership of elements
     at or below the truncation degree is exact.  Buchberger's kernel never
@@ -393,11 +393,20 @@ def verification_basis(
     :func:`~idealfam.groebner.buchberger`.
     """
     return buchberger(
-        build_ideal(params, field),
-        degree_limit=verification_degree(params),
+        ideal,
+        degree_limit=degree_limit,
         pair_limit=pair_limit,
         tail_reduce=False,
         interreduce=False,
+    )
+
+
+def verification_basis(
+    params: FamilyParams, field=None, *, pair_limit=DEFAULT_PAIR_LIMIT
+) -> GroebnerBasis:
+    """:func:`membership_basis` of the family ideal at the largest membership degree."""
+    return membership_basis(
+        build_ideal(params, field), verification_degree(params), pair_limit=pair_limit
     )
 
 
@@ -439,12 +448,7 @@ def _socle_report_for(params, basis, witness_poly, witness_mono):
 def verify_socle_ideal(ideal: IdealPresentation, witness: Monomial, basis=None, params=None) -> SocleReport:
     """Socle verification for an explicit ideal and witness monomial."""
     if basis is None:
-        basis = buchberger(
-            ideal,
-            degree_limit=witness.degree + 1,
-            tail_reduce=False,
-            interreduce=False,
-        )
+        basis = membership_basis(ideal, witness.degree + 1)
     ring = basis.ring
     return _socle_report_for(params, basis, ring.from_monomial(witness), witness)
 
@@ -545,7 +549,7 @@ class SubfamilyMatch:
     constructor: str
     arguments: tuple[int, ...]
     variable_map: tuple[tuple[str, str], ...]
-    sign_map: tuple[tuple[str, int], ...] | None
+    sign_map: tuple[tuple[str, int], ...]
     verification: str
 
     def as_dict(self):
@@ -554,7 +558,7 @@ class SubfamilyMatch:
             "constructor": self.constructor,
             "arguments": list(self.arguments),
             "variable_map": {a: b for a, b in self.variable_map},
-            "sign_map": None if self.sign_map is None else {a: s for a, s in self.sign_map},
+            "sign_map": {a: s for a, s in self.sign_map},
             "verification": self.verification,
         }
 
@@ -571,27 +575,28 @@ def _transplant(poly: Polynomial, target_ring: PolynomialRing, index_map) -> Pol
     return target_ring.poly(terms)
 
 
-def _gb_equal_after_signs(family_ideal, target_ideal, index_map, signs):
-    ring = target_ideal.ring
-    mapped = []
-    for gen in family_ideal.generators:
-        q = _transplant(gen, ring, index_map)
-        q = q.substitute_signs({i: signs[i] for i in range(ring.nvars)})
-        mapped.append(q)
-    left = buchberger(IdealPresentation(ring, mapped))
-    right = buchberger(target_ideal)
-    return left.elements == right.elements
+def _mapped_basis(family_ideal, ring, index_map, signs):
+    """Reduced basis of the family ideal renamed into ``ring``, then sign-flipped."""
+    mapped = [
+        _transplant(gen, ring, index_map).substitute_signs(dict(enumerate(signs)))
+        for gen in family_ideal.generators
+    ]
+    return buchberger(IdealPresentation(ring, mapped)).elements
 
 
 def identify_subfamily(params: FamilyParams, field=None) -> SubfamilyMatch | None:
     """Recognize parameter choices matching a special constructor.
 
-    ``g:(1,q)`` matches the four-variable three-generator family of
+    ``2:(1,q)`` matches the four-variable three-generator family of
     degree q+2; ``g:(q)`` matches the m + p*n family with one column and
     degree q+1.  Equality of ideals is proved by reduced-basis comparison
-    after renaming (and, for the first family, a searched sign flip);
-    when no unit substitution works the match falls back to comparing
-    Betti tables.
+    after renaming (and, for the first family, a searched sign flip).
+    Both equalities always hold.  For ``2:(1,q)``, M_1 = 0 leaves stage 2
+    empty, so the ring is exactly the four grid variables, and flipping
+    one variable's sign maps the generators onto Caviglia's.  For
+    ``g:(q)``, the stage-1 matrices are the degree-q monomials in g
+    variables, so renaming alone suffices.  A failed comparison is
+    therefore a bug and raises :class:`InternalError`.
     """
     if field is None:
         field = default_field()
@@ -604,8 +609,9 @@ def identify_subfamily(params: FamilyParams, field=None) -> SubfamilyMatch | Non
         ftab, ttab = family.ring.table, target.ring.table
         pairs = [("x[1,1]", "x"), ("x[2,1]", "y"), ("x[1,2]", "w"), ("x[2,2]", "z")]
         index_map = {ftab.index(a): ttab.index(b) for a, b in pairs}
+        want = buchberger(target).elements
         for signs in itertools.product((1, -1), repeat=4):
-            if _gb_equal_after_signs(family, target, index_map, signs):
+            if _mapped_basis(family, target.ring, index_map, signs) == want:
                 return SubfamilyMatch(
                     label=f"caviglia d={d}",
                     constructor="caviglia",
@@ -614,18 +620,7 @@ def identify_subfamily(params: FamilyParams, field=None) -> SubfamilyMatch | Non
                     sign_map=tuple(zip(ttab.names, signs)),
                     verification="groebner",
                 )
-        from .resolution import resolve
-
-        if resolve(family) == resolve(target):
-            return SubfamilyMatch(
-                label=f"caviglia d={d}",
-                constructor="caviglia",
-                arguments=(d,),
-                variable_map=tuple(pairs),
-                sign_map=None,
-                verification="betti",
-            )
-        return None
+        raise InternalError(f"{params} matches caviglia_ideal({d}) under no sign flip")
 
     if params.n == 1:
         d = m[0] + 1
@@ -639,16 +634,17 @@ def identify_subfamily(params: FamilyParams, field=None) -> SubfamilyMatch | Non
             col = mat.column(0)
             pairs.append((f"y{mat}", f"y[{z_pos[col]},1]"))
         index_map = {ftab.index(a): ttab.index(b) for a, b in pairs}
-        if _gb_equal_after_signs(family, target, index_map, (1,) * target.ring.nvars):
-            return SubfamilyMatch(
-                label=f"mccullough m={g} n=1 d={d}",
-                constructor="mccullough",
-                arguments=(g, 1, d),
-                variable_map=tuple(pairs),
-                sign_map=tuple((nm, 1) for nm in ttab.names),
-                verification="groebner",
-            )
-        return None
+        signs = (1,) * target.ring.nvars
+        if _mapped_basis(family, target.ring, index_map, signs) != buchberger(target).elements:
+            raise InternalError(f"{params} does not rename onto mccullough_ideal({g}, 1, {d})")
+        return SubfamilyMatch(
+            label=f"mccullough m={g} n=1 d={d}",
+            constructor="mccullough",
+            arguments=(g, 1, d),
+            variable_map=tuple(pairs),
+            sign_map=tuple(zip(ttab.names, signs)),
+            verification="groebner",
+        )
 
     return None
 

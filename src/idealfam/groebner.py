@@ -277,14 +277,17 @@ def _spoly(f, g, pk, field):
     u = lcm - f.lm
     v = lcm - g.lm
     acc = {e + u: c for e, c in f.tail}
-    zero = field.zero
+    # The operators on ints mod p or on Fractions, as in `_reduce`.
+    prime = field.p if isinstance(field, PrimeField) else None
     for e, c in g.tail:
         e += v
-        val = field.sub(acc.get(e, zero), c)
-        if val == zero:
-            acc.pop(e, None)
-        else:
+        val = acc.get(e, 0) - c
+        if prime:
+            val %= prime
+        if val:
             acc[e] = val
+        else:
+            del acc[e]
     return acc
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from idealfam import FamilyParams, IdealPresentation, buchberger, build_ideal
 from idealfam.cli import main
 
@@ -282,3 +284,56 @@ def test_package_error_in_a_run_exit_4(monkeypatch, capsys):
     code, _, err = run(capsys, "pd", "2:(1,1)")
     assert code == 4
     assert "internal error" in err
+
+
+# Options that a command never read, which each command used to accept.
+UNREAD_OPTIONS = [
+    ("construct", "2:(1,1)", "--jobs", "1"),
+    ("construct", "2:(1,1)", "--degree-limit", "5"),
+    ("construct", "2:(1,1)", "--pair-limit", "5"),
+    ("verify", "2:(1,1)", "--jobs", "1"),
+    ("pd", "2:(1,1)", "--jobs", "1"),
+    ("pd", "2:(1,1)", "--degree-limit", "5"),
+    ("pd", "2:(1,1)", "--field", "101"),
+    ("pd", "2:(1,1)", "--pair-limit", "5"),
+    ("betti", "2:(1,1)", "--jobs", "1"),
+    ("sweep", "--max-g", "2", "--degree-limit", "5"),
+    ("pd", "2:(1,1)", "--format", "m2"),
+    ("verify", "2:(1,1)", "--format", "m2"),
+    ("sweep", "--max-g", "2", "--format", "m2"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_unread_option_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-2] in err and "error:" in err
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "pd", "2:(1,1)", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: cannot write --out")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, option",
+    [(("--max-g", "1"), "--max-g"), (("--max-n", "0"), "--max-n"), (("--max-m", "-1"), "--max-m")],
+)
+def test_empty_sweep_box_exit_2(flags, option, monkeypatch, capsys):
+    import idealfam.cli as cli
+
+    def no_instance(args):
+        raise AssertionError("an instance was run")
+
+    monkeypatch.setattr(cli, "_sweep_instance", no_instance)
+    code, out, err = run(capsys, "sweep", *flags)
+    assert code == 2
+    assert out == ""
+    assert option in err

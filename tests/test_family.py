@@ -5,6 +5,9 @@ import pytest
 from idealfam import (
     ExponentMatrix,
     FamilyParams,
+    InternalError,
+    PrimeField,
+    QQ,
     ValidationError,
     build_ideal,
     buchberger,
@@ -388,6 +391,46 @@ def test_identify_subfamily_mccullough():
 
 def test_identify_subfamily_none():
     assert identify_subfamily(FamilyParams(2, (2, 2, 2))) is None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["QQ", "F101"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_identify_subfamily_caviglia_by_groebner(q, field):
+    match = identify_subfamily(FamilyParams(2, (1, q)), field)
+    assert match.constructor == "caviglia"
+    assert match.arguments == (q + 2,)
+    assert match.verification == "groebner"
+
+
+def test_identify_subfamily_computes_the_target_basis_once(monkeypatch):
+    import idealfam.family as family
+
+    targets, calls = [], []
+    real_target, real_buchberger = family.caviglia_ideal, family.buchberger
+
+    def target(*args, **kwargs):
+        targets.append(real_target(*args, **kwargs))
+        return targets[-1]
+
+    def counted(ideal, *args, **kwargs):
+        calls.append(ideal is targets[0])
+        return real_buchberger(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(family, "caviglia_ideal", target)
+    monkeypatch.setattr(family, "buchberger", counted)
+    match = identify_subfamily(FamilyParams(2, (1, 1)))
+    # 2:(1,1) needs the third sign vector, so three mapped bases are made
+    assert dict(match.sign_map)["y"] == -1
+    assert calls.count(True) == 1 and calls.count(False) == 3
+
+
+def test_identify_subfamily_failed_match_is_a_bug(monkeypatch):
+    import idealfam.family as family
+
+    monkeypatch.setattr(family, "_mapped_basis", lambda *args: [])
+    for params in (FamilyParams(2, (1, 1)), FamilyParams(3, (2,))):
+        with pytest.raises(InternalError):
+            identify_subfamily(params)
 
 
 # ----------------------------------------------------------- preset bounds
