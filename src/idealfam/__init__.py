@@ -45,6 +45,7 @@ from .family import (
     SubfamilyMatch,
     build_ideal,
     caviglia_ideal,
+    caviglia_witness,
     derived_constants,
     enumerate_A,
     family_table,

@@ -24,6 +24,7 @@ import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 from .errors import (
     IdealfamError,
@@ -36,6 +37,7 @@ from .family import (
     FamilyParams,
     build_ideal,
     caviglia_ideal,
+    caviglia_witness,
     derived_constants,
     mccullough_ideal,
     mccullough_witness,
@@ -53,7 +55,7 @@ from .family import (
 )
 from .groebner import DEFAULT_PAIR_LIMIT, buchberger
 from .resolution import resolve
-from .ring import PrimeField, QQ
+from .ring import PrimeField, QQ, _term_text, format_monomial
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -135,20 +137,12 @@ def _m2_script(ideal, compute_betti=False):
     coeff = "QQ" if not ring.field.is_prime_field else f"ZZ/{ring.field.p}"
     n = len(names)
     lines.append(f"R = {coeff}[v_0..v_{n - 1}];")
-    rendered = []
-    for g in ideal.generators:
-        chunks = []
-        for e, c in g.terms:
-            mono = "*".join(
-                f"v_{i}^{x}" if x > 1 else f"v_{i}" for i, x in enumerate(e) if x
-            )
-            if not mono:
-                chunks.append(str(c))
-            elif c == 1:
-                chunks.append(mono)
-            else:
-                chunks.append(f"{c}*{mono}")
-        rendered.append(" + ".join(chunks))
+    v_names = [f"v_{i}" for i in range(n)]
+    # Signs stay in the coefficients: M2 reads "a + -3/2*b".
+    rendered = [
+        " + ".join(_term_text(c, format_monomial(v_names, e)) for e, c in g.terms)
+        for g in ideal.generators
+    ]
     lines.append("I = ideal(")
     lines.append(",\n".join("  " + r for r in rendered))
     lines.append(");")
@@ -203,9 +197,7 @@ def cmd_verify(args) -> int:
     elif kind == "mccullough":
         witness = mccullough_witness(*extra, ideal.ring.table)
     else:
-        (d,) = extra
-        # witness x^(d-1) y^(d-1) w^(d-2) z^(d-2) over the table (w,x,y,z)
-        witness = ideal.ring.monomial([d - 2, d - 1, d - 1, d - 2])
+        witness = caviglia_witness(*extra, ideal.ring.table)
     limit = args.degree_limit or (
         verification_degree(extra) if witness is None else witness.degree + 1
     )
@@ -409,7 +401,9 @@ _LOWER_BOUNDS = (
 )
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="idealfam",
         description=(

@@ -27,6 +27,9 @@ from .ring import (
     PolynomialRing,
     PrimeField,
     VariableTable,
+    _colmajor,
+    _format_rows,
+    _matrix_rows,
 )
 
 DEFAULT_PRIME = 32003
@@ -114,12 +117,7 @@ class ExponentMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if rows and len({len(r) for r in rows}) != 1:
-            raise ValidationError("matrix rows must have equal length")
-        if any(e < 0 for r in rows for e in r):
-            raise ValidationError("matrix entries must be nonnegative")
+        object.__setattr__(self, "rows", _matrix_rows(self.rows))
 
     @property
     def g(self) -> int:
@@ -133,7 +131,7 @@ class ExponentMatrix:
         return tuple(r[k] for r in self.rows)
 
     def colmajor(self) -> tuple[int, ...]:
-        return tuple(self.rows[j][k] for k in range(self.n) for j in range(self.g))
+        return _colmajor(self.rows)
 
     def in_stage(self, params: FamilyParams, k: int) -> bool:
         """Membership in the stage-k admissible set."""
@@ -161,9 +159,7 @@ class ExponentMatrix:
         return tuple(exps)
 
     def __str__(self):
-        return "[" + ",".join(
-            "[" + ",".join(str(e) for e in r) + "]" for r in self.rows
-        ) + "]"
+        return _format_rows(self.rows)
 
 
 @lru_cache(maxsize=None)
@@ -541,6 +537,11 @@ def caviglia_ideal(d: int, field=None, order=None) -> IdealPresentation:
     return IdealPresentation(ring, gens)
 
 
+def caviglia_witness(d: int, table: VariableTable) -> Monomial:
+    """Witness x^(d-1) y^(d-1) w^(d-2) z^(d-2) over the table (w, x, y, z)."""
+    return Monomial(table, (d - 2, d - 1, d - 1, d - 2))
+
+
 @dataclass(frozen=True)
 class SubfamilyMatch:
     """A recognized special form of a parameter choice."""
@@ -588,8 +589,9 @@ def identify_subfamily(params: FamilyParams, field=None) -> SubfamilyMatch | Non
     """Recognize parameter choices matching a special constructor.
 
     ``2:(1,q)`` matches the four-variable three-generator family of
-    degree q+2; ``g:(q)`` matches the m + p*n family with one column and
-    degree q+1.  Equality of ideals is proved by reduced-basis comparison
+    degree q+2; ``g:(q)`` with q >= 1 matches the m + p*n family with one
+    column and degree q+1 (``g:(0)`` would need degree 1, which that family
+    does not have).  Equality of ideals is proved by reduced-basis comparison
     after renaming (and, for the first family, a searched sign flip).
     Both equalities always hold.  For ``2:(1,q)``, M_1 = 0 leaves stage 2
     empty, so the ring is exactly the four grid variables, and flipping
@@ -622,7 +624,7 @@ def identify_subfamily(params: FamilyParams, field=None) -> SubfamilyMatch | Non
                 )
         raise InternalError(f"{params} matches caviglia_ideal({d}) under no sign flip")
 
-    if params.n == 1:
+    if params.n == 1 and m[0] >= 1:
         d = m[0] + 1
         family = build_ideal(params, field)
         target = mccullough_ideal(g, 1, d, field)

@@ -30,6 +30,7 @@ from itertools import chain, islice
 
 from .errors import InternalError, ResourceLimitError, ValidationError
 from .ring import Monomial, MonomialOrder, Polynomial, PolynomialRing, PrimeField
+from .ring import _signed_sum, _term_text, format_monomial
 
 DEFAULT_PAIR_LIMIT = 1_000_000
 
@@ -886,10 +887,7 @@ class HilbertNumerator:
         self.nvars = nvars
 
     def coefficient(self, d: int) -> int:
-        for deg, c in self.coeffs:
-            if deg == d:
-                return c
-        return 0
+        return self.as_dict().get(d, 0)
 
     def as_dict(self):
         return dict(self.coeffs)
@@ -919,22 +917,9 @@ class HilbertNumerator:
         return hash((self.coeffs, self.nvars))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d, c in self.coeffs:
-            body = "1" if d == 0 else ("t" if d == 1 else f"t^{d}")
-            if d == 0:
-                text = str(abs(c))
-            elif abs(c) == 1:
-                text = body
-            else:
-                text = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(text if c > 0 else f"-{text}")
-            else:
-                parts.append(f" + {text}" if c > 0 else f" - {text}")
-        return "".join(parts)
+        return _signed_sum([
+            (c < 0, _term_text(abs(c), format_monomial(("t",), (d,)))) for d, c in self.coeffs
+        ])
 
     def __repr__(self):
         return f"HilbertNumerator({self}, nvars={self.nvars})"

@@ -3,6 +3,12 @@
 Coefficients live in a prime field or in QQ, monomials are exponent tuples
 over a fixed ordered variable table, and every value is immutable after
 construction, so objects can be shared freely across threads.
+
+Each job on these objects is done in one place: ``_exponents`` checks an
+exponent tuple, ``_collect`` adds like terms, drops zeros and sorts into
+the ring order, ``_term_text`` and ``_signed_sum`` print terms, and
+``_matrix_rows``, ``_colmajor`` and ``_format_rows`` check, order and
+print the integer matrices that index y variables.
 """
 
 from __future__ import annotations
@@ -151,15 +157,12 @@ QQ = RationalField()
 
 
 def _matrix_rows(rows):
-    out = []
-    for row in rows:
-        row = tuple(int(e) for e in row)
-        if any(e < 0 for e in row):
-            raise ValidationError("matrix-indexed variables need nonnegative entries")
-        out.append(row)
-    rows = tuple(out)
+    """Row tuples of a rectangular matrix of nonnegative integers."""
+    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    if any(e < 0 for row in rows for e in row):
+        raise ValidationError("matrix entries must be nonnegative")
     if rows and len({len(r) for r in rows}) != 1:
-        raise ValidationError("matrix-indexed variables need rectangular matrices")
+        raise ValidationError("matrix rows must have equal length")
     return rows
 
 
@@ -168,6 +171,11 @@ def _colmajor(rows):
     if not rows:
         return ()
     return tuple(rows[j][k] for k in range(len(rows[0])) for j in range(len(rows)))
+
+
+def _format_rows(rows):
+    """``[[a,b],[c,d]]``: an ExponentMatrix's text and the bracket part of a y name."""
+    return "[" + ",".join("[" + ",".join(str(e) for e in row) + "]" for row in rows) + "]"
 
 
 class VariableTable:
@@ -224,8 +232,7 @@ class VariableTable:
         if desc[0] == "x":
             return f"x[{desc[1]},{desc[2]}]"
         if desc[0] == "y":
-            rows = ",".join("[" + ",".join(str(e) for e in row) + "]" for row in desc[1])
-            return f"y[{rows}]"
+            return f"y{_format_rows(desc[1])}"
         return desc[1]
 
     @classmethod
@@ -322,21 +329,25 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r}, perm={self.perm})"
 
 
+def _exponents(exps, n):
+    """The exponents as an int tuple, checked for length ``n``, sign and the cap."""
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != n:
+        raise ValidationError(f"expected {n} exponents, got {len(exps)}")
+    if any(e < 0 for e in exps):
+        raise ValidationError("exponents must be nonnegative")
+    if any(e >= EXPONENT_CAP for e in exps):
+        raise ArithmeticOverflowError("exponent exceeds the machine-word guard")
+    return exps
+
+
 class Monomial:
     """A product of variable powers over a fixed table."""
 
     __slots__ = ("table", "exps", "degree")
 
     def __init__(self, table: VariableTable, exps):
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(table):
-            raise ValidationError(
-                f"expected {len(table)} exponents, got {len(exps)}"
-            )
-        if any(e < 0 for e in exps):
-            raise ValidationError("exponents must be nonnegative")
-        if any(e >= EXPONENT_CAP for e in exps):
-            raise ArithmeticOverflowError("exponent exceeds the machine-word guard")
+        exps = _exponents(exps, len(table))
         self.table = table
         self.exps = exps
         self.degree = sum(exps)
@@ -353,10 +364,7 @@ class Monomial:
 
     def __mul__(self, other):
         self._check(other)
-        exps = tuple(a + b for a, b in zip(self.exps, other.exps))
-        if any(e >= EXPONENT_CAP for e in exps):
-            raise ArithmeticOverflowError("exponent overflow in monomial product")
-        return Monomial(self.table, exps)
+        return Monomial(self.table, (a + b for a, b in zip(self.exps, other.exps)))
 
     def divides(self, other) -> bool:
         self._check(other)
@@ -383,20 +391,50 @@ class Monomial:
         return hash(self.exps)
 
     def __str__(self):
-        return format_monomial(self.table, self.exps)
+        return format_monomial(self.table.names, self.exps)
 
     def __repr__(self):
         return f"Monomial({self})"
 
 
-def format_monomial(table, exps) -> str:
+def format_monomial(names, exps) -> str:
+    """``x^2*y`` over the variable names; ``1`` for the empty product."""
     parts = []
-    for i, e in enumerate(exps):
+    for name, e in zip(names, exps):
         if e == 1:
-            parts.append(table.names[i])
+            parts.append(name)
         elif e:
-            parts.append(f"{table.names[i]}^{e}")
+            parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
+
+
+def _term_text(c, mono: str) -> str:
+    """One term: the coefficient alone at ``1``, the monomial alone at ``c == 1``."""
+    if mono == "1":
+        return str(c)
+    if c == 1:
+        return mono
+    return f"{c}*{mono}"
+
+
+def _signed_sum(parts) -> str:
+    """Join ``(negative, text)`` pairs as ``a - b + c``; ``0`` when empty."""
+    if not parts:
+        return "0"
+    text = "".join((" - " if neg else " + ") + t for neg, t in parts)
+    return ("-" if parts[0][0] else "") + text[3:]
+
+
+def _collect(ring, pairs) -> "Polynomial":
+    """The polynomial of ``(exps, coeff)`` pairs: like terms added, zeros dropped,
+    terms sorted descending in the ring order."""
+    add = ring.field.add
+    acc = {}
+    for e, c in pairs:
+        acc[e] = add(acc[e], c) if e in acc else c
+    zero = ring.field.zero
+    ordered = sorted((e for e, c in acc.items() if c != zero), key=ring.order.key, reverse=True)
+    return Polynomial(ring, tuple((e, acc[e]) for e in ordered))
 
 
 class PolynomialRing:
@@ -454,28 +492,14 @@ class PolynomialRing:
     def poly(self, terms) -> "Polynomial":
         """Build a polynomial from ``{exps: coeff}`` or an iterable of pairs."""
         items = terms.items() if hasattr(terms, "items") else terms
-        acc = {}
-        for exps, c in items:
-            if isinstance(exps, Monomial):
-                exps = exps.exps
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != self.nvars:
-                raise ValidationError("exponent tuple length does not match the ring")
-            if any(e < 0 for e in exps):
-                raise ValidationError("exponents must be nonnegative")
-            if any(e >= EXPONENT_CAP for e in exps):
-                raise ArithmeticOverflowError("exponent exceeds the machine-word guard")
-            c = self.field.convert(c) if exps not in acc else self.field.add(
-                acc[exps], self.field.convert(c)
-            )
-            acc[exps] = c
-        zero = self.field.zero
-        cleaned = {e: c for e, c in acc.items() if c != zero}
-        ordered = sorted(cleaned, key=self.order.key, reverse=True)
-        return Polynomial(self, tuple((e, cleaned[e]) for e in ordered))
+        n, convert = self.nvars, self.field.convert
+        return _collect(self, (
+            (_exponents(e.exps if isinstance(e, Monomial) else e, n), convert(c))
+            for e, c in items
+        ))
 
     def parse(self, text: str) -> "Polynomial":
-        return Polynomial(self, _parse_terms(text, self))
+        return _collect(self, _parse_terms(text, self))
 
     def __eq__(self, other):
         return (
@@ -520,16 +544,7 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self.terms)
-        add = self.ring.field.add
-        zero = self.ring.field.zero
-        for e, c in other.terms:
-            v = add(acc.get(e, zero), c)
-            if v == zero:
-                acc.pop(e, None)
-            else:
-                acc[e] = v
-        return self._from_dict(acc)
+        return _collect(self.ring, self.terms + other.terms)
 
     def __sub__(self, other):
         return self + (-other)
@@ -542,21 +557,15 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        field = self.ring.field
-        zero = field.zero
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = field.add(acc.get(e, zero), field.mul(c1, c2))
-                if v == zero:
-                    acc.pop(e, None)
-                else:
-                    acc[e] = v
-        for e in acc:
-            if any(x >= EXPONENT_CAP for x in e):
-                raise ArithmeticOverflowError("exponent overflow in product")
-        return self._from_dict(acc)
+        mul = self.ring.field.mul
+        out = _collect(self.ring, (
+            (tuple(a + b for a, b in zip(e1, e2)), mul(c1, c2))
+            for e1, c1 in self.terms
+            for e2, c2 in other.terms
+        ))
+        if any(x >= EXPONENT_CAP for e, _ in out.terms for x in e):
+            raise ArithmeticOverflowError("exponent overflow in product")
+        return out
 
     __rmul__ = __mul__
 
@@ -574,10 +583,6 @@ class Polynomial:
         if c == field.zero:
             return self.ring.zero()
         return Polynomial(self.ring, tuple((e, field.mul(cc, c)) for e, cc in self.terms))
-
-    def _from_dict(self, acc):
-        ordered = sorted(acc, key=self.ring.order.key, reverse=True)
-        return Polynomial(self.ring, tuple((e, acc[e]) for e in ordered))
 
     @property
     def lm(self) -> Monomial | None:
@@ -613,10 +618,7 @@ class Polynomial:
 
     def coefficient(self, mono):
         exps = mono.exps if isinstance(mono, Monomial) else tuple(mono)
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return self.ring.field.zero
+        return dict(self.terms).get(exps, self.ring.field.zero)
 
     def monomials(self):
         return tuple(Monomial(self.ring.table, e) for e, _ in self.terms)
@@ -655,24 +657,13 @@ class Polynomial:
         return hash(self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
+        names = self.ring.table.names
+        parts = []
         for e, c in self.terms:
-            mono = format_monomial(self.ring.table, e)
             negative = isinstance(c, Fraction) and c < 0
-            body = -c if negative else c
-            if mono == "1":
-                text = str(body)
-            elif body == 1:
-                text = mono
-            else:
-                text = f"{body}*{mono}"
-            if not chunks:
-                chunks.append(f"-{text}" if negative else text)
-            else:
-                chunks.append(f" - {text}" if negative else f" + {text}")
-        return "".join(chunks)
+            text = _term_text(-c if negative else c, format_monomial(names, e))
+            parts.append((negative, text))
+        return _signed_sum(parts)
 
     def __repr__(self):
         return f"Polynomial({self})"
@@ -697,13 +688,12 @@ def _tokenize(text):
 
 
 def _parse_terms(text, ring):
-    """Parse the term grammar and return canonical sorted terms."""
+    """Parse the term grammar into ``(exps, coeff)`` pairs, one per term."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial text")
     field = ring.field
-    zero = field.zero
-    acc = {}
+    terms = []
     pos = 0
     n = len(tokens)
     first = True
@@ -756,11 +746,5 @@ def _parse_terms(text, ring):
             raise ParseError("empty term")
         if sign < 0:
             coeff = field.neg(coeff)
-        key = tuple(exps)
-        v = field.add(acc.get(key, zero), coeff)
-        if v == zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = v
-    ordered = sorted(acc, key=ring.order.key, reverse=True)
-    return tuple((e, acc[e]) for e in ordered)
+        terms.append((tuple(exps), coeff))
+    return terms

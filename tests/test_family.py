@@ -12,6 +12,7 @@ from idealfam import (
     build_ideal,
     buchberger,
     caviglia_ideal,
+    caviglia_witness,
     derived_constants,
     enumerate_A,
     identify_subfamily,
@@ -362,6 +363,15 @@ def test_mccullough_expected_pd_value():
     assert rep.implied_pd == 5
 
 
+def test_caviglia_witness_is_a_socle_element():
+    for d in (2, 3):
+        ideal = caviglia_ideal(d)
+        witness = caviglia_witness(d, ideal.ring.table)
+        assert witness.exps == (d - 2, d - 1, d - 1, d - 2)
+        assert verify_socle_ideal(ideal, witness).conclusion, d
+    assert str(caviglia_witness(3, caviglia_ideal(3).ring.table)) == "w*x^2*y^2*z"
+
+
 def test_caviglia_generators():
     i3 = caviglia_ideal(3)
     assert [str(g) for g in i3.generators] == ["x^3", "y^3", "w^2*x + 32002*y*z^2"]
@@ -391,6 +401,9 @@ def test_identify_subfamily_mccullough():
 
 def test_identify_subfamily_none():
     assert identify_subfamily(FamilyParams(2, (2, 2, 2))) is None
+    # m_1 = 0 is a valid choice whose one-column family would need degree 1.
+    for g in (2, 3):
+        assert identify_subfamily(FamilyParams(g, (0,))) is None
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["QQ", "F101"])

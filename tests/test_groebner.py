@@ -263,19 +263,69 @@ def test_truncated_at_pinned():
                 for limit in want
             }
             assert got == want, strategy
-    # Under fifo the above-limit pair here is selected before the
-    # generator that would B-filter it arrives.
+    # Under fifo the above-limit pair of the first and the last case is
+    # selected before the generator that would B-filter it arrives.  In
+    # the second case a generator B-filters every pair above the limit,
+    # and in the last one under normal and lcm selection that generator
+    # was made by a pair, so its arrival is dated by following its origin.
     R = PolynomialRing(VariableTable.named(("x", "y", "z")), PrimeField(101), MonomialOrder())
     x, y, z = (R.variable(i) for i in range(3))
-    ideal = _ideal(
-        R,
-        52 * x**2,
-        71 * x**2 * y + 66 * z**3 + 45 * y**3,
-        12 * x * z**2,
-        4 * x * z + 64 * x**2 + 40 * y * z,
+    R4 = PolynomialRing(
+        VariableTable.named(("x", "y", "z", "w")), PrimeField(101), MonomialOrder()
     )
-    for strategy, want in (("normal", None), ("lcm", None), ("fifo", 5)):
-        assert buchberger(ideal, degree_limit=5, strategy=strategy).truncated_at == want
+    a, _, c, d = (R4.variable(i) for i in range(4))
+    cases = (
+        (
+            _ideal(
+                R,
+                52 * x**2,
+                71 * x**2 * y + 66 * z**3 + 45 * y**3,
+                12 * x * z**2,
+                4 * x * z + 64 * x**2 + 40 * y * z,
+            ),
+            5,
+            (("normal", None), ("lcm", None), ("fifo", 5)),
+        ),
+        (
+            _ideal(R4, 16 * a**2 * d, 76 * c**2 * d, 86 * a * c),
+            4,
+            (("normal", None), ("lcm", None), ("fifo", None)),
+        ),
+        (
+            _ideal(
+                R,
+                58 * y**3,
+                63 * x**2 + x * y + 34 * y * z,
+                69 * y * z**2,
+                10 * x**2 + 34 * y**2 + 33 * y * z,
+            ),
+            4,
+            (("normal", None), ("lcm", None), ("fifo", 4)),
+        ),
+    )
+    for ideal, limit, wants in cases:
+        full = buchberger(ideal).elements
+        for strategy, want in wants:
+            trunc = buchberger(ideal, degree_limit=limit, strategy=strategy)
+            assert trunc.truncated_at == want, strategy
+            low = [g for g in trunc if g.degree() <= limit]
+            assert low == [g for g in full if g.degree() <= limit], strategy
+            assert want is not None or trunc.elements == full, strategy
+
+
+def test_buchberger_order_argument():
+    # order= computes in the same table under another order; the ring's
+    # own order changes nothing.
+    params = FamilyParams(2, (1, 1))
+    ideal = build_ideal(params)
+    lex = MonomialOrder("lex")
+    basis = buchberger(ideal, order="lex")
+    assert basis.ring == ideal.ring.with_order(lex)
+    assert len(basis.elements) == 5
+    assert basis.elements == buchberger(build_ideal(params, order=lex)).elements
+    same = buchberger(ideal, order=ideal.ring.order)
+    assert same.ring is ideal.ring
+    assert same.elements == buchberger(ideal).elements
 
 
 def test_pair_limit_resource_error():

@@ -95,6 +95,9 @@ def test_exponent_overflow_guard():
     big = Monomial(t, (EXPONENT_CAP - 1,))
     with pytest.raises(ArithmeticOverflowError):
         big * big
+    p = PolynomialRing(t, PrimeField(101)).from_monomial(big)
+    with pytest.raises(ArithmeticOverflowError):
+        p * p
 
 
 # ----------------------------------------------------------- polynomials
@@ -265,6 +268,6 @@ def test_parse_rational_coefficients():
 
 def test_parse_errors():
     R = small_ring()
-    for bad in ("", "x +", "q", "x^", "x ? y", "^2"):
+    for bad in ("", "x +", "q", "x^", "x ? y", "^2", "x y"):
         with pytest.raises(ParseError):
             R.parse(bad)
