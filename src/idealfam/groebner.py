@@ -74,7 +74,7 @@ class _Packing:
     __slots__ = (
         "order", "nvars", "width", "components", "tagged", "twists", "module",
         "maxdeg", "cw", "cmask", "guard", "pack", "unpack", "deg", "bound", "quo",
-        "lcm",
+        "lcm", "within",
     )
 
     def __init__(self, order, nvars, width, components=None, tagged=None, twists=None):
@@ -150,8 +150,23 @@ class _Packing:
         def lcm(a, b):
             return a + (quo(a, b) << cw)
 
+        def within(a, gens, limit):
+            """The records whose lead's lcm with ``a`` has degree at most ``limit``,
+            in order, and whether one above it is not coprime; `quo`'s max inline."""
+            la = (a >> cw) & lowmask
+            out, above = [], False
+            for g in gens:
+                lb = (g.lm >> cw) & lowmask
+                ge = (((la | guard) - lb) & guard) >> width
+                mx = lb ^ ((la ^ lb) & ((ge << width) - ge))
+                if (mx * ones >> top) & fmask <= limit:
+                    out.append(g)
+                elif module or mx != la + lb:
+                    above = True
+            return out, above
+
         self.pack, self.unpack, self.deg, self.bound = pack, unpack, deg, bound
-        self.quo, self.lcm = quo, lcm
+        self.quo, self.lcm, self.within = quo, lcm, within
 
     def with_components(self, components):
         return _Packing(self.order, self.nvars, self.width, components)
@@ -206,8 +221,12 @@ def _make_gen(terms, field, idx):
     lc = terms[lm]
     if lc != field.one:
         inv = field.inv(lc)
-        mul = field.mul
-        tail = tuple((e, mul(terms[e], inv)) for e in ordered[1:])
+        # The operators on ints mod p or on Fractions, as in `_reduce`.
+        if isinstance(field, PrimeField):
+            p = field.p
+            tail = tuple((e, terms[e] * inv % p) for e in ordered[1:])
+        else:
+            tail = tuple((e, terms[e] * inv) for e in ordered[1:])
     else:
         tail = tuple((e, terms[e]) for e in ordered[1:])
     return _Gen(lm, tail, idx)
@@ -338,37 +357,34 @@ def _chain_pairs(G, h, pk, degree_limit=None):
     """The pairs (g, h), g in G, that the chain and product criteria keep.
 
     G lists the current generators in index order, leads pairwise
-    non-dividing.  A pair (g, h) goes when lead(p) divides lcm(g, h) for a
-    p later in G or kept before g; this equals lcm(h, p) dividing
+    non-dividing.  With ``degree_limit`` a first pass (`_Packing.within`)
+    reads every candidate's lcm degree from the packed fields and keeps
+    only those within the limit; a dropped candidate is neither lcm'd nor
+    a witness, and one that is not coprime to h sets the returned flag.
+    It never witnesses against a pair within the limit: if its lead
+    divided that pair's lcm, its own lcm with h would divide that lcm too.
+    A remaining pair (g, h) goes when lead(p) divides lcm(g, h) for a p
+    later in the list or kept before g; this equals lcm(h, p) dividing
     lcm(g, h).  A coprime g makes no pair but is kept as a chain witness.
     For module terms only the g in h's lead component take part, and a
     coprime g makes a pair too: the product criterion does not hold there.
-    A candidate whose lcm degree exceeds ``degree_limit`` is kept as a
-    witness untested and reported only by the returned flag.  It never
-    witnesses against a pair within the limit: if its lead divided that
-    pair's lcm, its own lcm with h would divide that lcm too.  Returns
-    ``([(g, lcm), ...], any_above_limit)``.
+    Returns ``([(g, lcm), ...], any_above_limit)``.
     """
     mh = h.lm
     guard = pk.guard
     if pk.module:
         c = mh & pk.cmask
         G = [g for g in G if g.lm & pk.cmask == c]
-    kept = []
-    new = []
     above = False
+    if degree_limit is not None:
+        G, above = pk.within(mh, G, degree_limit)
+    kept, new = [], []
     for k, g in enumerate(G):
         lcm = pk.lcm(mh, g.lm)
         if pk.module or lcm != mh + g.lm:
-            if degree_limit is not None and pk.deg(lcm) > degree_limit:
-                above = True
-            else:
-                if any(
-                    not (lcm - p.lm) & guard
-                    for p in chain(islice(G, k + 1, None), kept)
-                ):
-                    continue
-                new.append((g, lcm))
+            if any(not (lcm - p.lm) & guard for p in chain(islice(G, k + 1, None), kept)):
+                continue
+            new.append((g, lcm))
         kept.append(g)
     return new, above
 
@@ -416,7 +432,8 @@ def _buchberger_kernel(
     lcm degree is the sugar strategy, and records keep no sugar.
 
     A pair whose lcm degree exceeds ``degree_limit`` never yields a
-    generator, so it is neither chain-tested, stored nor B-filtered, and
+    generator.  The degree pass of `_chain_pairs` drops it first, so it is
+    neither lcm'd, a chain witness, stored nor B-filtered, and
     ``pair_limit`` counts only the stored pairs within the limit.  No pair
     within the limit is decided differently, since an above-limit
     candidate is never its chain witness.
@@ -486,10 +503,11 @@ def _buchberger_kernel(
         if above:
             above_limit.append((G, h))
         hl = h.lm
+        # Most live pairs fail the divisibility test that opens the B-filter.
         dropped = [
             pair
             for pair, lcm in pairs.items()
-            if _b_filters(h, f[pair[0]], f[pair[1]], lcm, pk)
+            if not (lcm - hl) & guard and _b_filters(h, f[pair[0]], f[pair[1]], lcm, pk)
         ]
         for pair in dropped:
             del pairs[pair]

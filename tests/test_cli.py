@@ -188,6 +188,23 @@ def test_unknown_target_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("construct", "mccullough", "2", "1"), "usage: mccullough M N D"),
+        (("construct", "caviglia"), "usage: caviglia D"),
+        (("construct", "caviglia", "3", "4"), "usage: caviglia D"),
+        (("construct", "2:(2,1)", "3"), "unrecognized target '2:(2,1) 3'"),
+        (("pd", "2:(2,1)", "2:(3,1)"), "pd expects family parameters"),
+    ],
+)
+def test_target_word_count_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_sweep_text(capsys):
     code, out, _ = run(capsys, "sweep", "--max-g", "3", "--max-n", "2", "--max-m", "2")
     assert code == 0

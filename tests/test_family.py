@@ -5,6 +5,7 @@ import pytest
 from idealfam import (
     ExponentMatrix,
     FamilyParams,
+    IdealPresentation,
     InternalError,
     PrimeField,
     QQ,
@@ -26,6 +27,7 @@ from idealfam import (
     stage_count,
     variable_count,
     verification_basis,
+    verification_degree,
     verify_lemma,
     verify_socle,
     verify_socle_ideal,
@@ -118,6 +120,19 @@ def test_enumerate_membership_invariant():
                 assert m.in_stage(params, k)
             keys = [m.colmajor() for m in mats]
             assert keys == sorted(keys)
+
+
+def test_in_stage_rejections():
+    # 2:(2,2,2) has M = (1, 1, 2) and A_1 = {((1,0,0),(1,0,0))}.
+    params = FamilyParams(2, (2, 2, 2))
+    assert ExponentMatrix(((1, 0, 0), (1, 0, 0))).in_stage(params, 1)
+    for rows in (
+        ((1, 0), (1, 0)),  # wrong shape
+        ((2, 0, 0), (0, 0, 0)),  # entry above M_1
+        ((1, 0, 0), (0, 0, 0)),  # column sum below m_1
+        ((1, 0, 0), (1, 0, 1)),  # a column beyond the stage is nonzero
+    ):
+        assert not ExponentMatrix(rows).in_stage(params, 1), rows
 
 
 def test_stage_set_nonempty_conditions():
@@ -315,6 +330,19 @@ def test_verify_lemma_small():
         assert rep.failures == ()
 
 
+def test_verify_lemma_negative_control():
+    # Against the basis of a smaller ideal the stage-2 monomials fail.
+    params = FamilyParams(2, (1, 1))
+    ideal = build_ideal(params)
+    smaller = IdealPresentation(ideal.ring, ideal.generators[:-1])
+    basis = buchberger(smaller, degree_limit=verification_degree(params))
+    rep = verify_lemma(params, basis)
+    assert not rep.ok
+    want = ["x[1,1]^2*x[2,1]^2*x[1,2]^2", "x[1,1]^2*x[2,1]^2*x[2,2]^2"]
+    assert [str(m) for m in rep.failures] == want
+    assert rep.as_dict() == {"params": "2:(1,1)", "ok": False, "failures": want}
+
+
 def test_verify_socle_negative_control():
     # A wrong witness must fail: drop one variable power.
     params = FamilyParams(2, (1, 1))
@@ -389,6 +417,14 @@ def test_identify_subfamily_caviglia():
     assert match.verification == "groebner"
     signs = dict(match.sign_map)
     assert sorted(signs.values()).count(-1) >= 1  # a genuine flip was needed
+    assert match.as_dict() == {
+        "label": "caviglia d=3",
+        "constructor": "caviglia",
+        "arguments": [3],
+        "variable_map": dict(match.variable_map),
+        "sign_map": signs,
+        "verification": "groebner",
+    }
 
 
 def test_identify_subfamily_mccullough():

@@ -1,3 +1,6 @@
+import random
+from itertools import chain, islice
+
 import pytest
 
 from idealfam import (
@@ -465,6 +468,128 @@ def test_spolynomial_counts_pinned(monkeypatch):
     for strategy, want in (("normal", 162), ("lcm", 162), ("fifo", 169)):
         assert count(lambda: buchberger(ideal, strategy=strategy)) == want, strategy
     assert count(lambda: buchberger(caviglia_ideal(5))) == 13
+
+
+def _chain_pairs_reference(G, h, pk, degree_limit=None):
+    # The route the degree pass replaced: every candidate pays a packed
+    # lcm, and one above the limit stays a chain witness.
+    mh = h.lm
+    guard = pk.guard
+    if pk.module:
+        c = mh & pk.cmask
+        G = [g for g in G if g.lm & pk.cmask == c]
+    kept = []
+    new = []
+    above = False
+    for k, g in enumerate(G):
+        lcm = pk.lcm(mh, g.lm)
+        if pk.module or lcm != mh + g.lm:
+            if degree_limit is not None and pk.deg(lcm) > degree_limit:
+                above = True
+            else:
+                if any(
+                    not (lcm - p.lm) & guard
+                    for p in chain(islice(G, k + 1, None), kept)
+                ):
+                    continue
+                new.append((g, lcm))
+        kept.append(g)
+    return new, above
+
+
+def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
+    # Every (G, h, degree_limit) the kernel passes while building the
+    # verify bases and seeded random truncated bases gives the same pairs,
+    # in the same order, and the same above-limit flag on both routes.
+    calls = []
+    chain_pairs = groebner._chain_pairs
+
+    def recorded(G, h, pk, degree_limit=None):
+        calls.append((list(G), h, pk, degree_limit))
+        return chain_pairs(G, h, pk, degree_limit)
+
+    monkeypatch.setattr(groebner, "_chain_pairs", recorded)
+    # The six bases of the benchmark's verify workload.
+    for spec in ("2:(2,2,2)", "3:(2,1)", "4:(2)", "2:(4,3)", "2:(4,2,1)", "2:(2,3,4)"):
+        verification_basis(FamilyParams.parse(spec))
+    rng = random.Random(1988)
+    truncated = 0
+    for names in (("x", "y", "z"), ("x", "y", "z", "w")):
+        R = PolynomialRing(VariableTable.named(names), PrimeField(101), MonomialOrder())
+        for _ in range(6):
+            gens = [random_homogeneous(R, rng, rng.randrange(2, 5)) for _ in range(3)]
+            ideal = IdealPresentation(R, [g for g in gens if g])
+            for strategy in ("normal", "lcm", "fifo"):
+                for limit in (3, 5, 7):
+                    basis = buchberger(ideal, degree_limit=limit, strategy=strategy)
+                    truncated += basis.truncated_at is not None
+    assert truncated
+    flags = set()
+    for G, h, pk, degree_limit in calls:
+        new, above = chain_pairs(G, h, pk, degree_limit)
+        want, want_above = _chain_pairs_reference(G, h, pk, degree_limit)
+        assert [(g.idx, lcm) for g, lcm in new] == [(g.idx, lcm) for g, lcm in want]
+        assert above == want_above
+        flags.add((degree_limit is None, above))
+    assert flags == {(True, False), (False, False), (False, True)}
+
+
+def test_pair_update_work_pinned(monkeypatch):
+    # Packed lcm calls made inside `_chain_pairs`, and `_b_filters` calls.
+    # The degree pass lcm's only the candidates within the limit, and the
+    # inline divisibility test leaves few live pairs for `_b_filters`.
+    counts = {"lcm": 0, "b_filters": 0}
+    chain_pairs, b_filters = groebner._chain_pairs, groebner._b_filters
+
+    def counted_chain_pairs(G, h, pk, degree_limit=None):
+        lcm = pk.lcm
+
+        def counted_lcm(a, b):
+            counts["lcm"] += 1
+            return lcm(a, b)
+
+        pk.lcm = counted_lcm
+        try:
+            return chain_pairs(G, h, pk, degree_limit)
+        finally:
+            pk.lcm = lcm
+
+    def counted_b_filters(*args):
+        counts["b_filters"] += 1
+        return b_filters(*args)
+
+    monkeypatch.setattr(groebner, "_chain_pairs", counted_chain_pairs)
+    monkeypatch.setattr(groebner, "_b_filters", counted_b_filters)
+    for spec, want in (
+        ("2:(2,2,2)", (131, 7)),
+        ("3:(2,1)", (458, 21)),
+        ("4:(2)", (707, 68)),
+        ("2:(4,2,1)", (730, 21)),
+        ("2:(2,3,4)", (649, 36)),
+    ):
+        counts.update(lcm=0, b_filters=0)
+        verification_basis(FamilyParams.parse(spec))
+        assert (counts["lcm"], counts["b_filters"]) == want, spec
+
+
+def test_kernel_rejects_unknown_strategy_and_inhomogeneous_input():
+    ideal = build_ideal(FamilyParams(2, (1, 1)))
+    with pytest.raises(ValidationError, match="unknown selection strategy"):
+        buchberger(ideal, strategy="sugar")
+    # IdealPresentation refuses such input, so only a kernel caller's bug
+    # can pass it: an internal error, not invalid input.
+    R = small_ring()
+    pk = groebner._Packing(R.order, R.nvars, 8)
+    with pytest.raises(InternalError, match="not homogeneous"):
+        groebner._buchberger_kernel([{(2, 0): 1, (0, 1): 1}], pk, R.field)
+
+
+def test_hilbert_kernel_base_cases():
+    # No generators: the zero ideal, numerator 1.  A degree-0 generator:
+    # the unit ideal, numerator 0.
+    assert groebner._hilbert_kernel((), {}) == {0: 1}
+    assert groebner._hilbert_kernel(((0, 0),), {}) == {}
+    assert groebner._hilbert_kernel(((0, 0), (1, 0)), {}) == {}
 
 
 def test_basis_from_polynomials_matches_computed():
