@@ -23,7 +23,6 @@ import argparse
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 from .errors import (
@@ -334,6 +333,10 @@ def cmd_sweep(args) -> int:
             for g in range(2, args.max_g + 1):
                 instances.append((g, m, args.verify, args.field, args.pair_limit))
     if args.jobs > 1:
+        # Imported here: the import costs about 12 ms, which every other
+        # command would pay at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_instance, instances))
     else:

@@ -751,7 +751,7 @@ def syzygies(M: PresentationMatrix) -> PresentationMatrix:
         ring.order, ring.nvars, _width(0), components=t + M.source.rank, tagged=t,
         twists=M.target.twists + M.source.twists,
     )
-    basis, _, pk = _widening(lambda pk: _buchberger_kernel(elements, pk, field), pk)
+    basis, _, pk, _ = _widening(lambda pk: _buchberger_kernel(elements, pk, field), pk)
     # A basis vector whose lead is tagged is all tagged: every untagged
     # term comes before every tagged one.
     syz = [b for b in basis if b.lm & pk.cmask >= t]

@@ -377,9 +377,6 @@ class Monomial:
             raise NotDivisibleError(f"{other} does not divide {self}")
         return Monomial(self.table, (a - b for a, b in zip(self.exps, other.exps)))
 
-    def support(self):
-        return tuple(i for i, e in enumerate(self.exps) if e)
-
     def __eq__(self, other):
         return (
             isinstance(other, Monomial)
@@ -590,17 +587,6 @@ class Polynomial:
         if not self.terms:
             return None
         return Monomial(self.ring.table, self.terms[0][0])
-
-    @property
-    def lc(self):
-        if not self.terms:
-            return self.ring.field.zero
-        return self.terms[0][1]
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.lc))
 
     def degree(self) -> int | None:
         if not self.terms:

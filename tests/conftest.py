@@ -41,10 +41,12 @@ def random_poly(ring, rng, max_degree=3, max_terms=4):
 
 
 def random_homogeneous(ring, rng, degree, max_terms=4):
+    """A nonzero form: coefficients from [1, p) over F_p, from [1, 32003) over QQ."""
+    high = ring.field.p if isinstance(ring.field, PrimeField) else P
     monos = monomials_of_degree(ring.nvars, degree)
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
-        terms[rng.choice(monos)] = rng.randrange(1, P)
+        terms[rng.choice(monos)] = rng.randrange(1, high)
     return ring.poly(terms)
 
 

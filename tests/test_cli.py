@@ -156,12 +156,13 @@ def test_negative_pair_limit_exit_2(capsys):
 
 
 def test_jobs_below_one_exit_2(monkeypatch, capsys):
-    import idealfam.cli as cli
+    # cmd_sweep imports the pool class only for --jobs > 1.
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, _, err = run(capsys, "sweep", "--max-g", "2", "--max-n", "1", "--jobs", "0")
     assert code == 2
     assert "--jobs" in err

@@ -159,7 +159,7 @@ def test_module_basis_is_groebner(rng):
         tagged = rng.choice((None, 0))
         pk = groebner._Packing(order, nvars, 8, components=rank, tagged=tagged)
         vectors = _random_module_vectors(rng, nvars, rank)
-        basis, _, pk = groebner._buchberger_kernel(vectors, pk, field)
+        basis, _, pk, _ = groebner._buchberger_kernel(vectors, pk, field)
         reducers = groebner._reducers(basis, pk)
 
         def remainder(terms):
@@ -410,10 +410,10 @@ def test_basis_sizes_pinned():
     # Element and term counts of known bases; any change to the kernel
     # that alters a basis shows up here.
     for spec, want in (
-        ("2:(2,2,2)", (37, 684)),
-        ("4:(2)", (151, 4590)),
-        ("2:(4,2,1)", (164, 24461)),
-        ("2:(2,3,4)", (121, 17575)),
+        ("2:(2,2,2)", (37, 655)),
+        ("4:(2)", (151, 3996)),
+        ("2:(4,2,1)", (164, 21093)),
+        ("2:(2,3,4)", (121, 16890)),
     ):
         assert _size(verification_basis(FamilyParams.parse(spec))) == want, spec
     assert _size(buchberger(build_ideal(FamilyParams.parse("2:(3,1)")))) == (34, 210)
@@ -421,10 +421,11 @@ def test_basis_sizes_pinned():
     assert _size(buchberger(mccullough_ideal(2, 1, 3))) == (6, 10)
     assert _size(buchberger(caviglia_ideal(4, QQ))) == (6, 7)
     # Without tail reduction and interreduction the tails depend on the
-    # order in which pairs are processed.
+    # order in which pairs are processed, and on the criteria: ``normal``
+    # takes the signature route, ``fifo`` Gebauer-Moeller's.
     for spec, normal, fifo in (
-        ("3:(2,1)", (123, 6188), (123, 5876)),
-        ("2:(4,3)", (146, 8391), (146, 8308)),
+        ("3:(2,1)", (123, 5957), (123, 5876)),
+        ("2:(4,3)", (146, 8130), (146, 8308)),
     ):
         params = FamilyParams.parse(spec)
         ideal = build_ideal(params)
@@ -439,35 +440,23 @@ def test_basis_sizes_pinned():
             assert _size(G) == want, (spec, strategy)
 
 
-def test_spolynomial_counts_pinned(monkeypatch):
+def test_spolynomial_counts_pinned():
     # Equal bases can hide a pair criterion that keeps extra pairs which
-    # then reduce to zero; the number of S-polynomials formed shows it.
-    calls = []
-    spoly = groebner._spoly
-
-    def counted(*args):
-        calls.append(None)
-        return spoly(*args)
-
-    monkeypatch.setattr(groebner, "_spoly", counted)
-
-    def count(build):
-        calls.clear()
-        build()
-        return len(calls)
-
+    # then reduce to zero; the number of reductions shows it.  Under
+    # Gebauer-Moeller that is one per S-polynomial formed; the
+    # membership bases take the signature route, one per signature.
     for spec, want in (
-        ("2:(2,2,2)", 75),
-        ("3:(2,1)", 257),
-        ("4:(2)", 333),
-        ("2:(4,2,1)", 365),
-        ("2:(2,3,4)", 372),
+        ("2:(2,2,2)", 42),
+        ("3:(2,1)", 146),
+        ("4:(2)", 182),
+        ("2:(4,2,1)", 241),
+        ("2:(2,3,4)", 165),
     ):
-        assert count(lambda: verification_basis(FamilyParams.parse(spec))) == want, spec
+        assert verification_basis(FamilyParams.parse(spec)).stats["reductions"] == want, spec
     ideal = build_ideal(FamilyParams.parse("2:(3,1)"))
     for strategy, want in (("normal", 162), ("lcm", 162), ("fifo", 169)):
-        assert count(lambda: buchberger(ideal, strategy=strategy)) == want, strategy
-    assert count(lambda: buchberger(caviglia_ideal(5))) == 13
+        assert buchberger(ideal, strategy=strategy).stats["reductions"] == want, strategy
+    assert buchberger(caviglia_ideal(5)).stats["reductions"] == 13
 
 
 def _chain_pairs_reference(G, h, pk, degree_limit=None):
@@ -526,7 +515,7 @@ def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
     assert truncated
     flags = set()
     for G, h, pk, degree_limit in calls:
-        new, above = chain_pairs(G, h, pk, degree_limit)
+        new, above = chain_pairs(G, h, pk, degree_limit)[:2]
         want, want_above = _chain_pairs_reference(G, h, pk, degree_limit)
         assert [(g.idx, lcm) for g, lcm in new] == [(g.idx, lcm) for g, lcm in want]
         assert above == want_above
@@ -535,9 +524,11 @@ def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
 
 
 def test_pair_update_work_pinned(monkeypatch):
-    # Packed lcm calls made inside `_chain_pairs`, and `_b_filters` calls.
-    # The degree pass lcm's only the candidates within the limit, and the
-    # inline divisibility test leaves few live pairs for `_b_filters`.
+    # Packed lcm calls made inside `_chain_pairs`, and `_b_filters` calls,
+    # on Gebauer-Moeller's truncated route (``lcm`` selection: ``normal``
+    # without tail reduction takes the signature route).  The degree pass
+    # lcm's only the candidates within the limit, and the inline
+    # divisibility test leaves few live pairs for `_b_filters`.
     counts = {"lcm": 0, "b_filters": 0}
     chain_pairs, b_filters = groebner._chain_pairs, groebner._b_filters
 
@@ -562,14 +553,141 @@ def test_pair_update_work_pinned(monkeypatch):
     monkeypatch.setattr(groebner, "_b_filters", counted_b_filters)
     for spec, want in (
         ("2:(2,2,2)", (131, 7)),
-        ("3:(2,1)", (458, 21)),
-        ("4:(2)", (707, 68)),
-        ("2:(4,2,1)", (730, 21)),
-        ("2:(2,3,4)", (649, 36)),
+        ("3:(2,1)", (458, 20)),
+        ("4:(2)", (707, 71)),
+        ("2:(4,2,1)", (730, 23)),
+        ("2:(2,3,4)", (649, 38)),
     ):
         counts.update(lcm=0, b_filters=0)
-        verification_basis(FamilyParams.parse(spec))
+        params = FamilyParams.parse(spec)
+        buchberger(
+            build_ideal(params), degree_limit=verification_degree(params), strategy="lcm",
+            tail_reduce=False, interreduce=False,
+        )
         assert (counts["lcm"], counts["b_filters"]) == want, spec
+
+
+VERIFY_SPECS = ("2:(2,2,2)", "3:(2,1)", "4:(2)", "2:(4,3)", "2:(4,2,1)", "2:(2,3,4)")
+
+
+def test_signature_zero_reductions_pinned():
+    # The six bases of the benchmark's verify workload: Gebauer-Moeller
+    # reduced 1,696 S-polynomials there, 975 of them to zero.
+    got = {}
+    for spec in VERIFY_SPECS:
+        stats = verification_basis(FamilyParams.parse(spec)).stats
+        got[spec] = (stats["reductions"], stats["zero_reductions"])
+    assert got == {
+        "2:(2,2,2)": (42, 7),
+        "3:(2,1)": (146, 18),
+        "4:(2)": (182, 0),
+        "2:(4,3)": (187, 4),
+        "2:(4,2,1)": (241, 35),
+        "2:(2,3,4)": (165, 12),
+    }
+    assert sum(zero for _, zero in got.values()) < 100
+
+
+def test_stats_count_each_route():
+    ideal = build_ideal(FamilyParams.parse("2:(2,1)"))
+    gm = buchberger(ideal).stats
+    assert set(gm) == {
+        "pairs", "product", "chain", "b_filter", "reductions", "zero_reductions"
+    }
+    sig = buchberger(ideal, tail_reduce=False).stats
+    assert set(sig) == {
+        "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular",
+        "reductions", "zero_reductions",
+    }
+    for stats in (gm, sig):
+        assert all(isinstance(v, int) and v >= 0 for v in stats.values())
+        assert stats["zero_reductions"] <= stats["reductions"] <= stats["pairs"]
+    # A basis built from polynomials has no kernel counters.
+    assert GroebnerBasis(ideal.ring, buchberger(ideal).elements, reduced=True).stats is None
+
+
+def _leads(basis, limit=None):
+    return sorted(
+        m.exps for m in basis.leading_monomials() if limit is None or m.degree <= limit
+    )
+
+
+def _signature_matches_gebauer_moeller(ideal, limit, polys):
+    # The signature route (normal selection, no tail reduction) against
+    # Gebauer-Moeller's on the same ideal and limit.
+    sig = buchberger(ideal, degree_limit=limit, tail_reduce=False, interreduce=False)
+    gm = buchberger(
+        ideal, degree_limit=limit, strategy="lcm", tail_reduce=False, interreduce=False
+    )
+    assert _leads(sig, limit) == _leads(gm, limit)
+    for p in polys:
+        assert sig.contains(p) == gm.contains(p), p
+    if sig.truncated_at is None:
+        # Complete: a basis four degrees further has no other lead.  (The
+        # full basis of a truncated lex ideal can take minutes.)
+        assert _leads(sig) == _leads(buchberger(ideal, degree_limit=limit + 4))
+    return sig.truncated_at
+
+
+def test_signature_route_matches_gebauer_moeller():
+    # Same lead ideal up to the limit, same membership answers, and a
+    # basis not flagged truncated is complete.
+    for spec in VERIFY_SPECS:
+        params = FamilyParams.parse(spec)
+        ring = build_ideal(params).ring
+        w = ring.from_monomial(socle_witness(params, ring.table))
+        polys = [w] + [ring.variable(i) * w for i in range(ring.nvars)]
+        polys += [ring.from_monomial(m) for m in lemma_targets(params, ring.table)]
+        _signature_matches_gebauer_moeller(
+            build_ideal(params), verification_degree(params), polys
+        )
+
+    # A lex case where a regularity test that compared multipliers across
+    # input positions lost the lead x2*x3^5.
+    R = PolynomialRing(
+        VariableTable.named(("x0", "x1", "x2", "x3", "x4")), PrimeField(32003),
+        MonomialOrder("lex"),
+    )
+    x0, x1, x2, x3, x4 = (R.variable(i) for i in range(5))
+    ideal = _ideal(
+        R,
+        11870 * x1 * x2 + 30847 * x3**2,
+        23951 * x0 * x3 + 8166 * x1**2 + 16286 * x4**2,
+        6067 * x0 * x2 + 2554 * x1**2 + 30360 * x1 * x4 + 14686 * x2 * x4,
+        5390 * x0 * x1 * x2 + 31392 * x1 * x3**2,
+    )
+    basis = buchberger(ideal, tail_reduce=False)
+    assert basis.truncated_at is None
+    assert basis.elements == buchberger(ideal).elements
+    assert (0, 0, 1, 5, 0) in _leads(basis)
+
+    rng = random.Random(2002)
+    outcomes = set()
+    for trial in range(100):
+        nvars = rng.randrange(3, 6)
+        R = PolynomialRing(
+            VariableTable.named(tuple(f"x{i}" for i in range(nvars))),
+            PrimeField(rng.choice((101, 32003))),
+            MonomialOrder(rng.choice(("grevlex", "grlex", "lex"))),
+        )
+        gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(2, 5))]
+        limit = rng.randrange(3, 8)
+        polys = []
+        for _ in range(4):
+            d = rng.randrange(2, limit + 1)
+            p = random_homogeneous(R, rng, d)
+            polys.append(p)
+            g = rng.choice(gens)
+            if d > g.degree():
+                member = random_homogeneous(R, rng, d - g.degree()) * g
+                polys += [member, member + p]
+        ideal = IdealPresentation(R, gens)
+        truncated = _signature_matches_gebauer_moeller(ideal, limit, polys)
+        outcomes.add(truncated is None)
+        # Interreduced, both routes give the unique reduced basis.
+        reduced = buchberger(ideal, degree_limit=limit, tail_reduce=False)
+        assert reduced.elements == buchberger(ideal, degree_limit=limit).elements
+    assert outcomes == {True, False}
 
 
 def test_kernel_rejects_unknown_strategy_and_inhomogeneous_input():
@@ -708,7 +826,7 @@ def test_membership_division_work_pinned():
 
     lowest_degree_first = tests(by_degree)
     in_element_order = tests(basis._gens)
-    assert lowest_degree_first == 6818
+    assert lowest_degree_first == 6475
     assert 100 * lowest_degree_first < in_element_order
 
 

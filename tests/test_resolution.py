@@ -332,7 +332,7 @@ def _generates_within(P, Q):
     pk = groebner._Packing(
         Q.ring.order, Q.ring.nvars, 8, components=Q.target.rank, twists=Q.target.twists
     )
-    basis, _, pk = groebner._buchberger_kernel(_module_vectors(Q), pk, field)
+    basis, _, pk, _ = groebner._buchberger_kernel(_module_vectors(Q), pk, field)
     reducers = groebner._reducers(basis, pk)
     return all(
         not groebner._reduce(pk.pack_terms(v.items()), reducers, pk, field, full=False)[0]
@@ -362,9 +362,9 @@ def test_syzygies_reports_a_non_homogeneous_column_as_a_bug(monkeypatch):
     kernel = resolution._buchberger_kernel
 
     def mixed_degrees(*args, **kwargs):
-        basis, truncated, pk = kernel(*args, **kwargs)
+        basis, truncated, pk, stats = kernel(*args, **kwargs)
         basis[-1].tail += ((pk.pack((0, 0, 1)), R.field.one),)
-        return basis, truncated, pk
+        return basis, truncated, pk, stats
 
     monkeypatch.setattr(resolution, "_buchberger_kernel", mixed_degrees)
     with pytest.raises(InternalError):
