@@ -390,8 +390,11 @@ def membership_basis(
     pure powers form a regular sequence whose Koszul syzygies are then
     known in advance, and on the six bases of the benchmark's ``verify``
     workload the reductions to zero fall from 975 to 76 and the time about
-    halves.  ``pair_limit`` bounds the queued signatures as it bounds the
-    pair queue in :func:`~idealfam.groebner.buchberger`.
+    halves.  Only 2,693 of their 59,295 candidate pairs lie within the
+    truncation degree; a generator whose lead has that degree pairs only
+    with the leads dividing it.  ``pair_limit`` bounds the queued
+    signatures as it bounds the pair queue in
+    :func:`~idealfam.groebner.buchberger`.
     """
     return buchberger(
         ideal,

@@ -34,6 +34,7 @@ are built only when asked for.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from itertools import chain, islice
 
 from .errors import InternalError, ResourceLimitError, ValidationError
@@ -379,16 +380,16 @@ def _chain_pairs(G, h, pk, degree_limit=None):
     lcm(g, h).  A coprime g makes no pair but is kept as a chain witness.
     For module terms only the g in h's lead component take part, and a
     coprime g makes a pair too: the product criterion does not hold there.
-    Returns ``([(g, lcm), ...], any_above_limit, product, chain)``, the
-    last two the numbers of candidates within the limit each criterion
-    dropped.
+    Returns ``([(g, lcm), ...], any_above_limit, product, chain,
+    above)``: ``product`` and ``chain`` count the candidates within the
+    limit each criterion dropped, ``above`` those the degree pass dropped.
     """
     mh = h.lm
     guard = pk.guard
     if pk.module:
         c = mh & pk.cmask
         G = [g for g in G if g.lm & pk.cmask == c]
-    above = False
+    above, candidates = False, len(G)
     if degree_limit is not None:
         G, above = pk.within(mh, G, degree_limit)
     kept, new = [], []
@@ -401,7 +402,7 @@ def _chain_pairs(G, h, pk, degree_limit=None):
                 continue
             new.append((g, lcm))
         kept.append(g)
-    return new, above, len(kept) - len(new), chained
+    return new, above, len(kept) - len(new), chained, candidates - len(G)
 
 
 def _b_filters(x, i, j, lcm, pk):
@@ -455,7 +456,7 @@ class _GebauerMoeller:
     component index, so module callers pass no ``degree_limit``.
     """
 
-    COUNTERS = ("pairs", "product", "chain", "b_filter")
+    COUNTERS = ("pairs", "product", "chain", "b_filter", "above_limit")
 
     def __init__(self, f, pk, field, degree_limit, strategy, stats):
         self.f, self.pk, self.field = f, pk, field
@@ -490,9 +491,10 @@ class _GebauerMoeller:
     def add(self, h):
         pk, pairs, stats = self.pk, self.pairs, self.stats
         G = self.G
-        new, above, product, chained = _chain_pairs(G, h, pk, self.degree_limit)
+        new, above, product, chained, beyond = _chain_pairs(G, h, pk, self.degree_limit)
         stats["product"] += product
         stats["chain"] += chained
+        stats["above_limit"] += beyond
         if above:
             self.above_limit.append((G, h))
         hl, guard, cmask = h.lm, pk.guard, pk.cmask
@@ -580,14 +582,15 @@ class _Signatures:
     degree, then position, then multiplier (a smaller packed int is a
     larger multiplier); every signature compared within one reduction has
     the reduction's degree, so position first and multiplier second
-    decide.  Every generator carries its signature in ``sig``, and every
-    generator, lead-minimal or not, makes pairs.  The S-polynomial of g
-    and h with lcm L has the larger of ``(L / lead g) sig g`` and
-    ``(L / lead h) sig h``; the queue holds each such signature once,
-    smallest first (Faugere, "A new efficient algorithm for computing
-    Groebner bases without reduction to zero (F5)", ISSAC 2002; Gao,
-    Volny and Wang, "A new framework for computing Groebner bases", Math.
-    Comp. 85, 2016).
+    decide.  Every generator carries its signature in ``sig``.  A new
+    generator h, lead-minimal or not, pairs with each earlier generator
+    whose lead's lcm with h's lies within ``degree_limit`` (`_within`).
+    The S-polynomial of g and h with lcm L has the larger of
+    ``(L / lead g) sig g`` and ``(L / lead h) sig h``; the queue holds
+    each such signature once, smallest first (Faugere, "A new efficient
+    algorithm for computing Groebner bases without reduction to zero
+    (F5)", ISSAC 2002; Gao, Volny and Wang, "A new framework for computing
+    Groebner bases", Math. Comp. 85, 2016).
 
     A signature goes, uncomputed, when (the first two are tested when
     its pair is made, the last two at its turn)
@@ -600,22 +603,29 @@ class _Signatures:
       - it is divisible by the signature of an earlier reduction to zero
         (``syzygy``).
     Otherwise (GVW) the multiple ``(t / s) g`` of smallest lead among the
-    generators g whose signature s divides ``(k, t)`` is top-reduced by
-    regular reducers only, r with ``(m / lead r) sig r`` below ``(k,
-    t)``.  A zero result records a syzygy.  A result with lead m is dropped
-    when some ``(m / lead r) r`` has its signature (``singular``), for
-    that multiple already stands for it.  Otherwise it becomes a
-    generator of that signature.
+    generators g whose signature s divides ``(k, t)``, the first of equal
+    leads, is top-reduced by regular reducers only, r with ``(m / lead r)
+    sig r`` below ``(k, t)``.  That lead is t times ``lead g / s``, so
+    each position keeps its generators sorted by that ratio, and the first
+    whose signature divides ``(k, t)`` is the one (`_pick`).  A zero
+    result records a syzygy.  A result with lead m is dropped when some
+    ``(m / lead r) r`` has its signature (``singular``), for that multiple
+    already stands for it.  Otherwise it becomes a generator of that
+    signature.
 
-    Signatures of degree above ``degree_limit`` are never queued.
-    ``truncated`` is true when one of them, left out when its h arrived,
-    is neither singular nor divisible by a Koszul or syzygy signature of
-    the finished run: the pairs above the limit are replayed, latest h
-    first, until one such pair is found.  When none is, the basis is
-    complete.
+    Signatures of degree above ``degree_limit`` are never queued: a lead
+    of the limit's degree pairs only with the leads that divide it, and a
+    lead above the limit with none (``above_limit`` counts the candidates
+    left out).  ``truncated`` is true when one of them, left out when its
+    h arrived, is neither singular nor divisible by a Koszul or syzygy
+    signature of the finished run: the pairs above the limit are replayed,
+    latest h first, until one such pair is found.  When none is, the
+    basis is complete.
     """
 
-    COUNTERS = ("pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular")
+    COUNTERS = (
+        "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular", "above_limit"
+    )
 
     def __init__(self, f, pk, field, degree_limit, strategy, stats):
         self.f, self.pk, self.field = f, pk, field
@@ -623,9 +633,10 @@ class _Signatures:
         positions = range(len(f))
         for k in positions:
             f[k].sig = (k, 0)
-        # Per position: its generators; the leads of the generators of
-        # lower position; the multipliers of its reductions to zero.
-        self.same = [[] for _ in positions]
+        # Per position: ``(t - lead, idx, g)`` of its generators g of
+        # signature (k, t), sorted; the leads of the generators of lower
+        # position; the multipliers of its reductions to zero.
+        self.ranked = [[] for _ in positions]
         self.koszul = [[] for _ in positions]
         self.syz = [[] for _ in positions]
         # (k, t - lead) of each generator of signature (k, t).
@@ -641,18 +652,17 @@ class _Signatures:
     def add(self, h):
         pk, stats, seen = self.pk, self.stats, self.seen
         k, t = h.sig
-        self.same[k].append(h)
-        self.by_ratio.setdefault((k, t - h.lm), []).append(h)
+        ratio = t - h.lm
+        insort(self.ranked[k], (ratio, h.idx, h))
+        self.by_ratio.setdefault((k, ratio), []).append(h)
         for leads in self.koszul[k + 1 :]:
             leads.append(h.lm)
-        earlier = self.f[: h.idx]
-        if self.degree_limit is not None:
-            within, _ = pk.within(h.lm, earlier, self.degree_limit)
-            if len(within) < len(earlier):
-                self.above_limit.append(h)
-            earlier = within
+        within, dropped = self._within(h)
+        if dropped:
+            self.above_limit.append(h)
+            stats["above_limit"] += dropped
         deg, maxdeg = pk.deg, pk.maxdeg
-        for g in earlier:
+        for g in within:
             lcm = pk.lcm(h.lm, g.lm)
             d = deg(lcm)
             if d > maxdeg:
@@ -666,6 +676,26 @@ class _Signatures:
                 seen.add(sig)
                 stats["pairs"] += 1
                 heapq.heappush(self.heap, (d, sig[0], -sig[1]))
+
+    def _within(self, h):
+        """The generators before h whose lead's lcm with h's lies within
+        the limit, in order, and the number of the others."""
+        earlier = self.f[: h.idx]
+        limit = self.degree_limit
+        if limit is None:
+            return earlier, 0
+        # A lead of degree ``limit`` has an lcm within it only with the
+        # leads that divide it; a lead above has none.
+        pk = self.pk
+        top = pk.deg(h.lm) - limit
+        if top < 0:
+            within, _ = pk.within(h.lm, earlier, limit)
+        elif top == 0:
+            hl, guard = h.lm, pk.guard
+            within = [g for g in earlier if not (hl - g.lm) & guard]
+        else:
+            within = []
+        return within, len(earlier) - len(within)
 
     @staticmethod
     def _signature(g, h, lcm):
@@ -695,14 +725,9 @@ class _Signatures:
         if killed:
             self.stats[killed] += 1
             return None
-        guard = self.pk.guard
-        best, lead = None, None
-        for g in self.same[k]:
-            u = t - g.sig[1]
-            if not u & guard and (best is None or g.lm + u > lead):
-                best, lead, shift = g, g.lm + u, u
-        terms = {e + shift: c for e, c in best.tail}
-        terms[lead] = self.field.one
+        g, shift = self._pick(k, t)
+        terms = {e + shift: c for e, c in g.tail}
+        terms[g.lm + shift] = self.field.one
         self.current = (k, t)
 
         def regular(red, s):
@@ -711,6 +736,18 @@ class _Signatures:
 
         f = self.f
         return terms, lambda m: f, regular
+
+    def _pick(self, k, t):
+        """The generator g of signature s dividing ``(k, t)`` whose multiple
+        ``(t - s) g`` has the smallest lead, the first of equal leads, and
+        its shift ``t - s``."""
+        # That lead is ``t - ratio``, so the first g in rank is the one.
+        guard = self.pk.guard
+        for _, _, g in self.ranked[k]:
+            shift = t - g.sig[1]
+            if not shift & guard:
+                return g, shift
+        raise InternalError(f"no generator's signature divides the queued ({k}, {t})")
 
     def done(self, r):
         """Record the last signature taken as a syzygy when ``r`` is zero,
@@ -781,11 +818,14 @@ def _buchberger_kernel(
     (`_GebauerMoeller`).  On the six family bases of the benchmark's
     ``verify`` workload the signatures cut the reductions from 1,696 to
     963, those to zero from 975 to 76 and the division steps from 91,288
-    to 19,227, and halve the time.  With tail reduction, where every term
-    may only be divided by regular reducers, they lost: a random dense
-    5-variable grlex ideal at degree limit 18 took 1.2 -> 24.6 s, and the
-    eight ``resolve`` bases gained nothing (0.08-0.09 s either way), so
-    full remainders keep Gebauer-Moeller.  Both select by minimal lcm
+    to 19,227, and halve the time.  There, 2,693 of 59,295 candidate
+    pairs lie within the limit; 47,815 candidates come from leads of the
+    limit's degree, which pair only with their divisors, and the 963
+    picks scan 34,517 ranked generators.  With tail reduction, where
+    every term may only be divided by regular reducers, they lost: a
+    random dense 5-variable grlex ideal at degree limit 18 took 1.2 ->
+    24.6 s, and the eight ``resolve`` bases gained nothing (0.08-0.09 s
+    either way), so full remainders keep Gebauer-Moeller.  Both select by minimal lcm
     degree under ``normal``; the input is homogeneous, so that is the
     sugar strategy, and records keep no sugar.  ``pair_limit`` bounds the
     queued pairs or signatures, and ``truncated`` is true when one above
@@ -794,8 +834,9 @@ def _buchberger_kernel(
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
     notice but is cheaper on large inputs.  ``stats`` counts the
-    reductions, those to zero, and the pairs or signatures queued and
-    dropped by each criterion (the route's ``COUNTERS``).
+    reductions, those to zero, the pairs or signatures queued and dropped
+    by each criterion, and the candidates above ``degree_limit`` (the
+    route's ``COUNTERS``).
     """
     if strategy not in _STRATEGIES:
         raise ValidationError(f"unknown selection strategy {strategy!r}")

@@ -592,18 +592,134 @@ def test_stats_count_each_route():
     ideal = build_ideal(FamilyParams.parse("2:(2,1)"))
     gm = buchberger(ideal).stats
     assert set(gm) == {
-        "pairs", "product", "chain", "b_filter", "reductions", "zero_reductions"
+        "pairs", "product", "chain", "b_filter", "above_limit", "reductions",
+        "zero_reductions",
     }
     sig = buchberger(ideal, tail_reduce=False).stats
     assert set(sig) == {
         "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular",
-        "reductions", "zero_reductions",
+        "above_limit", "reductions", "zero_reductions",
     }
     for stats in (gm, sig):
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
         assert stats["zero_reductions"] <= stats["reductions"] <= stats["pairs"]
+    # Without a limit the degree pass drops nothing; with one, on both.
+    assert gm["above_limit"] == sig["above_limit"] == 0
+    for tail_reduce in (True, False):
+        assert buchberger(ideal, degree_limit=4, tail_reduce=tail_reduce).stats["above_limit"] > 0
     # A basis built from polynomials has no kernel counters.
     assert GroebnerBasis(ideal.ring, buchberger(ideal).elements, reduced=True).stats is None
+
+
+def test_signature_above_limit_pinned():
+    # Candidates the degree pass dropped over the six verify bases: most
+    # come from generators whose lead has the limit's degree.
+    got = {
+        spec: verification_basis(FamilyParams.parse(spec)).stats["above_limit"]
+        for spec in VERIFY_SPECS
+    }
+    assert got == {
+        "2:(2,2,2)": 571,
+        "3:(2,1)": 7661,
+        "4:(2)": 15092,
+        "2:(4,3)": 10879,
+        "2:(4,2,1)": 15668,
+        "2:(2,3,4)": 6731,
+    }
+    assert sum(got.values()) == 56602
+
+
+def _signature_corpus():
+    # The six verify bases and 120 seeded random truncated ideals in 3-5
+    # variables over F_101 and F_32003, under three orders at limits 3-7;
+    # one input of each random ideal has the limit's degree or one more.
+    for spec in VERIFY_SPECS:
+        verification_basis(FamilyParams.parse(spec))
+    rng = random.Random(2012)
+    for _ in range(120):
+        nvars = rng.randrange(3, 6)
+        R = PolynomialRing(
+            VariableTable.named(tuple(f"x{i}" for i in range(nvars))),
+            PrimeField(rng.choice((101, 32003))),
+            MonomialOrder(rng.choice(("grevlex", "grlex", "lex"))),
+        )
+        limit = rng.randrange(3, 8)
+        degrees = [rng.randrange(2, 4) for _ in range(rng.randrange(1, 4))]
+        degrees.append(limit + rng.randrange(2))
+        ideal = IdealPresentation(R, [random_homogeneous(R, rng, d) for d in degrees])
+        buchberger(ideal, degree_limit=limit, tail_reduce=False, interreduce=False)
+
+
+def test_signature_candidates_match_degree_pass(monkeypatch):
+    # Every `_Signatures.add` of the corpus keeps the candidates that
+    # `_Packing.within` keeps from all earlier generators, in order, and
+    # records h as above the limit exactly when that pass drops one.
+    # Leads of the limit's degree take a divisor test instead.
+    add = groebner._Signatures.add
+    tops = set()
+
+    def checked(crit, h):
+        before = crit.stats["above_limit"]
+        add(crit, h)
+        pk, earlier = crit.pk, crit.f[: h.idx]
+        want = pk.within(h.lm, earlier, crit.degree_limit)[0]
+        got, _ = crit._within(h)
+        assert [g.idx for g in got] == [g.idx for g in want]
+        dropped = len(earlier) - len(want)
+        assert (bool(crit.above_limit) and crit.above_limit[-1] is h) == (dropped > 0)
+        assert crit.stats["above_limit"] - before == dropped
+        top = pk.deg(h.lm) - crit.degree_limit
+        tops.add((max(-1, min(top, 1)), 0 < len(want) < len(earlier)))
+
+    monkeypatch.setattr(groebner._Signatures, "add", checked)
+    _signature_corpus()
+    # Leads below, at and above the limit's degree; at it, some with
+    # candidates both kept and dropped.
+    assert {top for top, _ in tops} == {-1, 0, 1}
+    assert (0, True) in tops
+
+
+def test_signature_pick_matches_linear_scan(monkeypatch):
+    # Every pick of the corpus equals a scan of the position's generators
+    # in index order: of those whose signature s divides (k, t), the one
+    # whose multiple ``(t - s) g`` has the smallest lead (the largest
+    # packed int), the first of equal leads.
+    pick = groebner._Signatures._pick
+    counts = {"picks": 0, "ties": 0}
+
+    def checked(crit, k, t):
+        g, shift = pick(crit, k, t)
+        guard = crit.pk.guard
+        leads = [
+            (x.lm + t - x.sig[1], x)
+            for x in crit.f
+            if x.sig[0] == k and not (t - x.sig[1]) & guard
+        ]
+        best = None
+        for lead, x in leads:
+            if best is None or lead > best[0]:
+                best = (lead, x)
+        assert (g.idx, shift) == (best[1].idx, t - best[1].sig[1])
+        counts["picks"] += 1
+        counts["ties"] += sum(lead == best[0] for lead, _ in leads) > 1
+        return g, shift
+
+    monkeypatch.setattr(groebner._Signatures, "_pick", checked)
+    _signature_corpus()
+    assert counts["picks"] > 1000
+    assert counts["ties"] > 0
+
+
+def test_signature_take_without_divisor_is_internal_error(monkeypatch):
+    # Every queued signature has a generator whose signature divides it
+    # (input k has (k, 0)); a corrupted one is a bug, reported as such.
+    # The multiplier -1 sets every guard bit, so no monomial divides it.
+    take = groebner._Signatures.take
+    monkeypatch.setattr(
+        groebner._Signatures, "take", lambda crit, key: take(crit, (key[0], key[1], 1))
+    )
+    with pytest.raises(InternalError, match="no generator's signature divides"):
+        verification_basis(FamilyParams.parse("2:(2,1)"))
 
 
 def _leads(basis, limit=None):
