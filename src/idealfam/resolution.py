@@ -9,9 +9,11 @@ and the chain continues by plain division, no basis completion needed.
 Module vectors are the groebner kernel's records, divided by its
 `_reduce`: each term is one packed int of its Schreyer-shifted monomial
 and its component, whose order is the induced order, and a generator's
-twist is its lead's degree.  `syzygies` of an arbitrary presentation
-matrix runs the groebner module's one Buchberger loop,
-`_buchberger_kernel`, on module vectors.  The tower's packed records
+twist is its lead's degree.  S-vectors and reducers keep only the tail
+terms in components holding a lead of the level; no other term is ever
+divided, so the quotients are the full records'.  `syzygies` of an
+arbitrary presentation matrix runs the groebner module's one Buchberger
+loop, `_buchberger_kernel`, on module vectors.  The tower's packed records
 are the chain a resolution keeps; exponent tuples are made on demand.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
@@ -128,11 +130,22 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     level has its twist's degree, so twists within ``pk``'s bound keep
     every exponent in its field; a larger one raises `_Overflow`.
 
-    Returns ``(twists, levels, truncated)``: ``twists[i]`` maps each
+    S-vectors and reducers use copies of the level's records that keep
+    only the tail terms in live components, those holding a lead of the
+    level; a record that loses no term is reused.  Division buckets by
+    component, so a term in a dead component is never divided: it gives
+    no quotient and cancels, the full S-vector reducing to zero.  So every
+    quotient, tail, scalar and twist is the full records', and the zero
+    check covers the live part.  The stored records keep every term.
+
+    Returns ``(twists, levels, truncated, stats)``: ``twists[i]`` maps each
     level-i id, its position, to its twist, and ``levels[i - 1]`` is
     ``(cw, records, scalars)``: level i's records with components in the
     low ``cw`` bits, and ``(id, {row: coeff})`` for each record with
-    constant entries, the terms equal to their row's shifted lead.  Past
+    constant entries, the terms equal to their row's shifted lead.
+    ``stats`` sums over the levels that reduce: ``pairs`` reduced,
+    ``steps`` (quotients), ``stored_terms`` (the records' tail terms) and
+    ``live_terms`` (those the S-vectors and reducers keep).  Past
     ``level_cap`` the `ResourceLimitError` carries the levels so far as
     ``partial``, in `_columns`' ``(twists, cols)`` layout.
     """
@@ -148,6 +161,7 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     levels = [(lvl.cw, basis, [(b.idx, {0: one}) for b in basis if not b.lm])]
 
     truncated = False
+    stats = dict.fromkeys(("pairs", "steps", "stored_terms", "live_terms"), 0)
 
     while True:
         twist = twists[-1]
@@ -172,6 +186,19 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
         if top > pk.maxdeg:
             raise _Overflow(top)
 
+        # The S-vectors' and reducers' copies: live tail terms only.
+        cw, cmask = lvl.cw, lvl.cmask
+        live = {b.lm & cmask for b in basis}
+        work = basis
+        if len(live) < lvl.components:
+            work = []
+            for b in basis:
+                tail = tuple([t for t in b.tail if t[0] & cmask in live])
+                work.append(b if len(tail) == len(b.tail) else _Gen(b.lm, tail, b.idx))
+        stats["pairs"] += len(pairs)
+        stats["stored_terms"] += sum(len(b.tail) for b in basis)
+        stats["live_terms"] += sum(len(b.tail) for b in work)
+
         # The S-vector of (j, i) is minus that of (i, j), so its quotients
         # are the syzygy's coefficients.  A quotient q e_k is stored as q lm_k,
         # the divided term's monomial, in component k; it is below the lcm,
@@ -179,20 +206,20 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
         # constant when that monomial is lm_k; the pair's are when one lead
         # divides the other, as in a basis that is not reduced.
         nxt = pk.with_components(len(basis))
-        cw, cw2 = lvl.cw, nxt.cw
-        reducers = _reducers(basis, lvl)
+        cw2 = nxt.cw
+        reducers = _reducers(work, lvl)
         lms = [b.lm for b in basis]
         new_basis = []
         new_twists = {}
         scalars = []
         for (i, j, mij) in pairs:
-            bi, bj = basis[i], basis[j]
             rem, quot = _reduce(
-                _spoly(bj, bi, lvl, field), reducers, lvl, field, full=False, track=True
+                _spoly(work[j], work[i], lvl, field), reducers, lvl, field, full=False, track=True
             )
             if rem:
                 raise InternalError("an S-vector failed to reduce to zero")
-            lcm = bi.lm + (mij << cw)
+            stats["steps"] += len(quot)
+            lcm = lms[i] + (mij << cw)
             terms = [(lcm, j, neg_one), *quot]
             tail = tuple([(((m >> cw) << cw2) + r, c) for m, r, c in terms])
             k = len(new_basis)
@@ -207,7 +234,7 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
         basis = new_basis
         lvl = nxt
 
-    return twists, levels, truncated
+    return twists, levels, truncated, stats
 
 
 def _columns(levels, pk, one):
@@ -556,7 +583,8 @@ class FreeResolution:
     """
 
     __slots__ = (
-        "ring", "minimal", "truncated_at", "_twists", "_packed", "_cols", "_matrices", "_source"
+        "ring", "minimal", "truncated_at", "stats", "_twists", "_packed", "_cols",
+        "_matrices", "_source",
     )
 
     def __init__(self, ring, twists, packed, *, minimal, truncated_at=None):
@@ -568,6 +596,7 @@ class FreeResolution:
         self.truncated_at = truncated_at
         self._matrices = None
         self._source = None      # the resolution a lazy minimalization came from
+        self.stats = None        # the Schreyer tower's counters, see `schreyer_resolution`
 
     def _chain(self):
         """The ``(twists, cols)`` tuple layout, built on first use.
@@ -663,6 +692,7 @@ class FreeResolution:
         """
         out = FreeResolution(self.ring, None, None, minimal=True, truncated_at=self.truncated_at)
         out._source = self
+        out.stats = self.stats
         return out
 
     def __repr__(self):
@@ -672,7 +702,8 @@ class FreeResolution:
 
 
 def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeResolution:
-    """Non-minimal free resolution built from iterated syzygy bases."""
+    """Non-minimal free resolution built from iterated syzygy bases; its
+    ``stats``, shared by its minimalization, are `_schreyer_tower`'s."""
     if isinstance(source, GroebnerBasis):
         gb = source
     elif isinstance(source, IdealPresentation):
@@ -680,7 +711,7 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     else:
         raise ValidationError("expected an IdealPresentation or GroebnerBasis")
     ring = gb.ring
-    pk, (twists, levels, truncated) = _widening(
+    pk, (twists, levels, truncated, stats) = _widening(
         lambda pk: (pk, _schreyer_tower(
             pk.convert(gb._gens, gb._pk), pk, ring.field,
             degree_limit=degree_limit, level_cap=level_cap,
@@ -690,7 +721,9 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     truncated_at = (
         degree_limit if (truncated or gb.truncated_at is not None) else None
     )
-    return FreeResolution(ring, twists, (pk, levels), minimal=False, truncated_at=truncated_at)
+    res = FreeResolution(ring, twists, (pk, levels), minimal=False, truncated_at=truncated_at)
+    res.stats = stats
+    return res
 
 
 def minimal_free_resolution(ideal, *, degree_limit=None, level_cap=None) -> FreeResolution:

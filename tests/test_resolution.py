@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import warnings
@@ -533,6 +534,23 @@ CHAIN_DIGESTS = {
         9,
         "40b209d0bff5c1a69ac7e3a1147f14041b554e030cbe5a9f7caaf14ee4ebfaf5",
     ),
+    # The resolve workload's three large chains, measured while S-vectors
+    # and reducers still kept the terms in components without a lead.
+    "2:(3,1)": (
+        _family("2:(3,1)"),
+        None,
+        "e2e67083b1bfaa6b14456d284f5ff8fc73dace372035dff60dc6cfb5e2018ee4",
+    ),
+    "2:(2,1,2)": (
+        _family("2:(2,1,2)"),
+        None,
+        "bfdeea04d50e7d0262080824e34781b77c7dadebb6384f9f0efa9e005deef580",
+    ),
+    "mccullough(3,1,3)": (
+        lambda: mccullough_ideal(3, 1, 3),
+        None,
+        "a6450306d441d9c103aeb9eb43c97c3aba988295f512c3fcce7366fb7466d0a7",
+    ),
 }
 
 
@@ -663,6 +681,203 @@ def test_packed_constant_ranks_match_tuple_columns(name, field, order, limited):
     packed = resolution._constant_ranks(res._twists, res._packed[1], res.ring.field)
     oracle = _tuple_constant_ranks(*res._chain(), res.ring.field, res.ring.nvars)
     assert packed and packed == oracle
+
+
+# ------------------------------------------- live components: the reference route
+
+def _reference_tower(gens, pk, field, degree_limit=None):
+    """The tower's level loop on full records: its S-vectors and reducers
+    keep the tail terms in components that hold none of the level's leads.
+
+    Asserts that every full S-vector reduces to zero, which checks the
+    cancellation of the terms `_schreyer_tower` leaves out.  Returns
+    ``(twists, levels)`` in the tower's layout.
+    """
+    one = field.one
+    neg_one = field.neg(one)
+    lvl = pk.with_components(1)
+    basis = [groebner._Gen(g.lm, g.tail, i) for i, g in enumerate(gens)]
+    twists = [{0: 0}, {b.idx: pk.deg(b.lm) for b in basis}]
+    levels = [(lvl.cw, basis, [(b.idx, {0: one}) for b in basis if not b.lm])]
+    while True:
+        twist = twists[-1]
+        pairs = [
+            (i, j, mij)
+            for i, j, mij in resolution._retained_pairs(basis, lvl, pk)
+            if degree_limit is None or pk.deg(mij) + twist[i] <= degree_limit
+        ]
+        if not pairs:
+            return twists, levels
+        pairs.sort(key=lambda t: (t[0], t[2], t[1]))
+        nxt = pk.with_components(len(basis))
+        cw, cw2 = lvl.cw, nxt.cw
+        reducers = groebner._reducers(basis, lvl)
+        lms = [b.lm for b in basis]
+        new_basis, new_twists, scalars = [], {}, []
+        for i, j, mij in pairs:
+            spoly = groebner._spoly(basis[j], basis[i], lvl, field)
+            rem, quot = groebner._reduce(spoly, reducers, lvl, field, full=False, track=True)
+            assert not rem, "a full S-vector failed to reduce to zero"
+            lcm = lms[i] + (mij << cw)
+            terms = [(lcm, j, neg_one), *quot]
+            tail = tuple((((m >> cw) << cw2) + r, c) for m, r, c in terms)
+            k = len(new_basis)
+            new_basis.append(groebner._Gen(((lcm >> cw) << cw2) + i, tail, k))
+            new_twists[k] = twist[i] + pk.deg(mij)
+            units = {r: c for m, r, c in [(lcm, i, one), *terms] if m == lms[r]}
+            if units:
+                scalars.append((k, units))
+        twists.append(new_twists)
+        levels.append((cw2, new_basis, scalars))
+        basis = new_basis
+        lvl = nxt
+
+
+def _records(levels):
+    return [
+        (cw, [(g.lm, g.tail, g.idx) for g in records], scalars)
+        for cw, records, scalars in levels
+    ]
+
+
+def _oracle_ideal(name, field, order):
+    make, limit = ORACLE_IDEALS[name]
+    ideal = make(ORACLE_FIELDS[field], None)
+    if order == "permuted":
+        ideal = make(ORACLE_FIELDS[field], _permuted_grevlex(ideal.ring.nvars))
+    elif order == "lex":
+        ideal = make(ORACLE_FIELDS[field], MonomialOrder("lex"))
+    return ideal, limit
+
+
+# The eight bases of the benchmark's resolve workload, over F_32003.
+RESOLVE_BASES = {
+    "2:(3,1)": _family("2:(3,1)"),
+    "2:(2,1,2)": _family("2:(2,1,2)"),
+    "mccullough(3,1,3)": lambda: mccullough_ideal(3, 1, 3),
+    **{f"caviglia({d})": (lambda d=d: caviglia_ideal(d)) for d in range(3, 8)},
+}
+
+
+@functools.cache
+def _resolve_base(name):
+    gb = buchberger(RESOLVE_BASES[name]())
+    return gb, schreyer_resolution(gb)
+
+
+def _assert_matches_reference(gb, res, degree_limit=None):
+    pk, levels = res._packed
+    twists, ref_levels = _reference_tower(
+        pk.convert(gb._gens, gb._pk), pk, res.ring.field, degree_limit
+    )
+    assert res._twists == twists
+    assert _records(levels) == _records(ref_levels)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("oracle",) + c for c in ORACLE_CASES] + [("resolve", name) for name in RESOLVE_BASES],
+    ids=lambda c: "-".join(map(str, c)),
+)
+def test_tower_matches_reference_route(case):
+    # Leaving out the terms in components without a lead of the level
+    # changes no quotient: every twist, record and scalar is the same.
+    if case[0] == "resolve":
+        gb, res = _resolve_base(case[1])
+        limit = None
+    else:
+        ideal, limit = _oracle_ideal(*case[1:4])
+        limit = limit if case[4] else None
+        gb = buchberger(ideal, degree_limit=limit)
+        res = schreyer_resolution(gb, degree_limit=limit)
+    _assert_matches_reference(gb, res, limit)
+
+
+def _level_work(res):
+    """The tower's counters recomputed from its stored levels."""
+    levels = res._packed[1]
+    reduced = levels[:-1]
+    stored = live = 0
+    for cw, records, _ in reduced:
+        cmask = (1 << cw) - 1
+        leads = {g.lm & cmask for g in records}
+        stored += sum(len(g.tail) for g in records)
+        live += sum(t & cmask in leads for g in records for t, _ in g.tail)
+    made = [g for _, records, _ in levels[1:] for g in records]
+    # A record's tail is the pair's second term and one term per quotient.
+    steps = sum(len(g.tail) - 1 for g in made)
+    return {"pairs": len(made), "steps": steps, "stored_terms": stored, "live_terms": live}
+
+
+TOWER_WORK = {
+    # pairs, steps, stored_terms, live_terms
+    "2:(3,1)": (2085, 22417, 24670, 13529),
+    "2:(2,1,2)": (3744, 27169, 31320, 17468),
+    "mccullough(3,1,3)": (3603, 22318, 25919, 15417),
+    "caviglia(3)": (18, 20, 32, 16),
+    "caviglia(4)": (25, 29, 44, 24),
+    "caviglia(5)": (32, 38, 56, 32),
+    "caviglia(6)": (39, 47, 68, 40),
+    "caviglia(7)": (46, 56, 80, 48),
+}
+
+
+def test_tower_work_pinned():
+    # The retained pairs and the quotients are those of the full route;
+    # the S-vectors and reducers see 46,574 of the 82,189 stored tail terms.
+    keys = ("pairs", "steps", "stored_terms", "live_terms")
+    total = dict.fromkeys(keys, 0)
+    for name, want in TOWER_WORK.items():
+        res = _resolve_base(name)[1]
+        assert res.stats == dict(zip(keys, want)) == _level_work(res), name
+        assert res.minimalize().stats is res.stats
+        for key in keys:
+            total[key] += res.stats[key]
+    assert total == {
+        "pairs": 9592, "steps": 72094, "stored_terms": 82189, "live_terms": 46574
+    }
+
+
+def _corrupt_level_two(monkeypatch, live):
+    """Double the coefficient of the first level-2 tail term that lies in a
+    live component (or in a dead one), as the tower starts that level."""
+    retained = resolution._retained_pairs
+    seen = []
+
+    def corrupting(basis, lvl, pk):
+        seen.append(lvl)
+        if len(seen) == 2:
+            leads = {b.lm & lvl.cmask for b in basis}
+            b, n = next(
+                (b, n) for b in basis for n, (t, _) in enumerate(b.tail)
+                if (t & lvl.cmask in leads) == live
+            )
+            t, c = b.tail[n]
+            b.tail = b.tail[:n] + ((t, c * 2 % 32003),) + b.tail[n + 1 :]
+        return retained(basis, lvl, pk)
+
+    monkeypatch.setattr(resolution, "_retained_pairs", corrupting)
+
+
+def test_corrupted_live_tail_fails_the_zero_check(monkeypatch):
+    # A level-2 record with one wrong live coefficient is no syzygy, and
+    # the S-vectors through it no longer reduce to zero.
+    _corrupt_level_two(monkeypatch, live=True)
+    with pytest.raises(InternalError, match="an S-vector failed to reduce to zero"):
+        schreyer_resolution(_family("2:(1,1)")())
+
+
+def test_corrupted_dead_tail_is_caught_by_the_reference(monkeypatch):
+    # A wrong coefficient in a component without a lead of the level is
+    # left out of every S-vector and reducer, so the tower's zero check
+    # cannot see it; the reference route's full S-vectors do.
+    gb = buchberger(_family("2:(2,1)")())
+    _corrupt_level_two(monkeypatch, live=False)
+    res = schreyer_resolution(gb)
+    monkeypatch.undo()
+    _corrupt_level_two(monkeypatch, live=False)
+    with pytest.raises(AssertionError, match="a full S-vector failed to reduce to zero"):
+        _assert_matches_reference(gb, res)
 
 
 @pytest.mark.parametrize("elements", ["xy, x", "x, xy", "1, x", "1"])
