@@ -19,11 +19,11 @@ Moeller's (`_GebauerMoeller`) act on leading terms; for modules they
 compare leads only within one component and use no product criterion.
 Signature criteria (`_Signatures`, after F5 and GVW) also use the
 syzygies the input is known to have, reduce once per signature and only
-the top term.  The kernel takes them for an ideal under ``normal``
-selection without tail reduction, the membership bases: on the family
-ideals most Gebauer-Moeller reductions end in zero, and signatures
-remove nearly all of them.  Full remainders keep Gebauer-Moeller, which
-measured faster there (see `_buchberger_kernel`).
+the top term.  The kernel takes them for an ideal without tail
+reduction, the membership bases: on the family ideals most
+Gebauer-Moeller reductions end in zero, and signatures remove nearly
+all of them.  Full remainders keep Gebauer-Moeller, which measured
+faster there (see `_buchberger_kernel`).
 
 A :class:`GroebnerBasis` keeps the kernel's records as its one stored
 form: membership, normal forms, leading monomials and Hilbert numerators
@@ -42,8 +42,6 @@ from .ring import Monomial, MonomialOrder, Polynomial, PolynomialRing, PrimeFiel
 from .ring import _signed_sum, _term_text, format_monomial
 
 DEFAULT_PAIR_LIMIT = 1_000_000
-
-_STRATEGIES = ("normal", "lcm", "fifo")
 
 # The narrowest exponent field: computations whose degrees are not known
 # up front then seldom outgrow their fields and rerun wider.
@@ -424,11 +422,10 @@ class _GebauerMoeller:
     (`_chain_pairs`), and the B-filter drops an old pair (i, j) when
     lead(h) divides lcm(i, j) and that lcm differs from both lcm(i, h) and
     lcm(j, h) (`_b_filters`).  Each pair's lcm is computed once, when the
-    pair is made, and stored with the pair.  Pairs are selected by minimal
-    lcm degree (``normal``), smallest lcm in the monomial order first
-    (``lcm``), or in creation order (``fifo``); a pair yields its
-    S-polynomial, divided by the current lead-minimal generators G in
-    list order.
+    pair is made, and stored with the pair.  Pairs are selected by least
+    lcm degree, then smallest lcm in the monomial order, then pair; a
+    pair yields its S-polynomial, divided by the current lead-minimal
+    generators G in list order.
 
     A pair whose lcm degree exceeds ``degree_limit`` never yields a
     generator.  The degree pass of `_chain_pairs` drops it first, so it is
@@ -439,51 +436,33 @@ class _GebauerMoeller:
 
     ``truncated`` is true exactly when a run that also queued the pairs
     above the limit would select one of them while it is live: the pair
-    passed the chain test when its h arrived, and no generator that
-    arrived before its turn B-filtered it.  A generator made after that
-    pair arrived before its turn when the pair that made the generator has
-    the smaller selection key and was itself made before that turn.  Under
-    ``normal`` selection, or ``lcm`` in a degree-compatible order, every
-    pair within the limit is selected before every pair above it, so every
-    later generator counts.  When the queue is empty, the chain test is
-    replayed over the recorded ``(G, h)`` of each h that had candidates
-    above the limit, latest h first, until one such pair is found.
+    passed the chain test when its h arrived, and no later generator
+    B-filtered it.  Every pair within the limit is selected before every
+    pair above it, so every generator made after h arrived before that
+    pair's turn.  When the queue is empty, the chain test is replayed over
+    the recorded ``(G, h)`` of each h that had candidates above the limit,
+    latest h first, until one such pair is found.
 
     For a module packing, pairs, chain witnesses, B-filters, the pruning
     of G and every division stay within one lead component, and coprime
     leads still make a pair: the product criterion is unsound for
-    modules.  An lcm's degree for ``normal`` selection counts the
-    component index, so module callers pass no ``degree_limit``.
+    modules.  An lcm's degree for selection counts the component index,
+    so module callers pass no ``degree_limit``.
     """
 
     COUNTERS = ("pairs", "product", "chain", "b_filter", "above_limit")
 
-    def __init__(self, f, pk, field, degree_limit, strategy, stats):
+    def __init__(self, f, pk, field, degree_limit, stats):
         self.f, self.pk, self.field = f, pk, field
         self.degree_limit, self.stats = degree_limit, stats
-        # Each selection key ends in its pair (i, j); pairs are made in the
-        # order of (j, i), which ``fifo`` follows.
-        deg, cmask = pk.deg, pk.cmask
-        if strategy == "normal":
-            def select_key(pair, lcm):
-                return (deg(lcm) + (lcm & cmask), lcm, pair)
-        elif strategy == "lcm":
-            def select_key(pair, lcm):
-                return (-lcm, pair)
-        else:
-            def select_key(pair, lcm):
-                return (pair[1], pair)
-        self.select_key = select_key
-        # Live pairs (i, j), i < j, each mapped to its lcm.  The heap may
-        # hold pairs the B-filter has since dropped; they are skipped.
+        # Live pairs (i, j), i < j, each mapped to its lcm.  The heap holds
+        # each pair's selection key, which ends in the pair, and may hold
+        # pairs the B-filter has since dropped; they are skipped.
         self.pairs = {}
         self.heap = []
-        # (G, h) for every h that had candidates above the limit, and the
-        # selection key of the pair each generator came from.
+        # (G, h) for every h that had candidates above the limit.
         self.above_limit = []
-        self.origin = {}
         self.G = []
-        self.key = None
 
     def queued(self):
         return len(self.pairs)
@@ -497,7 +476,7 @@ class _GebauerMoeller:
         stats["above_limit"] += beyond
         if above:
             self.above_limit.append((G, h))
-        hl, guard, cmask = h.lm, pk.guard, pk.cmask
+        hl, guard, cmask, deg = h.lm, pk.guard, pk.cmask, pk.deg
         f = self.f
         # Most live pairs fail the divisibility test that opens the B-filter.
         dropped = [
@@ -512,7 +491,7 @@ class _GebauerMoeller:
         for g, lcm in new:
             pair = (g.idx, h.idx)
             pairs[pair] = lcm
-            heapq.heappush(self.heap, self.select_key(pair, lcm))
+            heapq.heappush(self.heap, (deg(lcm) + (lcm & cmask), lcm, pair))
         # A new list: the (G, h) records above keep the old one.
         G = [g for g in G if (g.lm - hl) & guard or (g.lm & cmask) != (hl & cmask)]
         G.append(h)
@@ -528,7 +507,6 @@ class _GebauerMoeller:
         bound = pk.bound(lcm)
         if bound > pk.maxdeg:
             raise _Overflow(bound)
-        self.key = key
         i, j = key[-1]
         return _spoly(self.f[i], self.f[j], pk, self.field), _reducers(self.G, pk), None
 
@@ -537,33 +515,17 @@ class _GebauerMoeller:
         if r:
             h = _make_gen(r, self.field, len(self.f))
             self.f.append(h)
-            self.origin[h.idx] = self.key
             self.add(h)
 
     def result(self):
         """The lead-minimal generators and whether a pair above the limit is live."""
-        f, pk, origin = self.f, self.pk, self.origin
-
-        def arrived_before(x, j, key):
-            # Whether x arrived before the turn of the pair with selection
-            # key ``key``, made when f[j] arrived.
-            while x.idx > j and x.idx in origin:
-                made_by = origin[x.idx]
-                if made_by > key:
-                    return False
-                x = f[made_by[-1][1]]
-            return True
+        f, pk = self.f, self.pk
 
         def live_above_limit():
             for Gh, h in reversed(self.above_limit):
                 for g, lcm in _chain_pairs(Gh, h, pk)[0]:
-                    if pk.deg(lcm) <= self.degree_limit:
-                        continue
-                    key = self.select_key((g.idx, h.idx), lcm)
-                    if not any(
-                        _b_filters(x, g, h, lcm, pk)
-                        and arrived_before(x, h.idx, key)
-                        for x in islice(f, h.idx + 1, None)
+                    if pk.deg(lcm) > self.degree_limit and not any(
+                        _b_filters(x, g, h, lcm, pk) for x in islice(f, h.idx + 1, None)
                     ):
                         return True
             return False
@@ -627,7 +589,7 @@ class _Signatures:
         "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular", "above_limit"
     )
 
-    def __init__(self, f, pk, field, degree_limit, strategy, stats):
+    def __init__(self, f, pk, field, degree_limit, stats):
         self.f, self.pk, self.field = f, pk, field
         self.degree_limit, self.stats = degree_limit, stats
         positions = range(len(f))
@@ -796,7 +758,6 @@ def _buchberger_kernel(
     *,
     degree_limit=None,
     pair_limit=DEFAULT_PAIR_LIMIT,
-    strategy="normal",
     tail_reduce=True,
     interreduce=True,
 ):
@@ -811,25 +772,26 @@ def _buchberger_kernel(
 
     One loop takes the next queued entry, divides what it yields with
     `_reduce` and hands the remainder back; two sets of criteria make,
-    drop and answer the entries.  An ideal (no module packing) under
-    ``normal`` selection without ``tail_reduce`` takes the signature
-    criteria (`_Signatures`): one reduction per signature, top term only,
-    by regular reducers.  Every other call takes Gebauer and Moeller's
-    (`_GebauerMoeller`).  On the six family bases of the benchmark's
-    ``verify`` workload the signatures cut the reductions from 1,696 to
-    963, those to zero from 975 to 76 and the division steps from 91,288
-    to 19,227, and halve the time.  There, 2,693 of 59,295 candidate
-    pairs lie within the limit; 47,815 candidates come from leads of the
-    limit's degree, which pair only with their divisors, and the 963
-    picks scan 34,517 ranked generators.  With tail reduction, where
-    every term may only be divided by regular reducers, they lost: a
-    random dense 5-variable grlex ideal at degree limit 18 took 1.2 ->
-    24.6 s, and the eight ``resolve`` bases gained nothing (0.08-0.09 s
-    either way), so full remainders keep Gebauer-Moeller.  Both select by minimal lcm
-    degree under ``normal``; the input is homogeneous, so that is the
-    sugar strategy, and records keep no sugar.  ``pair_limit`` bounds the
-    queued pairs or signatures, and ``truncated`` is true when one above
-    ``degree_limit`` was left out that the criteria could not drop.
+    drop and answer the entries.  An ideal (no module packing) without
+    ``tail_reduce`` takes the signature criteria (`_Signatures`): one
+    reduction per signature, top term only, by regular reducers.  Every
+    other call takes Gebauer and Moeller's (`_GebauerMoeller`).  On the
+    six family bases of the benchmark's ``verify`` workload the
+    signatures cut the reductions from 1,696 to 963, those to zero from
+    975 to 76 and the division steps from 91,288 to 19,227, and halve the
+    time.  There, 2,693 of 59,295 candidate pairs lie within the limit;
+    47,815 candidates come from leads of the limit's degree, which pair
+    only with their divisors, and the 963 picks scan 34,517 ranked
+    generators.  With tail reduction, where every term may only be
+    divided by regular reducers, they lost: a random dense 5-variable
+    grlex ideal at degree limit 18 took 1.2 -> 24.6 s, and the eight
+    ``resolve`` bases gained nothing (0.08-0.09 s either way), so full
+    remainders keep Gebauer-Moeller.  Both select by least lcm degree;
+    the input is homogeneous, so that is sugar selection (Giovini et
+    al., "One sugar cube, please", ISSAC 1991), and records keep no
+    sugar.  ``pair_limit`` bounds the queued pairs or signatures, and
+    ``truncated`` is true when one above ``degree_limit`` was left out
+    that the criteria could not drop.
 
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
@@ -838,8 +800,6 @@ def _buchberger_kernel(
     by each criterion, and the candidates above ``degree_limit`` (the
     route's ``COUNTERS``).
     """
-    if strategy not in _STRATEGIES:
-        raise ValidationError(f"unknown selection strategy {strategy!r}")
     f = []
     for t in inputs:
         if t:
@@ -853,10 +813,9 @@ def _buchberger_kernel(
     for k, g in enumerate(f):
         g.idx = k
 
-    signatures = not pk.module and strategy == "normal" and not tail_reduce
-    route = _Signatures if signatures else _GebauerMoeller
+    route = _Signatures if not pk.module and not tail_reduce else _GebauerMoeller
     stats = dict.fromkeys(route.COUNTERS + ("reductions", "zero_reductions"), 0)
-    crit = route(f, pk, field, degree_limit, strategy, stats)
+    crit = route(f, pk, field, degree_limit, stats)
     for h in f[:]:
         crit.add(h)
 
@@ -1054,7 +1013,6 @@ def buchberger(
     *,
     degree_limit=None,
     pair_limit=DEFAULT_PAIR_LIMIT,
-    strategy="normal",
     tail_reduce=True,
     interreduce=True,
 ) -> GroebnerBasis:
@@ -1069,9 +1027,9 @@ def buchberger(
     final tail interreduction; the result still yields correct normal
     forms but is not the canonical reduced basis.
 
-    ``tail_reduce=False`` under ``normal`` selection takes the signature
-    criteria, which on the family's membership bases leave fewer than a
-    tenth of Gebauer-Moeller's reductions to zero; every other call takes
+    ``tail_reduce=False`` takes the signature criteria, which on the
+    family's membership bases leave fewer than a tenth of
+    Gebauer-Moeller's reductions to zero; every other call takes
     Gebauer-Moeller's, which measured faster with full remainders (see
     `_buchberger_kernel`).  Either way the leading monomials up to the
     limit, the membership answers and, with ``interreduce``, the reduced
@@ -1090,7 +1048,7 @@ def buchberger(
     gens, truncated, pk, stats = _widening(
         lambda pk: _buchberger_kernel(
             inputs, pk, ring.field, degree_limit=degree_limit, pair_limit=pair_limit,
-            strategy=strategy, tail_reduce=tail_reduce, interreduce=interreduce,
+            tail_reduce=tail_reduce, interreduce=interreduce,
         ),
         _Packing(ring.order, ring.nvars, _width(bound)),
     )

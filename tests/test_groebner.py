@@ -1,3 +1,5 @@
+import functools
+import inspect
 import random
 from itertools import chain, islice
 
@@ -172,20 +174,31 @@ def test_module_basis_is_groebner(rng):
         assert not any(remainder(pk.pack_terms(v.items())) for v in vectors)
 
 
-def test_reduced_basis_unique_across_strategies():
-    R = small_ring(("x", "y", "z"))
-    x, y, z = (R.variable(i) for i in range(3))
-    ideal = _ideal(R, x * y - z * z, y * y - x * z, z * z * x - y * x * x)
-    bases = [
-        buchberger(ideal, strategy=s).elements for s in ("normal", "lcm", "fifo")
-    ]
-    assert bases[0] == bases[1] == bases[2]
+def _reordered(ideal, rng):
+    # The generators shuffled, each scaled by a nonzero constant: new
+    # indices, so the kernel takes its pairs in another order.
+    gens = [rng.randrange(1, ideal.ring.field.p) * g for g in ideal.generators]
+    rng.shuffle(gens)
+    return IdealPresentation(ideal.ring, gens)
 
 
-def test_lcm_strategy_takes_smallest_lcm_first():
-    # Taking the largest lcm first never finished on this ideal.
-    ideal = build_ideal(FamilyParams.parse("2:(3,1)"))
-    assert buchberger(ideal, strategy="lcm").elements == buchberger(ideal).elements
+def test_reduced_basis_invariant_under_input_order():
+    # The reduced basis is unique: both routes give the original's from
+    # any order and scaling of the generators.
+    rng = random.Random(1991)
+    for _ in range(60):
+        nvars = rng.randrange(3, 5)
+        R = PolynomialRing(
+            VariableTable.named(tuple(f"x{i}" for i in range(nvars))),
+            PrimeField(rng.choice((101, 32003))),
+            MonomialOrder(rng.choice(("grevlex", "grlex", "lex"))),
+        )
+        gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(2, 5))]
+        ideal = IdealPresentation(R, gens)
+        want = buchberger(ideal).elements
+        other = _reordered(ideal, rng)
+        assert buchberger(other).elements == want, ideal
+        assert buchberger(other, tail_reduce=False).elements == want, ideal
 
 
 def test_source_generators_reduce_to_zero():
@@ -224,21 +237,21 @@ def test_truncated_basis_exact_below_limit(rng):
     ideals = [build_ideal(FamilyParams(2, (1, 1)))]
     for field in (PrimeField(101), QQ):
         R = PolynomialRing(VariableTable.named(("x", "y", "z")), field, MonomialOrder())
-        for _ in range(4):
+        for _ in range(14):
             gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(3)]
             ideals.append(IdealPresentation(R, [g for g in gens if g]))
     outcomes = set()
     for ideal in ideals:
         full = buchberger(ideal).elements
         for limit in (4, 5):
-            full_low = [g for g in full if g.degree() <= limit]
-            for strategy in ("normal", "lcm", "fifo"):
-                trunc = buchberger(ideal, degree_limit=limit, strategy=strategy)
-                assert [g for g in trunc if g.degree() <= limit] == full_low
-                assert trunc.truncated_at in (None, limit)
-                equal = trunc.elements == full
-                assert equal or trunc.truncated_at == limit, (ideal, limit, strategy)
-                outcomes.add((equal, trunc.truncated_at))
+            trunc = buchberger(ideal, degree_limit=limit)
+            assert [g for g in trunc if g.degree() <= limit] == [
+                g for g in full if g.degree() <= limit
+            ]
+            assert trunc.truncated_at in (None, limit)
+            equal = trunc.elements == full
+            assert equal or trunc.truncated_at == limit, (ideal, limit)
+            outcomes.add((equal, trunc.truncated_at))
     assert {(True, None), (False, 4), (False, 5)} <= outcomes
 
     ideal = ideals[0]
@@ -252,25 +265,21 @@ def test_truncated_basis_exact_below_limit(rng):
 
 def test_truncated_at_pinned():
     # truncated_at is set when a pair above the limit survives the chain
-    # test and no generator that arrives before its turn B-filters it.
-    # Flagging every candidate above the limit would give 12 for 2:(2,1)
-    # at limit 12 and 6 for mccullough(2,1,3) at limit 6.
+    # test and no generator that arrives after its h B-filters it: every
+    # pair within the limit is taken before every pair above it, so every
+    # later generator arrives before that pair's turn.  Flagging every
+    # candidate above the limit would give 12 for 2:(2,1) at limit 12 and
+    # 6 for mccullough(2,1,3) at limit 6.
     grid = (
         (build_ideal(FamilyParams.parse("2:(2,1)")), {4: 4, 8: 8, 12: None}),
         (mccullough_ideal(2, 1, 3), {5: 5, 6: None, 9: None}),
     )
     for ideal, want in grid:
-        for strategy in ("normal", "lcm", "fifo"):
-            got = {
-                limit: buchberger(ideal, degree_limit=limit, strategy=strategy).truncated_at
-                for limit in want
-            }
-            assert got == want, strategy
-    # Under fifo the above-limit pair of the first and the last case is
-    # selected before the generator that would B-filter it arrives.  In
-    # the second case a generator B-filters every pair above the limit,
-    # and in the last one under normal and lcm selection that generator
-    # was made by a pair, so its arrival is dated by following its origin.
+        got = {limit: buchberger(ideal, degree_limit=limit).truncated_at for limit in want}
+        assert got == want
+    # In the first case the replayed chain test drops every pair above
+    # the limit.  In the second an input that arrives after the pair's h
+    # B-filters it, and in the last a generator made by a pair does.
     R = PolynomialRing(VariableTable.named(("x", "y", "z")), PrimeField(101), MonomialOrder())
     x, y, z = (R.variable(i) for i in range(3))
     R4 = PolynomialRing(
@@ -287,12 +296,10 @@ def test_truncated_at_pinned():
                 4 * x * z + 64 * x**2 + 40 * y * z,
             ),
             5,
-            (("normal", None), ("lcm", None), ("fifo", 5)),
         ),
         (
             _ideal(R4, 16 * a**2 * d, 76 * c**2 * d, 86 * a * c),
             4,
-            (("normal", None), ("lcm", None), ("fifo", None)),
         ),
         (
             _ideal(
@@ -303,17 +310,13 @@ def test_truncated_at_pinned():
                 10 * x**2 + 34 * y**2 + 33 * y * z,
             ),
             4,
-            (("normal", None), ("lcm", None), ("fifo", 4)),
         ),
     )
-    for ideal, limit, wants in cases:
+    for ideal, limit in cases:
         full = buchberger(ideal).elements
-        for strategy, want in wants:
-            trunc = buchberger(ideal, degree_limit=limit, strategy=strategy)
-            assert trunc.truncated_at == want, strategy
-            low = [g for g in trunc if g.degree() <= limit]
-            assert low == [g for g in full if g.degree() <= limit], strategy
-            assert want is not None or trunc.elements == full, strategy
+        trunc = buchberger(ideal, degree_limit=limit)
+        assert trunc.truncated_at is None
+        assert trunc.elements == full
 
 
 def test_buchberger_order_argument():
@@ -406,6 +409,44 @@ def _size(basis):
     return len(basis), sum(len(p) for p in basis.elements)
 
 
+@functools.cache
+def _gebauer_moeller_basis(spec):
+    # A verify instance's basis on Gebauer-Moeller's truncated route (with
+    # tail reduction: without it the kernel takes the signature route), and
+    # the packed lcm calls made inside `_chain_pairs` and the `_b_filters`
+    # calls of that run.  Full remainders take seconds on the larger
+    # instances, so the tests share one run of each.
+    counts = {"lcm": 0, "b_filters": 0}
+    chain_pairs, b_filters = groebner._chain_pairs, groebner._b_filters
+
+    def counted_chain_pairs(G, h, pk, degree_limit=None):
+        lcm = pk.lcm
+
+        def counted_lcm(a, b):
+            counts["lcm"] += 1
+            return lcm(a, b)
+
+        pk.lcm = counted_lcm
+        try:
+            return chain_pairs(G, h, pk, degree_limit)
+        finally:
+            pk.lcm = lcm
+
+    def counted_b_filters(*args):
+        counts["b_filters"] += 1
+        return b_filters(*args)
+
+    params = FamilyParams.parse(spec)
+    groebner._chain_pairs, groebner._b_filters = counted_chain_pairs, counted_b_filters
+    try:
+        basis = buchberger(
+            build_ideal(params), degree_limit=verification_degree(params), interreduce=False
+        )
+    finally:
+        groebner._chain_pairs, groebner._b_filters = chain_pairs, b_filters
+    return basis, (counts["lcm"], counts["b_filters"])
+
+
 def test_basis_sizes_pinned():
     # Element and term counts of known bases; any change to the kernel
     # that alters a basis shows up here.
@@ -420,24 +461,22 @@ def test_basis_sizes_pinned():
     assert _size(buchberger(caviglia_ideal(5))) == (7, 8)
     assert _size(buchberger(mccullough_ideal(2, 1, 3))) == (6, 10)
     assert _size(buchberger(caviglia_ideal(4, QQ))) == (6, 7)
-    # Without tail reduction and interreduction the tails depend on the
-    # order in which pairs are processed, and on the criteria: ``normal``
-    # takes the signature route, ``fifo`` Gebauer-Moeller's.
-    for spec, normal, fifo in (
-        ("3:(2,1)", (123, 5957), (123, 5876)),
-        ("2:(4,3)", (146, 8130), (146, 8308)),
+    # Without interreduction the tails depend on the order in which pairs
+    # are processed, and on the criteria: without tail reduction the
+    # signature route's, with it Gebauer-Moeller's.
+    for spec, signatures, gebauer_moeller in (
+        ("3:(2,1)", (123, 5957), (123, 14049)),
+        ("2:(4,3)", (146, 8130), (146, 240721)),
     ):
         params = FamilyParams.parse(spec)
-        ideal = build_ideal(params)
-        for strategy, want in (("normal", normal), ("fifo", fifo)):
-            G = buchberger(
-                ideal,
-                degree_limit=verification_degree(params),
-                strategy=strategy,
-                tail_reduce=False,
-                interreduce=False,
-            )
-            assert _size(G) == want, (spec, strategy)
+        G = buchberger(
+            build_ideal(params),
+            degree_limit=verification_degree(params),
+            tail_reduce=False,
+            interreduce=False,
+        )
+        assert _size(G) == signatures, spec
+        assert _size(_gebauer_moeller_basis(spec)[0]) == gebauer_moeller, spec
 
 
 def test_spolynomial_counts_pinned():
@@ -453,9 +492,7 @@ def test_spolynomial_counts_pinned():
         ("2:(2,3,4)", 165),
     ):
         assert verification_basis(FamilyParams.parse(spec)).stats["reductions"] == want, spec
-    ideal = build_ideal(FamilyParams.parse("2:(3,1)"))
-    for strategy, want in (("normal", 162), ("lcm", 162), ("fifo", 169)):
-        assert buchberger(ideal, strategy=strategy).stats["reductions"] == want, strategy
+    assert buchberger(build_ideal(FamilyParams.parse("2:(3,1)"))).stats["reductions"] == 162
     assert buchberger(caviglia_ideal(5)).stats["reductions"] == 13
 
 
@@ -487,9 +524,10 @@ def _chain_pairs_reference(G, h, pk, degree_limit=None):
 
 
 def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
-    # Every (G, h, degree_limit) the kernel passes while building the
-    # verify bases and seeded random truncated bases gives the same pairs,
-    # in the same order, and the same above-limit flag on both routes.
+    # Every (G, h, degree_limit) the kernel passes while building three
+    # verify bases on Gebauer-Moeller's route and seeded random truncated
+    # bases gives the same pairs, in the same order, and the same
+    # above-limit flag on both routes.
     calls = []
     chain_pairs = groebner._chain_pairs
 
@@ -498,20 +536,19 @@ def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
         return chain_pairs(G, h, pk, degree_limit)
 
     monkeypatch.setattr(groebner, "_chain_pairs", recorded)
-    # The six bases of the benchmark's verify workload.
-    for spec in ("2:(2,2,2)", "3:(2,1)", "4:(2)", "2:(4,3)", "2:(4,2,1)", "2:(2,3,4)"):
-        verification_basis(FamilyParams.parse(spec))
+    # The three verify bases whose full remainders take well under a second.
+    for spec in ("2:(2,2,2)", "3:(2,1)", "4:(2)"):
+        params = FamilyParams.parse(spec)
+        buchberger(build_ideal(params), degree_limit=verification_degree(params), interreduce=False)
     rng = random.Random(1988)
     truncated = 0
     for names in (("x", "y", "z"), ("x", "y", "z", "w")):
         R = PolynomialRing(VariableTable.named(names), PrimeField(101), MonomialOrder())
-        for _ in range(6):
+        for _ in range(24):
             gens = [random_homogeneous(R, rng, rng.randrange(2, 5)) for _ in range(3)]
             ideal = IdealPresentation(R, [g for g in gens if g])
-            for strategy in ("normal", "lcm", "fifo"):
-                for limit in (3, 5, 7):
-                    basis = buchberger(ideal, degree_limit=limit, strategy=strategy)
-                    truncated += basis.truncated_at is not None
+            for limit in (3, 5, 7):
+                truncated += buchberger(ideal, degree_limit=limit).truncated_at is not None
     assert truncated
     flags = set()
     for G, h, pk, degree_limit in calls:
@@ -523,48 +560,19 @@ def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
     assert flags == {(True, False), (False, False), (False, True)}
 
 
-def test_pair_update_work_pinned(monkeypatch):
+def test_pair_update_work_pinned():
     # Packed lcm calls made inside `_chain_pairs`, and `_b_filters` calls,
-    # on Gebauer-Moeller's truncated route (``lcm`` selection: ``normal``
-    # without tail reduction takes the signature route).  The degree pass
-    # lcm's only the candidates within the limit, and the inline
-    # divisibility test leaves few live pairs for `_b_filters`.
-    counts = {"lcm": 0, "b_filters": 0}
-    chain_pairs, b_filters = groebner._chain_pairs, groebner._b_filters
-
-    def counted_chain_pairs(G, h, pk, degree_limit=None):
-        lcm = pk.lcm
-
-        def counted_lcm(a, b):
-            counts["lcm"] += 1
-            return lcm(a, b)
-
-        pk.lcm = counted_lcm
-        try:
-            return chain_pairs(G, h, pk, degree_limit)
-        finally:
-            pk.lcm = lcm
-
-    def counted_b_filters(*args):
-        counts["b_filters"] += 1
-        return b_filters(*args)
-
-    monkeypatch.setattr(groebner, "_chain_pairs", counted_chain_pairs)
-    monkeypatch.setattr(groebner, "_b_filters", counted_b_filters)
+    # on Gebauer-Moeller's truncated route.  The degree pass lcm's only the
+    # candidates within the limit, and the inline divisibility test leaves
+    # few live pairs for `_b_filters`.
     for spec, want in (
         ("2:(2,2,2)", (131, 7)),
-        ("3:(2,1)", (458, 20)),
-        ("4:(2)", (707, 71)),
-        ("2:(4,2,1)", (730, 23)),
-        ("2:(2,3,4)", (649, 38)),
+        ("3:(2,1)", (458, 21)),
+        ("4:(2)", (707, 68)),
+        ("2:(4,2,1)", (730, 22)),
+        ("2:(2,3,4)", (649, 36)),
     ):
-        counts.update(lcm=0, b_filters=0)
-        params = FamilyParams.parse(spec)
-        buchberger(
-            build_ideal(params), degree_limit=verification_degree(params), strategy="lcm",
-            tail_reduce=False, interreduce=False,
-        )
-        assert (counts["lcm"], counts["b_filters"]) == want, spec
+        assert _gebauer_moeller_basis(spec)[1] == want, spec
 
 
 VERIFY_SPECS = ("2:(2,2,2)", "3:(2,1)", "4:(2)", "2:(4,3)", "2:(4,2,1)", "2:(2,3,4)")
@@ -728,13 +736,10 @@ def _leads(basis, limit=None):
     )
 
 
-def _signature_matches_gebauer_moeller(ideal, limit, polys):
-    # The signature route (normal selection, no tail reduction) against
-    # Gebauer-Moeller's on the same ideal and limit.
+def _signature_matches_gebauer_moeller(ideal, limit, polys, gm):
+    # The signature route (no tail reduction) against Gebauer-Moeller's
+    # basis ``gm`` of the same ideal and limit.
     sig = buchberger(ideal, degree_limit=limit, tail_reduce=False, interreduce=False)
-    gm = buchberger(
-        ideal, degree_limit=limit, strategy="lcm", tail_reduce=False, interreduce=False
-    )
     assert _leads(sig, limit) == _leads(gm, limit)
     for p in polys:
         assert sig.contains(p) == gm.contains(p), p
@@ -755,7 +760,8 @@ def test_signature_route_matches_gebauer_moeller():
         polys = [w] + [ring.variable(i) * w for i in range(ring.nvars)]
         polys += [ring.from_monomial(m) for m in lemma_targets(params, ring.table)]
         _signature_matches_gebauer_moeller(
-            build_ideal(params), verification_degree(params), polys
+            build_ideal(params), verification_degree(params), polys,
+            _gebauer_moeller_basis(spec)[0],
         )
 
     # A lex case where a regularity test that compared multipliers across
@@ -798,7 +804,8 @@ def test_signature_route_matches_gebauer_moeller():
                 member = random_homogeneous(R, rng, d - g.degree()) * g
                 polys += [member, member + p]
         ideal = IdealPresentation(R, gens)
-        truncated = _signature_matches_gebauer_moeller(ideal, limit, polys)
+        gm = buchberger(ideal, degree_limit=limit, interreduce=False)
+        truncated = _signature_matches_gebauer_moeller(ideal, limit, polys, gm)
         outcomes.add(truncated is None)
         # Interreduced, both routes give the unique reduced basis.
         reduced = buchberger(ideal, degree_limit=limit, tail_reduce=False)
@@ -806,10 +813,14 @@ def test_signature_route_matches_gebauer_moeller():
     assert outcomes == {True, False}
 
 
-def test_kernel_rejects_unknown_strategy_and_inhomogeneous_input():
-    ideal = build_ideal(FamilyParams(2, (1, 1)))
-    with pytest.raises(ValidationError, match="unknown selection strategy"):
-        buchberger(ideal, strategy="sugar")
+def test_buchberger_signature_pinned():
+    # The library surface, as tests/test_cli_pinned.py pins the CLI's.
+    assert list(inspect.signature(buchberger).parameters) == [
+        "ideal", "order", "degree_limit", "pair_limit", "tail_reduce", "interreduce",
+    ]
+
+
+def test_kernel_rejects_inhomogeneous_input():
     # IdealPresentation refuses such input, so only a kernel caller's bug
     # can pass it: an internal error, not invalid input.
     R = small_ring()
