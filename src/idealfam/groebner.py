@@ -23,7 +23,7 @@ the top term.  The kernel takes them for an ideal without tail
 reduction, the membership bases: on the family ideals most
 Gebauer-Moeller reductions end in zero, and signatures remove nearly
 all of them.  Full remainders keep Gebauer-Moeller, which measured
-faster there (see `_buchberger_kernel`).
+faster only on the bases it was timed on (see `_buchberger_kernel`).
 
 A :class:`GroebnerBasis` keeps the kernel's records as its one stored
 form: membership, normal forms, leading monomials and Hilbert numerators
@@ -783,15 +783,19 @@ def _buchberger_kernel(
     47,815 candidates come from leads of the limit's degree, which pair
     only with their divisors, and the 963 picks scan 34,517 ranked
     generators.  With tail reduction, where every term may only be
-    divided by regular reducers, they lost: a random dense 5-variable
-    grlex ideal at degree limit 18 took 1.2 -> 24.6 s, and the eight
-    ``resolve`` bases gained nothing (0.08-0.09 s either way), so full
-    remainders keep Gebauer-Moeller.  Both select by least lcm degree;
-    the input is homogeneous, so that is sugar selection (Giovini et
-    al., "One sugar cube, please", ISSAC 1991), and records keep no
-    sugar.  ``pair_limit`` bounds the queued pairs or signatures, and
-    ``truncated`` is true when one above ``degree_limit`` was left out
-    that the criteria could not drop.
+    divided by regular reducers, they lost where it was measured: a
+    random dense 5-variable grlex ideal at degree limit 18 took 1.2 ->
+    24.6 s, and the eight ``resolve`` bases, which have no limit, gained
+    nothing (0.08-0.09 s either way), so full remainders keep
+    Gebauer-Moeller.  Degree-limited family bases were not part of that
+    measurement, and there the signature route without tails followed by
+    interreduction gives the same reduced basis faster (3:(2,1) 0.33
+    against 0.45 s, 2:(2,3,4) 4.1 against 7.5 s, one run each).  Both
+    select by least lcm degree; the input is homogeneous, so that is
+    sugar selection (Giovini et al., "One sugar cube, please", ISSAC
+    1991), and records keep no sugar.  ``pair_limit`` bounds the queued
+    pairs or signatures, and ``truncated`` is true when one above
+    ``degree_limit`` was left out that the criteria could not drop.
 
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
@@ -1030,7 +1034,9 @@ def buchberger(
     ``tail_reduce=False`` takes the signature criteria, which on the
     family's membership bases leave fewer than a tenth of
     Gebauer-Moeller's reductions to zero; every other call takes
-    Gebauer-Moeller's, which measured faster with full remainders (see
+    Gebauer-Moeller's.  That choice was measured only without a degree
+    limit and on one random ideal; on degree-limited family bases
+    ``tail_reduce=False`` gives the same reduced basis faster (see
     `_buchberger_kernel`).  Either way the leading monomials up to the
     limit, the membership answers and, with ``interreduce``, the reduced
     basis are the same.  The result's ``stats`` counts the reductions,

@@ -12,11 +12,13 @@ from idealfam import (
     IdealPresentation,
     InternalError,
     MonomialOrder,
+    PolynomialRing,
     PresentationMatrix,
     PrimeField,
     QQ,
     ResourceLimitError,
     ValidationError,
+    VariableTable,
     build_ideal,
     buchberger,
     caviglia_ideal,
@@ -34,7 +36,7 @@ from idealfam import (
 )
 from idealfam import groebner, resolution
 
-from conftest import small_ring
+from conftest import random_homogeneous, small_ring
 
 
 def _ideal(R, *polys):
@@ -480,7 +482,7 @@ def test_diagonal_rescaling_invariance(name, seed):
         (
             "2:(2,1)",
             lambda: build_ideal(FamilyParams.parse("2:(2,1)")),
-            [1, 12, 40, 63, 53, 23, 4],
+            [1, 12, 39, 59, 47, 19, 3],
         ),
         ("caviglia(5)", lambda: caviglia_ideal(5), [1, 7, 15, 13, 4]),
         ("mccullough(2,1,3)", lambda: mccullough_ideal(2, 1, 3), [1, 6, 12, 11, 5, 1]),
@@ -488,7 +490,8 @@ def test_diagonal_rescaling_invariance(name, seed):
     ],
 )
 def test_nonminimal_ranks_pinned(name, ideal, ranks):
-    # The tower's retained-pair selection fixes the ranks of every level.
+    # The tower's retained-pair selection and the level-1 order fix the
+    # ranks of every level.
     assert [m.rank for m in schreyer_resolution(ideal()).modules] == ranks
 
 
@@ -506,60 +509,97 @@ def _chain_digest(res):
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-# Measured when the tower stored terms unshifted and each order key rebuilt
-# e + mu[c]; the Schreyer-shifted terms must give the same chain.
+# name: (ideal, degree limit, digest of `schreyer_resolution`'s chain,
+# digest of the chain `_schreyer_tower` makes from the basis records in
+# the `GroebnerBasis` element order).  The element-order digests were
+# measured before the tower took level 1 in reverse-lexicographic lead
+# order: the first five when it stored terms unshifted and each order key
+# rebuilt e + mu[c], the last three while S-vectors and reducers still
+# kept the terms in components without a lead.
 CHAIN_DIGESTS = {
     "2:(2,1)": (
         _family("2:(2,1)"),
         None,
+        "543fbfe6d24bca5fb028a9c9875a9850b06b1be21ccb877ebdf4921be8abaa2a",
         "6594ad533a63e0d1e7f7dc58445b79a864aa0055409563714074b4c1cd025ab9",
     ),
     "2:(2,1) lex": (
         _family("2:(2,1)", order=MonomialOrder("lex")),
         None,
+        "679c4a68a2d8cb6484eac0d0eb6caf7bd25d10c025bdcb7df5a0b19e3d13192d",
         "e00e582f48e51901b2d70b5ca2cde7fc5cab938a053b7b4b9654eb3cc44848fd",
     ),
     "2:(2,1) permuted": (
         _family("2:(2,1)", order=_permuted_grevlex(6)),
         None,
+        "926eef24e08c5e446202fc4e4573e9d6c810c6b78a80be94dad41014535fd0ef",
         "14cf138b6df8e1afc633663d95fedbfcd90edd46e92bc6367d73d2b0be4c877c",
     ),
     "mccullough(2,1,3) over QQ": (
         lambda: mccullough_ideal(2, 1, 3, QQ),
         None,
+        "50635c7790253b2471a8ca6437ea158949ba70c5174bf71e29d58eb477e55b7f",
         "f6fbf1cd09a1c31e2f7bfe6f98806b7a62621d1b3efe013802fee3397a1fde8d",
     ),
     "caviglia(4) over F_101 to degree 9": (
         lambda: caviglia_ideal(4, PrimeField(101)),
         9,
+        "47d92bd35b84fbc138e21aaf53292832e410519d151e8f1d2024dabe24b6ae2e",
         "40b209d0bff5c1a69ac7e3a1147f14041b554e030cbe5a9f7caaf14ee4ebfaf5",
     ),
-    # The resolve workload's three large chains, measured while S-vectors
-    # and reducers still kept the terms in components without a lead.
+    # The resolve workload's three large chains.
     "2:(3,1)": (
         _family("2:(3,1)"),
         None,
+        "91286224d42638644a8068e496fcfaed98bb513ca731585d4d94694194ae2bcb",
         "e2e67083b1bfaa6b14456d284f5ff8fc73dace372035dff60dc6cfb5e2018ee4",
     ),
     "2:(2,1,2)": (
         _family("2:(2,1,2)"),
         None,
+        "471c9b7e1821232091bd627dc5548ae8ba32604c0ed9754f16658515d2f329e7",
         "bfdeea04d50e7d0262080824e34781b77c7dadebb6384f9f0efa9e005deef580",
     ),
     "mccullough(3,1,3)": (
         lambda: mccullough_ideal(3, 1, 3),
         None,
+        "af399202a4f0ce1c25b76974793bd23bc6457d943e2a9b4551c9f6e3e8c3f510",
         "a6450306d441d9c103aeb9eb43c97c3aba988295f512c3fcce7366fb7466d0a7",
     ),
 }
+
+
+def _tower_in(gb, gens, degree_limit=None):
+    """`_schreyer_tower` on ``gens``, ``gb``'s records in any order, as a
+    non-minimal resolution: `schreyer_resolution` without its level-1 sort."""
+    ring = gb.ring
+    pk, (twists, levels, _, stats) = groebner._widening(
+        lambda pk: (pk, resolution._schreyer_tower(
+            pk.convert(gens, gb._pk), pk, ring.field, degree_limit=degree_limit
+        )),
+        gb._pk,
+    )
+    res = resolution.FreeResolution(ring, twists, (pk, levels), minimal=False)
+    res.stats = stats
+    return res
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
 def test_nonminimal_chain_pinned(name):
     # Every twist, column, quotient term and coefficient of the tower's
     # chain: a changed reducer choice or Schreyer order shows here.
-    make, limit, digest = CHAIN_DIGESTS[name]
+    make, limit, digest, _ = CHAIN_DIGESTS[name]
     assert _chain_digest(schreyer_resolution(make(), degree_limit=limit)) == digest
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
+def test_element_order_tower_keeps_the_earlier_chains(name):
+    # Fed the records in the basis's element order, the tower makes the
+    # chains it made before the level-1 sort: the numbering of level 1 is
+    # the only thing that moved.
+    make, limit, _, digest = CHAIN_DIGESTS[name]
+    gb = buchberger(make(), degree_limit=limit)
+    assert _chain_digest(_tower_in(gb, gb._gens, limit)) == digest
 
 
 def _schreyer_leads(res):
@@ -765,10 +805,18 @@ def _resolve_base(name):
     return gb, schreyer_resolution(gb)
 
 
+def _revlex_leads_first(gb):
+    """``gb``'s records in the level-1 order, a copy of the tower's key:
+    compared from the last variable of the order's ranking to the first,
+    the larger exponent first."""
+    order, unpack = gb.ring.order, gb._pk.unpack
+    return sorted(gb._gens, key=lambda g: tuple(-e for e in order._arrange(unpack(g.lm))[::-1]))
+
+
 def _assert_matches_reference(gb, res, degree_limit=None):
     pk, levels = res._packed
     twists, ref_levels = _reference_tower(
-        pk.convert(gb._gens, gb._pk), pk, res.ring.field, degree_limit
+        pk.convert(_revlex_leads_first(gb), gb._pk), pk, res.ring.field, degree_limit
     )
     assert res._twists == twists
     assert _records(levels) == _records(ref_levels)
@@ -811,20 +859,20 @@ def _level_work(res):
 
 TOWER_WORK = {
     # pairs, steps, stored_terms, live_terms
-    "2:(3,1)": (2085, 22417, 24670, 13529),
-    "2:(2,1,2)": (3744, 27169, 31320, 17468),
-    "mccullough(3,1,3)": (3603, 22318, 25919, 15417),
-    "caviglia(3)": (18, 20, 32, 16),
-    "caviglia(4)": (25, 29, 44, 24),
-    "caviglia(5)": (32, 38, 56, 32),
-    "caviglia(6)": (39, 47, 68, 40),
-    "caviglia(7)": (46, 56, 80, 48),
+    "2:(3,1)": (1605, 17007, 18728, 10481),
+    "2:(2,1,2)": (3648, 26527, 29469, 16909),
+    "mccullough(3,1,3)": (3027, 19837, 22882, 13922),
+    "caviglia(3)": (18, 20, 32, 18),
+    "caviglia(4)": (25, 29, 44, 26),
+    "caviglia(5)": (32, 38, 56, 34),
+    "caviglia(6)": (39, 47, 68, 42),
+    "caviglia(7)": (46, 56, 80, 50),
 }
 
 
 def test_tower_work_pinned():
     # The retained pairs and the quotients are those of the full route;
-    # the S-vectors and reducers see 46,574 of the 82,189 stored tail terms.
+    # the S-vectors and reducers see 41,482 of the 71,359 stored tail terms.
     keys = ("pairs", "steps", "stored_terms", "live_terms")
     total = dict.fromkeys(keys, 0)
     for name, want in TOWER_WORK.items():
@@ -834,7 +882,7 @@ def test_tower_work_pinned():
         for key in keys:
             total[key] += res.stats[key]
     assert total == {
-        "pairs": 9592, "steps": 72094, "stored_terms": 82189, "live_terms": 46574
+        "pairs": 8440, "steps": 63561, "stored_terms": 71359, "live_terms": 41482
     }
 
 
@@ -901,7 +949,7 @@ def test_constant_entries_of_a_basis_that_is_not_reduced(elements):
 def test_betti_modules_and_length_leave_the_columns_unbuilt():
     res = schreyer_resolution(_family("2:(2,1)")())
     table = res.betti()
-    assert [m.rank for m in res.modules] == [1, 12, 40, 63, 53, 23, 4]
+    assert [m.rank for m in res.modules] == [1, 12, 39, 59, 47, 19, 3]
     assert res.length == 6 and "non-minimal" in repr(res)
     assert res._cols is None
     assert res.minimalize().betti() == table and res._cols is None
@@ -916,3 +964,126 @@ def test_level_cap_raises_with_the_first_levels(cap):
     twists, cols = schreyer_resolution(ideal)._chain()
     assert info.value.partial == (twists[: cap + 1], cols[: cap + 1])
     assert len(schreyer_resolution(ideal, level_cap=6)._chain()[0]) == 7
+
+
+# ------------------------------------------------ the level-1 order
+
+def _random_ideal(rng, field, kind):
+    """Two to four random forms of degree 2 or 3, of at most three terms,
+    in 3-5 variables; 3-4 over QQ, where the coefficients of a 5-variable
+    tower can reach hundreds of digits and take minutes."""
+    nvars = rng.randrange(3, 5 if field == QQ else 6)
+    perm = list(range(nvars))
+    rng.shuffle(perm)
+    order = MonomialOrder("grevlex", perm) if kind == "permuted" else MonomialOrder(kind)
+    R = PolynomialRing(VariableTable.named([f"x{k}" for k in range(nvars)]), field, order)
+    gens = [
+        random_homogeneous(R, rng, rng.randrange(2, 4), max_terms=3)
+        for _ in range(rng.randrange(2, 5))
+    ]
+    return IdealPresentation(R, gens)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "permuted"])
+@pytest.mark.parametrize("field", sorted(ORACLE_FIELDS))
+def test_betti_table_invariant_under_level_one_order(field, kind):
+    # Level 1 lies in one component, so the basis's element order, the
+    # tower's reverse-lexicographic order and a random one all resolve
+    # the same module: only the frame may differ.
+    rng = random.Random(f"level one {field} {kind}")
+    checked = 0
+    for _ in range(16):
+        gb = buchberger(_random_ideal(rng, ORACLE_FIELDS[field], kind))
+        shuffled = list(gb._gens)
+        rng.shuffle(shuffled)
+        towers = [_tower_in(gb, gb._gens), schreyer_resolution(gb), _tower_in(gb, shuffled)]
+        table = towers[1].betti()
+        assert all(t.betti() == table for t in towers)
+        assert hilbert_crosscheck(table, gb.hilbert_numerator())
+        if sum(m.rank for m in towers[0].modules) <= 60:
+            checked += 1
+            for t in towers:
+                mres = t.minimalize()
+                assert t.check_complex() and mres.check_complex() and mres.is_minimal_complex()
+                assert [m.rank for m in mres.modules] == table.totals()
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("name", ["2:(2,1)", "2:(2,1) lex", "mccullough(2,1,3) over QQ"])
+def test_chain_independent_of_basis_element_order(name):
+    # The tower sorts the records, so the elements of a reduced basis in
+    # any order give the pinned chain.
+    make, limit, digest, _ = CHAIN_DIGESTS[name]
+    gb = buchberger(make(), degree_limit=limit)
+    rng = random.Random(name)
+    for _ in range(3):
+        elements = list(gb.elements)
+        rng.shuffle(elements)
+        assert elements != list(gb.elements)
+        shuffled = GroebnerBasis(gb.ring, elements, reduced=True)
+        assert _chain_digest(schreyer_resolution(shuffled)) == digest
+
+
+# ------------------------------------------------ negative controls
+
+@pytest.mark.parametrize("level", [1, 2, 4])
+def test_corrupted_chain_fails_check_complex(level):
+    # One coefficient of one column changes the composite by that term
+    # times a nonzero column below (or, at level 1, above), so the
+    # check must see it.
+    res = schreyer_resolution(_family("2:(2,1)")())
+    assert res.check_complex()
+    cols = res._chain()[1]
+    cid = min(cols[level])
+    rid, poly = min(cols[level][cid].items())
+    e, c = min(poly.items())
+    cols[level][cid][rid] = {**poly, e: c * 2 % 32003}
+    assert not res.check_complex()
+
+
+def test_constant_term_in_a_minimal_chain_fails_is_minimal_complex():
+    mres = schreyer_resolution(_family("2:(2,1)")()).minimalize()
+    assert mres.is_minimal_complex()
+    cols = mres._chain()[1]
+    cid = min(cols[2])
+    rid, poly = min(cols[2][cid].items())
+    cols[2][cid][rid] = {**poly, (0,) * mres.ring.nvars: mres.ring.field.one}
+    assert not mres.is_minimal_complex()
+
+
+# ------------------------------------------------ scalar ranks
+
+def _dense_rank(columns, nrows, field):
+    """Rank by Gaussian elimination on dense rows with the field's methods."""
+    rows = [[col.get(r, field.zero) for col in columns] for r in range(nrows)]
+    rank = 0
+    for c in range(len(columns)):
+        piv = next((r for r in range(rank, nrows) if rows[r][c] != field.zero), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][c])
+        for r in range(nrows):
+            if r != rank and rows[r][c] != field.zero:
+                f = field.mul(rows[r][c], inv)
+                rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("field", sorted(ORACLE_FIELDS))
+def test_rank_matches_dense_elimination(field):
+    F = ORACLE_FIELDS[field]
+    rng = random.Random(field)
+    deficient = 0
+    for _ in range(300):
+        nrows = rng.randrange(1, 7)
+        columns = [
+            {r: F.convert(rng.randrange(1, 4)) for r in range(nrows) if rng.random() < 0.5}
+            for _ in range(rng.randrange(1, 7))
+        ]
+        columns = [col for col in columns if col]
+        want = _dense_rank(columns, nrows, F)
+        deficient += want < len(columns)
+        assert resolution._rank(columns, F) == want
+    assert deficient > 50
