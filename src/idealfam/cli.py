@@ -34,6 +34,7 @@ from .errors import (
 from .family import (
     DEFAULT_PRIME,
     FamilyParams,
+    _target_basis,
     build_ideal,
     caviglia_ideal,
     caviglia_witness,
@@ -47,7 +48,6 @@ from .family import (
     stage_count,
     variable_count,
     verification_basis,
-    verification_degree,
     verify_lemma,
     verify_socle,
     verify_socle_ideal,
@@ -197,14 +197,14 @@ def cmd_verify(args) -> int:
         witness = mccullough_witness(*extra, ideal.ring.table)
     else:
         witness = caviglia_witness(*extra, ideal.ring.table)
-    limit = args.degree_limit or (
-        verification_degree(extra) if witness is None else witness.degree + 1
-    )
-    gb = membership_basis(ideal, limit, pair_limit=args.pair_limit)
     if witness is None:
+        # The family's bidegree boxes, within --degree-limit when given.
+        gb = _target_basis(extra, ideal, args.pair_limit, args.degree_limit)
         socle = verify_socle(extra, gb)
         lemma = verify_lemma(extra, gb).as_dict()
     else:
+        limit = args.degree_limit or witness.degree + 1
+        gb = membership_basis(ideal, limit, pair_limit=args.pair_limit)
         socle = verify_socle_ideal(ideal, witness, gb)
         lemma = None
     ok = socle.conclusion and (lemma is None or lemma["ok"])

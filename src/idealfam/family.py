@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .errors import InternalError, ValidationError
-from .groebner import DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealPresentation, buchberger
+from .groebner import DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealPresentation, _basis, buchberger
 from .ring import (
     Monomial,
     MonomialOrder,
@@ -379,22 +379,16 @@ def membership_basis(
     """Groebner basis truncated at ``degree_limit``, for membership tests.
 
     Homogeneous reduction never raises degree, so membership of elements
-    at or below the truncation degree is exact.  Buchberger's kernel never
-    stores, chain-tests or forms a pair whose lcm lies above that degree,
-    and on this family such pairs are most of the candidates, so the
-    computation stays far cheaper than a full basis.  Tails are kept as
-    raw division remainders and the final interreduction is skipped: both
-    choices keep this family's bases much sparser and change no
-    membership answer.  Without tail reduction the kernel takes its
-    signature criteria instead of Gebauer-Moeller's: the family ideal's
-    pure powers form a regular sequence whose Koszul syzygies are then
-    known in advance, and on the six bases of the benchmark's ``verify``
-    workload the reductions to zero fall from 975 to 76 and the time about
-    halves.  Only 2,693 of their 59,295 candidate pairs lie within the
-    truncation degree; a generator whose lead has that degree pairs only
-    with the leads dividing it.  ``pair_limit`` bounds the queued
-    signatures as it bounds the pair queue in
-    :func:`~idealfam.groebner.buchberger`.
+    at or below the truncation degree is exact.  No pair whose lcm lies
+    above that degree is formed, and on this family those are most of the
+    candidates: on this degree route, 2,693 of the 59,295 of the six
+    ``verify`` bases lie within it.  Tails stay raw division remainders
+    and the final interreduction is skipped, which keeps this family's
+    bases sparser and changes no membership answer; without tail
+    reduction the kernel takes its signature criteria, which leave few
+    reductions to zero (see `~idealfam.groebner._buchberger_kernel`).
+    ``pair_limit`` bounds the queued signatures as it bounds the pair
+    queue in :func:`~idealfam.groebner.buchberger`.
     """
     return buchberger(
         ideal,
@@ -408,10 +402,42 @@ def membership_basis(
 def verification_basis(
     params: FamilyParams, field=None, *, pair_limit=DEFAULT_PAIR_LIMIT
 ) -> GroebnerBasis:
-    """:func:`membership_basis` of the family ideal at the largest membership degree."""
-    return membership_basis(
-        build_ideal(params, field), verification_degree(params), pair_limit=pair_limit
-    )
+    """:func:`membership_basis` of the family ideal at the largest membership
+    degree, truncated further to the bidegree boxes of its targets.
+
+    A bidegree is the degree in x[1,1], ..., x[g,1] and in all the other
+    variables; every generator is homogeneous for it.  Pairs whose lcm
+    lies outside the boxes below the socle witness w, each ``x_i * w`` and
+    the stage monomials are left out.  Every membership test of
+    :func:`verify_socle` and :func:`verify_lemma` answers as on the degree
+    route, with fewer elements (the six ``verify`` bases: 352 against
+    742); a polynomial with a term outside the boxes is refused.
+    """
+    return _target_basis(params, build_ideal(params, field), pair_limit)
+
+
+def _target_basis(params, ideal, pair_limit, degree_limit=None):
+    """`verification_basis` of ``ideal``, the family ideal of ``params``, at
+    ``degree_limit`` (by default the largest target degree)."""
+    table = ideal.ring.table
+    first = tuple(table.x_index(j, 1) for j in range(1, params.g + 1))
+
+    def bidegree(exps):
+        a = sum(exps[v] for v in first)
+        return a, sum(exps) - a
+
+    for gen in ideal.generators:
+        if len({bidegree(e) for e, _ in gen.terms}) != 1:
+            raise InternalError(f"generator {gen} of {params} is not bihomogeneous")
+    # The witness w, each x_v * w and the stage monomials; only maximal boxes.
+    a, b = bidegree(socle_witness(params, table).exps)
+    targets = {(a, b)} | {(a + (v in first), b + (v not in first)) for v in range(len(table))}
+    targets |= {bidegree(m.exps) for m in lemma_targets(params, table)}
+    boxes = tuple(sorted(t for t in targets if not any(
+        t != u and t[0] <= u[0] and t[1] <= u[1] for u in targets)))
+    if degree_limit is None:
+        degree_limit = max(a + b for a, b in boxes)
+    return _basis(ideal, ideal.ring, degree_limit, pair_limit, False, False, (first, boxes))
 
 
 def verify_socle(

@@ -81,7 +81,7 @@ class _Packing:
     __slots__ = (
         "order", "nvars", "width", "components", "tagged", "twists", "module",
         "maxdeg", "cw", "cmask", "guard", "pack", "unpack", "deg", "bound", "quo",
-        "lcm", "within",
+        "lcm", "within", "inside",
     )
 
     def __init__(self, order, nvars, width, components=None, tagged=None, twists=None):
@@ -172,8 +172,18 @@ class _Packing:
                     above = True
             return out, above
 
+        def inside(variables, boxes):
+            """A test whether a term's bidegree, its degree in ``variables``
+            and in the others, lies in one of ``boxes``; `deg` under a mask."""
+            mask = sum(fmask << offsets[v] for v in variables) << cw
+
+            def test(x):
+                a = ((x & mask) * ones >> top + cw) & fmask
+                return any(a <= A and deg(x) - a <= B for A, B in boxes)
+            return test
+
         self.pack, self.unpack, self.deg, self.bound = pack, unpack, deg, bound
-        self.quo, self.lcm, self.within = quo, lcm, within
+        self.quo, self.lcm, self.within, self.inside = quo, lcm, within, inside
 
     def with_components(self, components):
         return _Packing(self.order, self.nvars, self.width, components)
@@ -583,10 +593,18 @@ class _Signatures:
     signature of the finished run: the pairs above the limit are replayed,
     latest h first, until one such pair is found.  When none is, the
     basis is complete.
+
+    With ``inside`` (`_Packing.inside`) a candidate whose lcm lies outside
+    every bidegree box is not queued either (``outside_box``), and the
+    basis counts as truncated.  A signature's reducers, criteria and pick
+    read only generators of bidegree below its lcm's, so inside the boxes
+    all is decided as without them (Caboara, De Dominicis and Robbiano,
+    "Multigraded Hilbert functions and Buchberger algorithm", ISSAC 1996).
     """
 
     COUNTERS = (
-        "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular", "above_limit"
+        "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular", "above_limit",
+        "outside_box",
     )
 
     def __init__(self, f, pk, field, degree_limit, stats):
@@ -607,6 +625,7 @@ class _Signatures:
         self.heap = []
         self.above_limit = []
         self.current = None
+        self.inside = None
 
     def queued(self):
         return len(self.heap)
@@ -641,23 +660,28 @@ class _Signatures:
 
     def _within(self, h):
         """The generators before h whose lead's lcm with h's lies within
-        the limit, in order, and the number of the others."""
+        the limit and the region, in order, and the number above the limit."""
         earlier = self.f[: h.idx]
         limit = self.degree_limit
         if limit is None:
             return earlier, 0
         # A lead of degree ``limit`` has an lcm within it only with the
         # leads that divide it; a lead above has none.
-        pk = self.pk
-        top = pk.deg(h.lm) - limit
+        pk, hl = self.pk, h.lm
+        top = pk.deg(hl) - limit
         if top < 0:
-            within, _ = pk.within(h.lm, earlier, limit)
+            within, _ = pk.within(hl, earlier, limit)
         elif top == 0:
-            hl, guard = h.lm, pk.guard
+            guard = pk.guard
             within = [g for g in earlier if not (hl - g.lm) & guard]
         else:
             within = []
-        return within, len(earlier) - len(within)
+        above = len(earlier) - len(within)
+        if self.inside is not None:
+            kept = [g for g in within if self.inside(pk.lcm(hl, g.lm))]
+            self.stats["outside_box"] += len(within) - len(kept)
+            within = kept
+        return within, above
 
     @staticmethod
     def _signature(g, h, lcm):
@@ -737,7 +761,7 @@ class _Signatures:
         for g in sorted(self.f, key=lambda g: (deg(g.lm), g.idx)):
             if all((g.lm - x.lm) & guard for x in G):
                 G.append(g)
-        return G, self._live_above_limit()
+        return G, self.inside is not None or self._live_above_limit()
 
     def _live_above_limit(self):
         pk = self.pk
@@ -760,6 +784,7 @@ def _buchberger_kernel(
     pair_limit=DEFAULT_PAIR_LIMIT,
     tail_reduce=True,
     interreduce=True,
+    region=None,
 ):
     """Groebner basis of homogeneous term dicts; returns (gens, truncated, pk, stats).
 
@@ -779,12 +804,12 @@ def _buchberger_kernel(
     six family bases of the benchmark's ``verify`` workload the
     signatures cut the reductions from 1,696 to 963, those to zero from
     975 to 76 and the division steps from 91,288 to 19,227, and halve the
-    time.  There, 2,693 of 59,295 candidate pairs lie within the limit;
-    47,815 candidates come from leads of the limit's degree, which pair
-    only with their divisors, and the 963 picks scan 34,517 ranked
-    generators.  With tail reduction, where every term may only be
-    divided by regular reducers, they lost where it was measured: a
-    random dense 5-variable grlex ideal at degree limit 18 took 1.2 ->
+    time.  There, on the degree route, 2,693 of 59,295 candidate pairs lie
+    within the limit; 47,815 candidates come from leads of the limit's
+    degree, which pair only with their divisors, and the 963 picks scan
+    34,517 ranked generators.  With tail reduction, where every term may
+    only be divided by regular reducers, they lost where it was measured:
+    a random dense 5-variable grlex ideal at degree limit 18 took 1.2 ->
     24.6 s, and the eight ``resolve`` bases, which have no limit, gained
     nothing (0.08-0.09 s either way), so full remainders keep
     Gebauer-Moeller.  Degree-limited family bases were not part of that
@@ -803,6 +828,8 @@ def _buchberger_kernel(
     reductions, those to zero, the pairs or signatures queued and dropped
     by each criterion, and the candidates above ``degree_limit`` (the
     route's ``COUNTERS``).
+    ``region``, ``(variables, boxes)`` for `_Packing.inside`, needs the
+    signature route and a ``degree_limit``; the result counts as truncated.
     """
     f = []
     for t in inputs:
@@ -820,6 +847,10 @@ def _buchberger_kernel(
     route = _Signatures if not pk.module and not tail_reduce else _GebauerMoeller
     stats = dict.fromkeys(route.COUNTERS + ("reductions", "zero_reductions"), 0)
     crit = route(f, pk, field, degree_limit, stats)
+    if region is not None:
+        if route is _GebauerMoeller or degree_limit is None:
+            raise InternalError("a bidegree region needs the signature route and a degree limit")
+        crit.inside = pk.inside(*region)
     for h in f[:]:
         crit.add(h)
 
@@ -895,12 +926,16 @@ class GroebnerBasis:
     trusts them to be a Groebner basis; for any other input
     ``normal_form`` depends on that reducer order.  ``stats`` holds the
     kernel's counters for a computed basis (see `_buchberger_kernel`) and
-    is None for one built from polynomials.
+    is None for one built from polynomials.  A ``truncated_at`` that is
+    not None is the degree up to which normal forms are exact; a
+    polynomial above it is refused.  A basis truncated to bidegree boxes
+    as well (``verification_basis``) keeps them privately and also
+    refuses a polynomial with a term outside every box.
     """
 
     __slots__ = (
         "ring", "reduced", "truncated_at", "source", "stats", "_gens", "_pk",
-        "_elements", "_by_degree",
+        "_elements", "_by_degree", "_region",
     )
 
     def __init__(self, ring, elements, *, reduced, truncated_at=None, source=None):
@@ -912,6 +947,7 @@ class GroebnerBasis:
         self.stats = None
         self._elements = tuple(elements)
         self._by_degree = None
+        self._region = None
         degrees = [p.homogeneous_degree() for p in self._elements]
         if "any" in degrees:
             raise ValidationError("Groebner basis elements must be nonzero")
@@ -924,13 +960,14 @@ class GroebnerBasis:
         ]
 
     @classmethod
-    def _from_kernel(cls, ring, gens, pk, stats, **flags):
-        """A basis that keeps the kernel records and counters ``buchberger`` computed."""
+    def _from_kernel(cls, ring, gens, pk, stats, region, **flags):
+        """A basis that keeps the kernel records, counters and region ``buchberger`` computed."""
         basis = cls(ring, (), **flags)
         basis.stats = stats
         basis._gens = gens
         basis._pk = pk
         basis._elements = None
+        basis._region = region
         return basis
 
     @property
@@ -967,9 +1004,10 @@ class GroebnerBasis:
             gens = sorted(pk.convert(self._gens, self._pk), key=lambda g: pk.deg(g.lm))
             self._by_degree = packed = (pk, gens)
         pk, by_degree = packed
-        r, _ = _reduce(
-            pk.pack_terms(p.terms), lambda m: by_degree, pk, self.ring.field, full=full
-        )
+        terms = pk.pack_terms(p.terms)
+        if self._region is not None and not all(map(pk.inside(*self._region), terms)):
+            raise ValidationError(f"a term lies outside the basis's bidegree boxes {self._region[1]}")
+        r, _ = _reduce(terms, lambda m: by_degree, pk, self.ring.field, full=full)
         return r, pk
 
     def normal_form(self, p: Polynomial) -> Polynomial:
@@ -1023,9 +1061,10 @@ def buchberger(
     """Reduced Groebner basis of an ideal presentation.
 
     With ``degree_limit`` no S-pair whose lcm lies above the limit is
-    formed, and the basis is exact in all degrees up to the limit.
-    ``truncated_at`` is then the limit when such a pair survived the pair
-    criteria, and None when none did, so that the basis is complete.
+    formed, and the basis is exact in all degrees up to the limit.  The
+    result's ``truncated_at`` is then the limit when such a pair survived
+    the pair criteria, and None when none did, so that the basis is
+    complete; without a limit it is always None.
     ``pair_limit`` bounds the queued pairs; pairs above ``degree_limit``
     are never queued and do not count.  ``interreduce=False`` skips the
     final tail interreduction; the result still yields correct normal
@@ -1048,18 +1087,24 @@ def buchberger(
             order = MonomialOrder(order)
         if order != ring.order:
             ring = ring.with_order(order)
+    return _basis(ideal, ring, degree_limit, pair_limit, tail_reduce, interreduce)
+
+
+def _basis(ideal, ring, degree_limit, pair_limit, tail_reduce, interreduce, region=None):
+    """`buchberger` in ``ring``, also truncated to the kernel's bidegree
+    ``region`` when one is given; the basis keeps it."""
     # With a limit no pair above it is reduced, so its fields always fit.
     bound = max(max(ideal.degrees()), degree_limit or 0)
     inputs = [dict(g.terms) for g in ideal.generators]
     gens, truncated, pk, stats = _widening(
         lambda pk: _buchberger_kernel(
             inputs, pk, ring.field, degree_limit=degree_limit, pair_limit=pair_limit,
-            tail_reduce=tail_reduce, interreduce=interreduce,
+            tail_reduce=tail_reduce, interreduce=interreduce, region=region,
         ),
         _Packing(ring.order, ring.nvars, _width(bound)),
     )
     return GroebnerBasis._from_kernel(
-        ring, gens, pk, stats, reduced=interreduce,
+        ring, gens, pk, stats, region, reduced=interreduce,
         truncated_at=degree_limit if truncated else None, source=ideal,
     )
 

@@ -729,9 +729,16 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     later levels moves.  The chain, its ranks and the retained pairs
     depend on the numbering; the Betti table does not.  Equal leads,
     which only a basis that is not reduced has, keep their element order.
+    A truncated basis needs a ``degree_limit`` of at most its
+    ``truncated_at``, and one truncated to bidegree boxes is refused.
     """
     if isinstance(source, GroebnerBasis):
         gb = source
+        if gb._region is not None:
+            raise ValidationError("a basis truncated to bidegree boxes cannot be resolved")
+        cut = gb.truncated_at
+        if cut is not None and (degree_limit is None or degree_limit > cut):
+            raise ValidationError(f"a basis truncated at degree {cut} needs a degree_limit <= {cut}")
     elif isinstance(source, IdealPresentation):
         gb = buchberger(source, degree_limit=degree_limit)
     else:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,6 +24,7 @@ from idealfam import (
     pd_formula,
     preset_many_generators,
     preset_three_generators,
+    schreyer_resolution,
     socle_witness,
     stage_count,
     variable_count,
@@ -32,6 +34,7 @@ from idealfam import (
     verify_socle,
     verify_socle_ideal,
 )
+from idealfam.family import membership_basis
 
 
 def sweep_params(max_g=4, max_n=3, max_m=4):
@@ -351,6 +354,80 @@ def test_verify_socle_negative_control():
     bad = ideal.ring.monomial([1, 2, 1, 1])
     rep = verify_socle_ideal(ideal, bad, basis, params)
     assert not rep.conclusion
+
+
+# Every family instance whose verification basis tier-1 builds, except
+# 4:(2,2) (degree route over 20 s) and 5:(2) (2.4 s, box route below).
+TIER1_FAMILY = (
+    "2:(0)", "2:(1,0)", "2:(1,1)", "2:(2,0)", "2:(2,1)", "2:(3,0)", "2:(3,1)", "3:(2)",
+    "3:(2,0)", "3:(2,1)", "3:(4,0)", "4:(2)", "3:(2,2)", "2:(4,3)", "2:(2,1,2)",
+    "2:(2,1,3)", "2:(2,2,2)", "2:(4,2,1)", "2:(4,4,0)", "2:(2,3,4)",
+)
+
+# Instances of the g <= 3, n <= 3, m <= 3 box whose degree route was
+# measured at 1.5 s or more on a shared 2-core host (most ran past 6 s).
+SLOW_DEGREE_ROUTE = frozenset((
+    "3:(2,3)", "3:(3,2)", "3:(3,3)", "2:(3,3,3)", "3:(2,1,2)", "3:(2,1,3)",
+    "3:(3,1,1)", "3:(3,1,2)", "3:(3,1,3)",
+    *(f"3:({a},{b},{c})" for a in (2, 3) for b in (2, 3) for c in range(4)),
+))
+
+
+def _reports(params, basis):
+    return verify_socle(params, basis), verify_lemma(params, basis)
+
+
+def _assert_box_route_answers_as_degree_route(specs):
+    for spec in specs:
+        params = FamilyParams.parse(spec)
+        degree = membership_basis(build_ideal(params), verification_degree(params))
+        box = verification_basis(params)
+        assert len(box) <= len(degree), spec
+        assert _reports(params, box) == _reports(params, degree), spec
+
+
+def test_box_route_matches_degree_route_on_tier1_instances():
+    # Every membership answer: not_in_ideal, each killed_by, each lemma monomial.
+    _assert_box_route_answers_as_degree_route(TIER1_FAMILY)
+
+
+def test_box_route_matches_degree_route_on_a_seeded_sweep():
+    eligible = [str(p) for p in sweep_params(3, 3, 3) if str(p) not in SLOW_DEGREE_ROUTE]
+    assert len(eligible) == 55
+    _assert_box_route_answers_as_degree_route(random.Random(1101).sample(eligible, 16))
+
+
+@pytest.mark.parametrize("spec", ["5:(2)", "3:(2,2)", "3:(3,1)", "3:(2,1,2)"])
+def test_box_route_conclusions(spec):
+    # Instances whose degree route takes 0.4-2.4 s certify in well under a second.
+    params = FamilyParams.parse(spec)
+    basis = verification_basis(params)
+    socle = verify_socle(params, basis)
+    assert socle.conclusion, spec
+    assert socle.implied_pd == pd_formula(params), spec
+    assert verify_lemma(params, basis).ok, spec
+
+
+def test_box_basis_refuses_outside_its_region():
+    # x[1,1]^2 * w / x[1,2] has the limit's degree, but its bidegree lies
+    # outside every target box; the degree route accepts it.
+    params = FamilyParams.parse("2:(2,1)")
+    basis = verification_basis(params)
+    ring, table = basis.ring, basis.ring.table
+    exps = list(socle_witness(params, table).exps)
+    exps[table.x_index(1, 1)] += 2
+    exps[table.x_index(1, 2)] -= 1
+    outside = ring.from_monomial(ring.monomial(exps))
+    assert outside.degree() == basis.truncated_at == verification_degree(params)
+    assert membership_basis(build_ideal(params), basis.truncated_at).contains(outside)
+    with pytest.raises(ValidationError, match="bidegree boxes"):
+        basis.contains(outside)
+    with pytest.raises(ValidationError, match="bidegree boxes"):
+        basis.normal_form(outside + ring.from_monomial(socle_witness(params, table)))
+    with pytest.raises(ValidationError):
+        basis.hilbert_numerator()
+    with pytest.raises(ValidationError, match="bidegree boxes"):
+        schreyer_resolution(basis, degree_limit=basis.truncated_at)
 
 
 def test_shared_basis_matches_fresh_runs():

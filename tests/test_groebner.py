@@ -35,6 +35,7 @@ from idealfam import (
     verify_socle,
 )
 from idealfam import groebner
+from idealfam.family import membership_basis
 
 from conftest import random_homogeneous, small_ring, span_membership
 
@@ -409,6 +410,13 @@ def _size(basis):
     return len(basis), sum(len(p) for p in basis.elements)
 
 
+def _degree_route(spec):
+    # A verification basis truncated at the verification degree alone, as
+    # before bidegree boxes: the kernel pins below were taken on it.
+    params = FamilyParams.parse(spec)
+    return membership_basis(build_ideal(params), verification_degree(params))
+
+
 @functools.cache
 def _gebauer_moeller_basis(spec):
     # A verify instance's basis on Gebauer-Moeller's truncated route (with
@@ -456,7 +464,7 @@ def test_basis_sizes_pinned():
         ("2:(4,2,1)", (164, 21093)),
         ("2:(2,3,4)", (121, 16890)),
     ):
-        assert _size(verification_basis(FamilyParams.parse(spec))) == want, spec
+        assert _size(_degree_route(spec)) == want, spec
     assert _size(buchberger(build_ideal(FamilyParams.parse("2:(3,1)")))) == (34, 210)
     assert _size(buchberger(caviglia_ideal(5))) == (7, 8)
     assert _size(buchberger(mccullough_ideal(2, 1, 3))) == (6, 10)
@@ -491,7 +499,7 @@ def test_spolynomial_counts_pinned():
         ("2:(4,2,1)", 241),
         ("2:(2,3,4)", 165),
     ):
-        assert verification_basis(FamilyParams.parse(spec)).stats["reductions"] == want, spec
+        assert _degree_route(spec).stats["reductions"] == want, spec
     assert buchberger(build_ideal(FamilyParams.parse("2:(3,1)"))).stats["reductions"] == 162
     assert buchberger(caviglia_ideal(5)).stats["reductions"] == 13
 
@@ -583,7 +591,7 @@ def test_signature_zero_reductions_pinned():
     # reduced 1,696 S-polynomials there, 975 of them to zero.
     got = {}
     for spec in VERIFY_SPECS:
-        stats = verification_basis(FamilyParams.parse(spec)).stats
+        stats = _degree_route(spec).stats
         got[spec] = (stats["reductions"], stats["zero_reductions"])
     assert got == {
         "2:(2,2,2)": (42, 7),
@@ -606,15 +614,20 @@ def test_stats_count_each_route():
     sig = buchberger(ideal, tail_reduce=False).stats
     assert set(sig) == {
         "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular",
-        "above_limit", "reductions", "zero_reductions",
+        "above_limit", "outside_box", "reductions", "zero_reductions",
     }
-    for stats in (gm, sig):
+    box = verification_basis(FamilyParams.parse("2:(2,1)")).stats
+    assert set(box) == set(sig)
+    for stats in (gm, sig, box):
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
         assert stats["zero_reductions"] <= stats["reductions"] <= stats["pairs"]
     # Without a limit the degree pass drops nothing; with one, on both.
-    assert gm["above_limit"] == sig["above_limit"] == 0
+    # Only a bidegree region drops candidates outside its boxes.
+    assert gm["above_limit"] == sig["above_limit"] == sig["outside_box"] == 0
     for tail_reduce in (True, False):
         assert buchberger(ideal, degree_limit=4, tail_reduce=tail_reduce).stats["above_limit"] > 0
+    assert buchberger(ideal, degree_limit=4, tail_reduce=False).stats["outside_box"] == 0
+    assert box["above_limit"] > 0 and box["outside_box"] > 0
     # A basis built from polynomials has no kernel counters.
     assert GroebnerBasis(ideal.ring, buchberger(ideal).elements, reduced=True).stats is None
 
@@ -622,10 +635,7 @@ def test_stats_count_each_route():
 def test_signature_above_limit_pinned():
     # Candidates the degree pass dropped over the six verify bases: most
     # come from generators whose lead has the limit's degree.
-    got = {
-        spec: verification_basis(FamilyParams.parse(spec)).stats["above_limit"]
-        for spec in VERIFY_SPECS
-    }
+    got = {spec: _degree_route(spec).stats["above_limit"] for spec in VERIFY_SPECS}
     assert got == {
         "2:(2,2,2)": 571,
         "3:(2,1)": 7661,
@@ -637,12 +647,55 @@ def test_signature_above_limit_pinned():
     assert sum(got.values()) == 56602
 
 
+def _inside_boxes(basis, poly):
+    # Every term's bidegree lies in one of the basis's boxes, read from
+    # the exponent tuples rather than the packed kernel test.
+    first, boxes = basis._region
+    for exps, _ in poly.terms:
+        a = sum(exps[v] for v in first)
+        if not any(a <= A and sum(exps) - a <= B for A, B in boxes):
+            return False
+    return True
+
+
+def test_box_route_pinned():
+    # The six verify bases truncated to their targets' bidegree boxes:
+    # elements kept (742 on the degree route, 352 here) and candidates
+    # within the degree limit dropped outside every box.
+    got = {}
+    for spec in VERIFY_SPECS:
+        basis = verification_basis(FamilyParams.parse(spec))
+        got[spec] = (len(basis), basis.stats["outside_box"])
+    assert got == {
+        "2:(2,2,2)": (24, 9),
+        "3:(2,1)": (51, 82),
+        "4:(2)": (14, 36),
+        "2:(4,3)": (82, 34),
+        "2:(4,2,1)": (70, 142),
+        "2:(2,3,4)": (111, 11),
+    }
+
+
+def test_box_route_is_the_degree_route_inside_the_boxes():
+    # Inside the boxes the box route decides and reduces every signature
+    # as the degree route does, so its basis is exactly the degree route's
+    # elements that lie in the boxes, in the same order.
+    for spec in VERIFY_SPECS + ("2:(3,1)", "2:(2,1,2)"):
+        box, degree = verification_basis(FamilyParams.parse(spec)), _degree_route(spec)
+        assert box.truncated_at == degree.truncated_at == verification_degree(
+            FamilyParams.parse(spec)
+        )
+        inside = [p for p in degree.elements if _inside_boxes(box, p)]
+        assert list(box.elements) == inside, spec
+        assert len(inside) < len(degree), spec
+
+
 def _signature_corpus():
     # The six verify bases and 120 seeded random truncated ideals in 3-5
     # variables over F_101 and F_32003, under three orders at limits 3-7;
     # one input of each random ideal has the limit's degree or one more.
     for spec in VERIFY_SPECS:
-        verification_basis(FamilyParams.parse(spec))
+        _degree_route(spec)
     rng = random.Random(2012)
     for _ in range(120):
         nvars = rng.randrange(3, 6)
@@ -939,7 +992,7 @@ def test_membership_division_work_pinned():
     # verification, with the reducers lowest lead degree first, against
     # the same checks dividing by the records in element order.
     params = FamilyParams.parse("2:(2,3,4)")
-    basis = verification_basis(params)
+    basis = _degree_route("2:(2,3,4)")
     assert not basis.contains(basis.ring.one())  # builds the degree-ordered list
 
     pk, by_degree = basis._by_degree

@@ -187,6 +187,22 @@ def test_degree_truncated_resolution_marks_and_matches():
             assert part.entry(i, j) == b
 
 
+def test_truncated_basis_resolves_only_within_its_truncation():
+    # A basis truncated at degree 5 lacks elements above it: a tower with
+    # no limit, or with one above 5, would meet S-vectors that do not
+    # reduce to zero, and could mark its result complete.  Both are
+    # refused before the tower is built.
+    ideal = build_ideal(FamilyParams.parse("2:(3,1)"))
+    gb = buchberger(ideal, degree_limit=5)
+    assert gb.truncated_at == 5
+    for limit in (None, 8):
+        with pytest.raises(ValidationError, match="truncated at degree 5"):
+            schreyer_resolution(gb, degree_limit=limit)
+    part = schreyer_resolution(gb, degree_limit=5)
+    assert part.truncated_at == 5
+    assert part.betti() == schreyer_resolution(ideal, degree_limit=5).betti()
+
+
 def _counted(res):
     """Betti table counted from the column-operation minimalization."""
     twists, _ = resolution._minimalize_raw(*res._chain(), res.ring.field, res.ring.nvars)
