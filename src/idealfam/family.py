@@ -278,12 +278,17 @@ def lemma_targets(params: FamilyParams, table: VariableTable | None = None) -> l
     """The stage monomials prod_{k' <= k} x[.,k']^(d_k'-1) * x[j,k+1]^(d_{k+1}).
 
     Listed for every stage k in 0..n-1 and row j; stage 0 gives the pure
-    powers x[j,1]^d.
+    powers x[j,1]^d.  :func:`verify_lemma` tests the same monomials as
+    exponent tuples.
     """
     if table is None:
         table = family_table(params)
+    return [Monomial(table, e) for e in _stage_exponents(params, table)]
+
+
+def _stage_exponents(params, table):
+    """The exponent tuples of `lemma_targets`, in its order."""
     cs = derived_constants(params)
-    out = []
     for k in range(params.n):
         base = [0] * len(table)
         for kk in range(1, k + 1):
@@ -292,8 +297,7 @@ def lemma_targets(params: FamilyParams, table: VariableTable | None = None) -> l
         for j in range(1, params.g + 1):
             exps = list(base)
             exps[table.x_index(j, k + 1)] += cs.d[k]
-            out.append(Monomial(table, exps))
-    return out
+            yield tuple(exps)
 
 
 def pd_formula(params: FamilyParams) -> int:
@@ -368,9 +372,7 @@ def verification_degree(params: FamilyParams) -> int:
     """Largest degree any socle or stage-monomial membership test reaches."""
     table = family_table(params)
     top = socle_witness(params, table).degree + 1
-    for mono in lemma_targets(params, table):
-        top = max(top, mono.degree)
-    return top
+    return max(top, *map(sum, _stage_exponents(params, table)))
 
 
 def membership_basis(
@@ -432,7 +434,7 @@ def _target_basis(params, ideal, pair_limit, degree_limit=None):
     # The witness w, each x_v * w and the stage monomials; only maximal boxes.
     a, b = bidegree(socle_witness(params, table).exps)
     targets = {(a, b)} | {(a + (v in first), b + (v not in first)) for v in range(len(table))}
-    targets |= {bidegree(m.exps) for m in lemma_targets(params, table)}
+    targets |= set(map(bidegree, _stage_exponents(params, table)))
     boxes = tuple(sorted(t for t in targets if not any(
         t != u and t[0] <= u[0] and t[1] <= u[1] for u in targets)))
     if degree_limit is None:
@@ -448,39 +450,40 @@ def verify_socle(
     """Check the witness lies outside the ideal while every variable kills it.
 
     A true conclusion verifies depth zero for this instance, so the
-    projective dimension equals the number of ring variables.
+    projective dimension equals the number of ring variables.  The witness
+    w and each ``x_v * w`` are tested as exponent tuples, in the basis's
+    kernel form, with the checks of :meth:`GroebnerBasis.contains`.
     """
     if basis is None:
         basis = verification_basis(params, field)
-    ring = basis.ring
-    witness = socle_witness(params, ring.table)
-    return _socle_report_for(params, basis, ring.from_monomial(witness), witness)
+    return _socle_report_for(params, basis, socle_witness(params, basis.ring.table))
 
 
-def _socle_report_for(params, basis, witness_poly, witness_mono):
+def _socle_report_for(params, basis, witness):
     ring = basis.ring
-    not_in = not basis.contains(witness_poly)
-    killed = []
-    for i, name in enumerate(ring.table.names):
-        v = ring.variable(i)
-        killed.append((name, basis.contains(v * witness_poly)))
-    conclusion = not_in and all(ok for _, ok in killed)
+    w = ring.monomial(witness).exps
+    # w, then w times each variable: w plus a unit vector.
+    answers = basis._contains_monomials(
+        [w] + [w[:v] + (w[v] + 1,) + w[v + 1:] for v in range(ring.nvars)]
+    )
+    killed = tuple(zip(ring.table.names, answers[1:]))
     return SocleReport(
         params=params,
-        witness=witness_mono,
-        not_in_ideal=not_in,
-        killed_by=tuple(killed),
-        conclusion=conclusion,
+        witness=witness,
+        not_in_ideal=not answers[0],
+        killed_by=killed,
+        conclusion=not answers[0] and all(answers[1:]),
         implied_pd=ring.nvars,
     )
 
 
 def verify_socle_ideal(ideal: IdealPresentation, witness: Monomial, basis=None, params=None) -> SocleReport:
-    """Socle verification for an explicit ideal and witness monomial."""
+    """Socle verification for an explicit ideal and witness monomial, on the
+    kernel-form route of :func:`verify_socle`; a witness over another
+    variable table raises :class:`~idealfam.errors.DomainMismatchError`."""
     if basis is None:
         basis = membership_basis(ideal, witness.degree + 1)
-    ring = basis.ring
-    return _socle_report_for(params, basis, ring.from_monomial(witness), witness)
+    return _socle_report_for(params, basis, witness)
 
 
 def verify_lemma(
@@ -488,15 +491,19 @@ def verify_lemma(
     basis: GroebnerBasis | None = None,
     field=None,
 ) -> LemmaReport:
-    """Check that every stage monomial is an ideal member."""
+    """Check that every stage monomial is an ideal member.
+
+    The monomials of :func:`lemma_targets` are tested as exponent tuples,
+    in the basis's kernel form; only the failures become `Monomial`s.
+    """
     if basis is None:
         basis = verification_basis(params, field)
-    ring = basis.ring
-    failures = []
-    for mono in lemma_targets(params, ring.table):
-        if not basis.contains(ring.from_monomial(mono)):
-            failures.append(mono)
-    return LemmaReport(params=params, ok=not failures, failures=tuple(failures))
+    table = basis.ring.table
+    stage = list(_stage_exponents(params, table))
+    failures = tuple(
+        Monomial(table, e) for e, ok in zip(stage, basis._contains_monomials(stage)) if not ok
+    )
+    return LemmaReport(params=params, ok=not failures, failures=failures)
 
 
 def _monomials_of_degree(nvars: int, degree: int):

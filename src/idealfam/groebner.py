@@ -984,19 +984,16 @@ class GroebnerBasis:
             )
         return self._elements
 
-    def _remainder(self, p, full):
-        """Remainder of ``p`` and the packing it is in."""
-        if p.ring != self.ring:
-            raise ValidationError("polynomial is not in the basis ring")
-        if not p:
-            return {}, self._pk
-        degree = p.degree()
+    def _guarded(self, degree, terms):
+        """The packing, the degree-ordered records and the packed ``(exps,
+        coeff)`` ``terms`` of at most ``degree``, after the truncation and
+        bidegree-box refusals."""
         if self.truncated_at is not None and degree > self.truncated_at:
             raise ValidationError(
                 f"normal form of degree {degree} is not exact against a "
                 f"basis truncated at degree {self.truncated_at}"
             )
-        # The records sorted by lead degree, in a packing that holds p's
+        # The records sorted by lead degree, in a packing that holds the
         # degree: they are homogeneous, so no term formed exceeds it.
         packed = self._by_degree
         if packed is None or degree > packed[0].maxdeg:
@@ -1004,17 +1001,39 @@ class GroebnerBasis:
             gens = sorted(pk.convert(self._gens, self._pk), key=lambda g: pk.deg(g.lm))
             self._by_degree = packed = (pk, gens)
         pk, by_degree = packed
-        terms = pk.pack_terms(p.terms)
+        terms = pk.pack_terms(terms)
         if self._region is not None and not all(map(pk.inside(*self._region), terms)):
             raise ValidationError(f"a term lies outside the basis's bidegree boxes {self._region[1]}")
+        return pk, by_degree, terms
+
+    def _remainder(self, p, full):
+        """Remainder of ``p`` and the packing it is in."""
+        if p.ring != self.ring:
+            raise ValidationError("polynomial is not in the basis ring")
+        if not p:
+            return {}, self._pk
+        pk, by_degree, terms = self._guarded(p.degree(), p.terms)
         r, _ = _reduce(terms, lambda m: by_degree, pk, self.ring.field, full=full)
         return r, pk
+
+    def _contains_monomials(self, monomials):
+        """`contains` of each monomial, an exponent tuple of the basis ring,
+        in order: one packed term each, with the same checks and reducers."""
+        field = self.ring.field
+        out = []
+        for e in monomials:
+            pk, by_degree, terms = self._guarded(sum(e), ((e, field.one),))
+            out.append(not _reduce(terms, lambda m: by_degree, pk, field, full=False)[0])
+        return out
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         r, pk = self._remainder(p, full=True)
         return self.ring.poly({pk.unpack(e): c for e, c in r.items()})
 
     def contains(self, p: Polynomial) -> bool:
+        """Whether ``p`` lies in the ideal: no remainder term is left.  The
+        certificates of `idealfam.family` test their monomials as exponent
+        tuples in kernel form, through `_contains_monomials`."""
         return not self._remainder(p, full=False)[0]
 
     __contains__ = contains

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -355,3 +359,24 @@ def test_empty_sweep_box_exit_2(flags, option, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert option in err
+
+
+_IMPORT_SURFACE = """
+import sys
+before = set(sys.modules)
+import idealfam, idealfam.cli
+new = sorted(set(sys.modules) - before)
+print(repr([m for m in new if m.split('.')[0] not in sys.stdlib_module_names | {'idealfam'}]))
+print(repr([m for m in new if m.startswith('concurrent')]))
+"""
+
+
+def test_import_surface_is_the_standard_library():
+    # A fresh interpreter: the package and its command line load only
+    # standard-library modules, and `sweep`'s process pool stays unloaded
+    # until `--jobs` asks for one.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SURFACE], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == ["[]", "[]"]

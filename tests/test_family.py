@@ -1,9 +1,12 @@
+import functools
 import itertools
 import random
+import re
 
 import pytest
 
 from idealfam import (
+    DomainMismatchError,
     ExponentMatrix,
     FamilyParams,
     IdealPresentation,
@@ -34,7 +37,8 @@ from idealfam import (
     verify_socle,
     verify_socle_ideal,
 )
-from idealfam.family import membership_basis
+from idealfam.family import _target_basis, membership_basis
+from idealfam.groebner import DEFAULT_PAIR_LIMIT
 
 
 def sweep_params(max_g=4, max_n=3, max_m=4):
@@ -377,11 +381,18 @@ def _reports(params, basis):
     return verify_socle(params, basis), verify_lemma(params, basis)
 
 
+@functools.cache
+def _routes(spec):
+    # The box route's and the degree route's verification basis.
+    params = FamilyParams.parse(spec)
+    degree = membership_basis(build_ideal(params), verification_degree(params))
+    return verification_basis(params), degree
+
+
 def _assert_box_route_answers_as_degree_route(specs):
     for spec in specs:
         params = FamilyParams.parse(spec)
-        degree = membership_basis(build_ideal(params), verification_degree(params))
-        box = verification_basis(params)
+        box, degree = _routes(spec)
         assert len(box) <= len(degree), spec
         assert _reports(params, box) == _reports(params, degree), spec
 
@@ -428,6 +439,109 @@ def test_box_basis_refuses_outside_its_region():
         basis.hilbert_numerator()
     with pytest.raises(ValidationError, match="bidegree boxes"):
         schreyer_resolution(basis, degree_limit=basis.truncated_at)
+
+
+def _certificate_monomials(ring, witness, params=None):
+    # The witness w, each x_v * w and, for a family, each stage monomial,
+    # as exponent tuples.
+    w = witness.exps
+    monos = [w] + [tuple(e + (u == v) for u, e in enumerate(w)) for v in range(ring.nvars)]
+    if params is not None:
+        monos += [m.exps for m in lemma_targets(params, ring.table)]
+    return monos
+
+
+def _kernel_form_answers(basis, monomials):
+    # The kernel-form entry's answers, each checked against `contains` of
+    # the monomial's public polynomial.
+    ring = basis.ring
+    got = basis._contains_monomials(monomials)
+    assert got == [basis.contains(ring.from_monomial(e)) for e in monomials]
+    return got
+
+
+def test_kernel_form_membership_matches_contains_on_both_routes():
+    for spec in TIER1_FAMILY:
+        params = FamilyParams.parse(spec)
+        box, degree = _routes(spec)
+        ring = box.ring
+        monos = _certificate_monomials(ring, socle_witness(params, ring.table), params)
+        assert len(monos) == 1 + ring.nvars + params.g * params.n, spec
+        answers = _kernel_form_answers(box, monos)
+        assert answers == _kernel_form_answers(degree, monos), spec
+        assert answers == [False] + [True] * (len(monos) - 1), spec
+        # The box basis's leads lie in its boxes and are not all members.
+        leads = [m.exps for m in box.leading_monomials()]
+        assert _kernel_form_answers(box, leads) == _kernel_form_answers(degree, leads), spec
+
+
+def test_kernel_form_membership_on_the_special_families():
+    cases = []
+    for d in (2, 3, 4):
+        ideal = caviglia_ideal(d)
+        cases.append((ideal, caviglia_witness(d, ideal.ring.table)))
+    for args in ((2, 1, 3), (3, 1, 3), (2, 2, 2)):
+        ideal = mccullough_ideal(*args)
+        cases.append((ideal, mccullough_witness(*args, ideal.ring.table)))
+    for ideal, witness in cases:
+        basis = membership_basis(ideal, witness.degree + 1)
+        answers = _kernel_form_answers(basis, _certificate_monomials(ideal.ring, witness))
+        assert answers == [False] + [True] * ideal.ring.nvars, witness
+        # A lead divides each of these, yet not every one is a member.
+        leads = _kernel_form_answers(basis, [m.exps for m in basis.leading_monomials()])
+        assert not all(leads), witness
+        report = verify_socle_ideal(ideal, witness, basis)
+        assert [report.not_in_ideal] + [ok for _, ok in report.killed_by] == [
+            not answers[0], *answers[1:]
+        ]
+
+
+def test_kernel_form_membership_negative_control():
+    # The smaller ideal of test_verify_lemma_negative_control: its bases
+    # on both routes, and the reduced one that test uses, answer alike,
+    # and some of the full ideal's members are not members here.
+    params = FamilyParams(2, (1, 1))
+    ideal = build_ideal(params)
+    smaller = IdealPresentation(ideal.ring, ideal.generators[:-1])
+    limit = verification_degree(params)
+    monos = _certificate_monomials(ideal.ring, socle_witness(params, ideal.ring.table), params)
+    full = _kernel_form_answers(_routes(str(params))[0], monos)
+    box = _kernel_form_answers(_target_basis(params, smaller, DEFAULT_PAIR_LIMIT), monos)
+    assert box == _kernel_form_answers(membership_basis(smaller, limit), monos)
+    assert box == _kernel_form_answers(buchberger(smaller, degree_limit=limit), monos)
+    assert box != full
+    assert all(full[k] for k, ok in enumerate(box) if ok)
+
+
+def test_kernel_form_membership_refusals():
+    params = FamilyParams.parse("2:(2,1)")
+    basis = verification_basis(params)
+    ring, table = basis.ring, basis.ring.table
+    w = socle_witness(params, table).exps
+    # One degree above the truncation: the text `contains` gives.
+    above = list(w)
+    above[table.x_index(1, 2)] += basis.truncated_at + 1 - sum(w)
+    above = tuple(above)
+    text = (
+        f"normal form of degree {basis.truncated_at + 1} is not exact against "
+        f"a basis truncated at degree {basis.truncated_at}"
+    )
+    for call in (
+        lambda: basis._contains_monomials([w, above]),
+        lambda: basis.contains(ring.from_monomial(above)),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            call()
+    # A term of the limit's degree whose bidegree lies outside every box.
+    outside = list(w)
+    outside[table.x_index(1, 1)] += 2
+    outside[table.x_index(1, 2)] -= 1
+    with pytest.raises(ValidationError, match="bidegree boxes"):
+        basis._contains_monomials([w, tuple(outside)])
+    # A witness over another variable table.
+    other = socle_witness(FamilyParams.parse("2:(1,1)"))
+    with pytest.raises(DomainMismatchError):
+        verify_socle_ideal(build_ideal(params), other, basis, params)
 
 
 def test_shared_basis_matches_fresh_runs():

@@ -857,6 +857,19 @@ def test_tower_matches_reference_route(case):
     _assert_matches_reference(gb, res, limit)
 
 
+@pytest.mark.parametrize("name", sorted(RESOLVE_BASES))
+def test_tower_levels_numbered_in_lead_component_order(name):
+    # The packed Schreyer tie-break reads a smaller index as a larger
+    # term, which is the order of the chains of leads only while each
+    # level's records run in nondecreasing lead component and a record's
+    # id is its position.
+    _, res = _resolve_base(name)
+    for cw, records, _ in res._packed[1]:
+        comps = [g.lm & ((1 << cw) - 1) for g in records]
+        assert comps == sorted(comps), name
+        assert [g.idx for g in records] == list(range(len(records))), name
+
+
 def _level_work(res):
     """The tower's counters recomputed from its stored levels."""
     levels = res._packed[1]
