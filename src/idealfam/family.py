@@ -384,11 +384,11 @@ def membership_basis(
     at or below the truncation degree is exact.  No pair whose lcm lies
     above that degree is formed, and on this family those are most of the
     candidates: on this degree route, 2,693 of the 59,295 of the six
-    ``verify`` bases lie within it.  Tails stay raw division remainders
-    and the final interreduction is skipped, which keeps this family's
-    bases sparser and changes no membership answer; without tail
-    reduction the kernel takes its signature criteria, which leave few
-    reductions to zero (see `~idealfam.groebner._buchberger_kernel`).
+    ``verify`` bases lie within it.  Tails are only top-reduced, less the
+    multiples of pure-power inputs, and the final interreduction is
+    skipped: the bases stay sparser and no membership answer changes.
+    Without tail reduction the kernel takes its signature criteria, which
+    leave few reductions to zero (see `~idealfam.groebner._Signatures`).
     ``pair_limit`` bounds the queued signatures as it bounds the pair
     queue in :func:`~idealfam.groebner.buchberger`.
     """

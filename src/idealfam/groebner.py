@@ -80,8 +80,8 @@ class _Packing:
 
     __slots__ = (
         "order", "nvars", "width", "components", "tagged", "twists", "module",
-        "maxdeg", "cw", "cmask", "guard", "pack", "unpack", "deg", "bound", "quo",
-        "lcm", "within", "inside",
+        "maxdeg", "cw", "cmask", "guard", "offsets", "pack", "unpack", "deg", "bound",
+        "quo", "lcm", "within", "inside",
     )
 
     def __init__(self, order, nvars, width, components=None, tagged=None, twists=None):
@@ -100,6 +100,7 @@ class _Packing:
         self.cw = cw = (components - 1).bit_length() if components else 0
         self.cmask = cmask = (1 << cw) - 1
         self.guard = guard << cw
+        self.offsets = offsets
         # Above every monomial (under 2*LW + width + 2 bits with its sign)
         # the tagged components' copy, then the tag.
         tagshift = cw + 2 * lw + f + 2
@@ -188,6 +189,16 @@ class _Packing:
     def with_components(self, components):
         return _Packing(self.order, self.nvars, self.width, components)
 
+    def multiples(self, powers):
+        """``(add, mask)`` for pure powers ``{v: d}``: a packed term x is a
+        multiple of some ``x_v^d`` exactly when ``(x + add) & mask`` is not 0.
+        Field v gets ``2**width - d`` and its guard bit: an exponent e carries
+        into that bit exactly when e >= d, and never past it (``e + 2**width
+        - d <= 2**(width + 1) - 2``); the order terms leave the fields alone."""
+        w, off = self.width, self.offsets
+        add = sum(((1 << w) - d) << off[v] for v, d in powers.items())
+        return add << self.cw, sum(1 << off[v] + w for v in powers) << self.cw
+
     def widened(self, degree):
         """A packing like this one whose fields hold ``degree``."""
         return _Packing(
@@ -250,7 +261,7 @@ def _make_gen(terms, field, idx):
     return _Gen(lm, tail, idx)
 
 
-def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None):
+def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None, drop=None):
     """Divide a term dict, packed in ``pk``, by monic records, largest term first.
 
     ``reducers(m)`` lists the candidate records for the term ``m`` in a
@@ -264,12 +275,14 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None)
     homogeneous, so every term formed has the degree of a term of the
     input, and the caller's degree bound holds for all of them.  With
     ``regular`` a dividing record ``r`` is used only when ``regular(r, m -
-    r.lm)`` holds: the signature route's regular reductions.  Returns
-    ``(remainder, quotients)``; quotients is None unless ``track``, and
-    then lists one ``(m, idx, c)`` per step: ``c m`` was divided by record
-    ``idx``.  No term is divided twice, so no (record, shift) repeats.
+    r.lm)`` holds, and a term a step forms is left out when ``drop``
+    (`_Packing.multiples`) marks it: the signature route's reductions.
+    Returns ``(remainder, quotients)``; quotients is None unless ``track``,
+    and then lists one ``(m, idx, c)`` per step: ``c m`` was divided by
+    record ``idx``.  No term is divided twice, so no (record, shift) repeats.
     """
     guard = pk.guard
+    add, mask = drop or (0, 0)
     work = dict(terms)
     heap = list(work)
     heapq.heapify(heap)
@@ -295,7 +308,11 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None)
         shift = m - red.lm
         if track:
             quotients.append((m, red.idx, c))
-        for e, c2 in red.tail:
+        tail = red.tail
+        if mask:
+            s = shift + add
+            tail = [t for t in tail if not (t[0] + s) & mask]
+        for e, c2 in tail:
             e += shift
             prev = work.get(e)
             v = -c * c2 if prev is None else prev - c * c2
@@ -508,8 +525,8 @@ class _GebauerMoeller:
         self.G = G
 
     def take(self, key):
-        """The S-polynomial of the pair with selection ``key``, its reducers
-        and no regularity test; None when the B-filter dropped the pair."""
+        """The S-polynomial of the pair with selection ``key``, its reducers,
+        no regularity test or filter; None when the B-filter dropped the pair."""
         lcm = self.pairs.pop(key[-1], None)
         if lcm is None:
             return None
@@ -518,7 +535,7 @@ class _GebauerMoeller:
         if bound > pk.maxdeg:
             raise _Overflow(bound)
         i, j = key[-1]
-        return _spoly(self.f[i], self.f[j], pk, self.field), _reducers(self.G, pk), None
+        return _spoly(self.f[i], self.f[j], pk, self.field), _reducers(self.G, pk), None, None
 
     def done(self, r):
         """Add the remainder ``r`` of the last pair taken, unless it is zero."""
@@ -585,6 +602,14 @@ class _Signatures:
     already stands for it.  Otherwise it becomes a generator of that
     signature.
 
+    The multiples of a pure-power input are regular reducers of every
+    signature of a later position and have no tail, so the terms they
+    divide go where they are formed: in the multiple `take` builds and
+    in each step of `_reduce` (``drop``).  Subtracting multiples of
+    elements of smaller signature keeps every signature and lead (Eder
+    and Faugere, "A survey on signature-based algorithms for computing
+    Groebner bases", J. Symb. Comput. 80, 2017): only the tails change.
+
     Signatures of degree above ``degree_limit`` are never queued: a lead
     of the limit's degree pairs only with the leads that divide it, and a
     lead above the limit with none (``above_limit`` counts the candidates
@@ -626,6 +651,13 @@ class _Signatures:
         self.above_limit = []
         self.current = None
         self.inside = None
+        # Per position, `_Packing.multiples` of the pure-power inputs below it.
+        powers, self.drop = {}, []
+        for g in f:
+            self.drop.append(pk.multiples(powers))
+            e = pk.unpack(g.lm)
+            if not g.tail and max(e) == sum(e):
+                powers[e.index(max(e))] = max(e)
 
     def queued(self):
         return len(self.heap)
@@ -703,17 +735,19 @@ class _Signatures:
         return None
 
     def take(self, key):
-        """The multiple of smallest lead with signature ``key``'s, every
-        generator as reducers and the regularity test; None when a
-        syzygy criterion drops the signature."""
+        """The multiple of smallest lead with signature ``key``'s, less the
+        terms the position's filter marks, every generator as reducers, the
+        regularity test and that filter; None when a syzygy criterion drops
+        the signature."""
         k, t = key[1], -key[2]
         killed = self._killed(k, t)
         if killed:
             self.stats[killed] += 1
             return None
         g, shift = self._pick(k, t)
-        terms = {e + shift: c for e, c in g.tail}
-        terms[g.lm + shift] = self.field.one
+        add, mask = drop = self.drop[k]
+        s, one = shift + add, self.field.one
+        terms = {e + shift: c for e, c in chain(((g.lm, one),), g.tail) if not (e + s) & mask}
         self.current = (k, t)
 
         def regular(red, s):
@@ -721,7 +755,7 @@ class _Signatures:
             return p < k or (p == k and red.sig[1] + s > t)
 
         f = self.f
-        return terms, lambda m: f, regular
+        return terms, lambda m: f, regular, drop
 
     def _pick(self, k, t):
         """The generator g of signature s dividing ``(k, t)`` whose multiple
@@ -757,9 +791,13 @@ class _Signatures:
         whether a signature above the limit is live."""
         pk = self.pk
         deg, guard = pk.deg, pk.guard
-        G = []
+        # A lead divides one of its own degree only when they are equal.
+        G, lower, equal, d = [], [], set(), None
         for g in sorted(self.f, key=lambda g: (deg(g.lm), g.idx)):
-            if all((g.lm - x.lm) & guard for x in G):
+            if deg(g.lm) != d:
+                d, lower, equal = deg(g.lm), [x.lm for x in G], set()
+            if g.lm not in equal and all((g.lm - m) & guard for m in lower):
+                equal.add(g.lm)
                 G.append(g)
         return G, self.inside is not None or self._live_above_limit()
 
@@ -804,22 +842,23 @@ def _buchberger_kernel(
     six family bases of the benchmark's ``verify`` workload the
     signatures cut the reductions from 1,696 to 963, those to zero from
     975 to 76 and the division steps from 91,288 to 19,227, and halve the
-    time.  There, on the degree route, 2,693 of 59,295 candidate pairs lie
-    within the limit; 47,815 candidates come from leads of the limit's
-    degree, which pair only with their divisors, and the 963 picks scan
-    34,517 ranked generators.  With tail reduction, where every term may
-    only be divided by regular reducers, they lost where it was measured:
-    a random dense 5-variable grlex ideal at degree limit 18 took 1.2 ->
-    24.6 s, and the eight ``resolve`` bases, which have no limit, gained
-    nothing (0.08-0.09 s either way), so full remainders keep
-    Gebauer-Moeller.  Degree-limited family bases were not part of that
-    measurement, and there the signature route without tails followed by
-    interreduction gives the same reduced basis faster (3:(2,1) 0.33
-    against 0.45 s, 2:(2,3,4) 4.1 against 7.5 s, one run each).  Both
-    select by least lcm degree; the input is homogeneous, so that is
-    sugar selection (Giovini et al., "One sugar cube, please", ISSAC
-    1991), and records keep no sugar.  ``pair_limit`` bounds the queued
-    pairs or signatures, and ``truncated`` is true when one above
+    time; dropping the multiples of pure-power inputs, which made 15,100
+    of those steps, leaves 4,127.  There, on the degree route, 2,693 of
+    59,295 candidate pairs lie within the limit; 47,815 candidates come
+    from leads of the limit's degree, which pair only with their divisors,
+    and the 963 picks scan 34,517 ranked generators.  With tail reduction,
+    where every term may only be divided by regular reducers, they lost
+    where it was measured: a random dense 5-variable grlex ideal at degree
+    limit 18 took 1.2 -> 24.6 s, and the eight ``resolve`` bases, which
+    have no limit, gained nothing (0.08-0.09 s either way), so full
+    remainders keep Gebauer-Moeller.  Degree-limited family bases were not
+    part of that measurement, and there the signature route without tails
+    followed by interreduction gives the same reduced basis faster
+    (3:(2,1) 0.33 against 0.45 s, 2:(2,3,4) 4.1 against 7.5 s, one run
+    each).  Both select by least lcm degree; the input is homogeneous, so
+    that is sugar selection (Giovini et al., "One sugar cube, please",
+    ISSAC 1991), and records keep no sugar.  ``pair_limit`` bounds the
+    queued pairs or signatures, and ``truncated`` is true when one above
     ``degree_limit`` was left out that the criteria could not drop.
 
     With ``interreduce`` the result is the unique reduced basis; without
@@ -863,8 +902,8 @@ def _buchberger_kernel(
         job = crit.take(heapq.heappop(heap))
         if job is None:
             continue
-        terms, reducers, regular = job
-        r, _ = _reduce(terms, reducers, pk, field, full=tail_reduce, regular=regular)
+        terms, reducers, regular, drop = job
+        r, _ = _reduce(terms, reducers, pk, field, full=tail_reduce, regular=regular, drop=drop)
         stats["reductions"] += 1
         stats["zero_reductions"] += not r
         crit.done(r)

@@ -20,10 +20,12 @@ from idealfam import (
     build_ideal,
     buchberger,
     caviglia_ideal,
+    caviglia_witness,
     hilbert_numerator,
     is_member,
     lemma_targets,
     mccullough_ideal,
+    mccullough_witness,
     normal_form,
     s_polynomial,
     schreyer_resolution,
@@ -457,12 +459,13 @@ def _gebauer_moeller_basis(spec):
 
 def test_basis_sizes_pinned():
     # Element and term counts of known bases; any change to the kernel
-    # that alters a basis shows up here.
+    # that alters a basis shows up here.  The signature route's tails leave
+    # out the multiples of lower pure-power inputs.
     for spec, want in (
-        ("2:(2,2,2)", (37, 655)),
-        ("4:(2)", (151, 3996)),
-        ("2:(4,2,1)", (164, 21093)),
-        ("2:(2,3,4)", (121, 16890)),
+        ("2:(2,2,2)", (37, 460)),
+        ("4:(2)", (151, 2662)),
+        ("2:(4,2,1)", (164, 10159)),
+        ("2:(2,3,4)", (121, 5447)),
     ):
         assert _size(_degree_route(spec)) == want, spec
     assert _size(buchberger(build_ideal(FamilyParams.parse("2:(3,1)")))) == (34, 210)
@@ -473,8 +476,8 @@ def test_basis_sizes_pinned():
     # are processed, and on the criteria: without tail reduction the
     # signature route's, with it Gebauer-Moeller's.
     for spec, signatures, gebauer_moeller in (
-        ("3:(2,1)", (123, 5957), (123, 14049)),
-        ("2:(4,3)", (146, 8130), (146, 240721)),
+        ("3:(2,1)", (123, 2870), (123, 14049)),
+        ("2:(4,3)", (146, 3790), (146, 240721)),
     ):
         params = FamilyParams.parse(spec)
         G = buchberger(
@@ -783,6 +786,138 @@ def test_signature_take_without_divisor_is_internal_error(monkeypatch):
         verification_basis(FamilyParams.parse("2:(2,1)"))
 
 
+def test_signature_result_matches_the_pairwise_filter(monkeypatch):
+    # `result` tests a lead only against the kept leads of lower degree and
+    # those of its own degree for equality; the filter it replaced tested
+    # every kept lead.  Over the corpus both keep the same generators in
+    # the same order, the first of equal leads among them.
+    result = groebner._Signatures.result
+    ties = []
+
+    def checked(crit):
+        G, truncated = result(crit)
+        deg, guard = crit.pk.deg, crit.pk.guard
+        want = []
+        for g in sorted(crit.f, key=lambda g: (deg(g.lm), g.idx)):
+            if all((g.lm - x.lm) & guard for x in want):
+                want.append(g)
+        assert [g.idx for g in G] == [g.idx for g in want]
+        ties.append(len({g.lm for g in crit.f}) < len(crit.f))
+        return G, truncated
+
+    monkeypatch.setattr(groebner._Signatures, "result", checked)
+    _signature_corpus()
+    assert any(ties)
+
+
+def _certificate(ring, witness, params=None):
+    # The witness w, each x_v * w and, for a family, its stage monomials.
+    w = witness.exps
+    monos = [w] + [tuple(e + (u == v) for u, e in enumerate(w)) for v in range(ring.nvars)]
+    if params is not None:
+        monos += [m.exps for m in lemma_targets(params, ring.table)]
+    return monos
+
+
+def _pure_power_cases():
+    # (name, basis builder, monomials to test) on the signature route: the
+    # six verify bases, box-route bases, Caviglia's and McCullough's
+    # membership bases, and seeded random truncated ideals with pure
+    # powers at the first, a middle and the last input position over
+    # three fields and orders.
+    for spec in VERIFY_SPECS:
+        params = FamilyParams.parse(spec)
+        table = build_ideal(params).ring.table
+        probes = _certificate(build_ideal(params).ring, socle_witness(params, table), params)
+        yield spec, functools.partial(_degree_route, spec), probes
+    for spec in ("5:(2)", "3:(2,2)", "3:(3,1)", "3:(2,1,2)"):
+        params = FamilyParams.parse(spec)
+        ring = build_ideal(params).ring
+        probes = _certificate(ring, socle_witness(params, ring.table), params)
+        yield f"box {spec}", functools.partial(verification_basis, params), probes
+    special = [(caviglia_ideal(d), caviglia_witness, (d,)) for d in (2, 3, 4)]
+    special += [(mccullough_ideal(*a), mccullough_witness, a) for a in ((2, 1, 3), (3, 1, 3))]
+    for ideal, witness, args in special:
+        w = witness(*args, ideal.ring.table)
+        build = functools.partial(membership_basis, ideal, w.degree + 1)
+        yield f"{witness.__name__}{args}", build, _certificate(ideal.ring, w)
+    rng = random.Random(2023)
+    for field in (PrimeField(101), PrimeField(32003), QQ):
+        for order in (MonomialOrder("grevlex"), MonomialOrder("lex"), PACKED_ORDERS[3]):
+            R = PolynomialRing(VariableTable.named(("x0", "x1", "x2", "x3")), field, order)
+            for trial in range(2):
+                gens = [random_homogeneous(R, rng, rng.randrange(2, 4), 6) for _ in range(2)]
+                powers = [R.variable(v) ** rng.randrange(3, 5) for v in rng.sample(range(4), 3)]
+                for at, power in zip((0, 2, 4), powers):
+                    gens.insert(at, power)
+                limit = rng.randrange(5, 8)
+                build = functools.partial(
+                    buchberger, IdealPresentation(R, gens), degree_limit=limit,
+                    tail_reduce=False, interreduce=False,
+                )
+                probes = [_random_exps(rng, 4, limit) for _ in range(20)]
+                yield f"random {field} {order} {trial}", build, probes
+
+
+def test_pure_power_filter_keeps_every_signature_and_lead(monkeypatch):
+    # The signature route leaves out the multiples of lower pure-power
+    # inputs wherever it forms terms.  Against the same route with that
+    # filter off ((0, 0) marks nothing) every generator keeps its
+    # signature and lead, in the same order, and the counters, the
+    # truncation and the membership answers on the leads and the probes
+    # stay the same.  Only the tails differ, and not always shorter: a
+    # different division path can leave a generator a longer one.
+    made = []
+    result = groebner._Signatures.result
+
+    def recorded(crit):
+        unpack = crit.pk.unpack
+        made.append([(g.sig[0], unpack(g.sig[1]), unpack(g.lm)) for g in crit.f])
+        return result(crit)
+
+    monkeypatch.setattr(groebner._Signatures, "result", recorded)
+
+    def run(build, probes):
+        basis = build()
+        leads = [m.exps for m in basis.leading_monomials()]
+        answers = basis._contains_monomials(leads + probes)
+        return (made.pop(), basis.stats, basis.truncated_at, answers), _size(basis)
+
+    shorter = set()
+    for name, build, probes in _pure_power_cases():
+        got, size = run(build, probes)
+        with monkeypatch.context() as off:
+            off.setattr(groebner._Packing, "multiples", lambda pk, powers: (0, 0))
+            want, raw = run(build, probes)
+        assert got == want, name
+        if size < raw:
+            shorter.add(name)
+    assert set(VERIFY_SPECS) <= shorter
+    assert any(name.startswith("random") for name in shorter)
+
+
+def test_pure_power_filter_marks_exactly_the_multiples(rng):
+    # `(x + add) & mask` against divisibility of the exponent tuples and
+    # the packed guard test, under every packed order and field width,
+    # with exponents and powers up to the field's maximum.
+    for order in PACKED_ORDERS:
+        for width in (1, 2, 3, 5, 8):
+            pk = groebner._Packing(order, 4, width)
+            maxdeg = pk.maxdeg
+            assert pk.multiples({}) == (0, 0)
+            for _ in range(60):
+                variables = rng.sample(range(4), rng.randrange(1, 5))
+                powers = {v: rng.choice((1, maxdeg, rng.randint(1, maxdeg))) for v in variables}
+                add, mask = pk.multiples(powers)
+                packed = [pk.pack(tuple(d * (u == v) for u in range(4))) for v, d in powers.items()]
+                for _ in range(20):
+                    e = _random_exps(rng, 4, maxdeg)
+                    x = pk.pack(e)
+                    marked = bool((x + add) & mask)
+                    assert marked == any(e[v] >= d for v, d in powers.items())
+                    assert marked == any(not (x - p) & pk.guard for p in packed)
+
+
 def _leads(basis, limit=None):
     return sorted(
         m.exps for m in basis.leading_monomials() if limit is None or m.degree <= limit
@@ -1006,7 +1141,7 @@ def test_membership_division_work_pinned():
 
     lowest_degree_first = tests(by_degree)
     in_element_order = tests(basis._gens)
-    assert lowest_degree_first == 6475
+    assert lowest_degree_first == 6421
     assert 100 * lowest_degree_first < in_element_order
 
 
