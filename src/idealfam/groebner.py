@@ -269,17 +269,19 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None,
     caller picks the reducer order.  Against a Groebner basis membership
     and the full remainder do not depend on it, so `GroebnerBasis` offers
     its records lowest lead degree first, which finds a divisor after far
-    fewer tests.  Buchberger's kernel, `_interreduce` and the Schreyer
-    tower keep list order: there the divisor chosen shows in non-canonical
-    bases, in the S-polynomials formed and in syzygy columns.  Records are
-    homogeneous, so every term formed has the degree of a term of the
-    input, and the caller's degree bound holds for all of them.  With
-    ``regular`` a dividing record ``r`` is used only when ``regular(r, m -
-    r.lm)`` holds, and a term a step forms is left out when ``drop``
-    (`_Packing.multiples`) marks it: the signature route's reductions.
-    Returns ``(remainder, quotients)``; quotients is None unless ``track``,
-    and then lists one ``(m, idx, c)`` per step: ``c m`` was divided by
-    record ``idx``.  No term is divided twice, so no (record, shift) repeats.
+    fewer tests.  Buchberger's kernel and `_interreduce` keep list order:
+    there the divisor chosen shows in non-canonical bases and in the
+    S-polynomials formed.  Records are homogeneous, so every term formed
+    has the degree of a term of the input, and the caller's degree bound
+    holds for all of them.  With ``regular`` a dividing record ``r`` is
+    used only when ``regular(r, m - r.lm)`` holds, and a term a step forms
+    is left out when ``drop`` (`_Packing.multiples`) marks it: the
+    signature route's reductions.  Returns ``(remainder, quotients)``;
+    quotients is None unless ``track``, and then lists one ``(m, idx, c)``
+    per step: ``c m`` was divided by record ``idx``.  No term is divided
+    twice, so no (record, shift) repeats.  ``track`` serves only the tests'
+    reference route `_reference_tower`; the Schreyer tower divides in its
+    own loop.
     """
     guard = pk.guard
     add, mask = drop or (0, 0)
@@ -328,9 +330,11 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None,
     return remainder, quotients
 
 
-def _spoly(f, g, pk, field):
-    """S-polynomial term dict of two monic kernel generators."""
-    lcm = pk.lcm(f.lm, g.lm)
+def _spoly(f, g, pk, field, lcm=None):
+    """S-polynomial term dict of two monic kernel generators, whose leads'
+    lcm the caller may know."""
+    if lcm is None:
+        lcm = pk.lcm(f.lm, g.lm)
     u = lcm - f.lm
     v = lcm - g.lm
     acc = {e + u: c for e, c in f.tail}
@@ -1033,15 +1037,17 @@ class GroebnerBasis:
                 f"basis truncated at degree {self.truncated_at}"
             )
         # The records sorted by lead degree, in a packing that holds the
-        # degree: they are homogeneous, so no term formed exceeds it.
+        # degree: they are homogeneous, so no term formed exceeds it.  The
+        # bidegree-box test goes with the packing.
         packed = self._by_degree
         if packed is None or degree > packed[0].maxdeg:
             pk = self._pk if degree <= self._pk.maxdeg else self._pk.widened(degree)
             gens = sorted(pk.convert(self._gens, self._pk), key=lambda g: pk.deg(g.lm))
-            self._by_degree = packed = (pk, gens)
-        pk, by_degree = packed
+            inside = self._region and pk.inside(*self._region)
+            self._by_degree = packed = (pk, gens, inside)
+        pk, by_degree, inside = packed
         terms = pk.pack_terms(terms)
-        if self._region is not None and not all(map(pk.inside(*self._region), terms)):
+        if inside and not all(map(inside, terms)):
             raise ValidationError(f"a term lies outside the basis's bidegree boxes {self._region[1]}")
         return pk, by_degree, terms
 

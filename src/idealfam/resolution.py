@@ -15,15 +15,17 @@ and Stillman, "Strategies for computing minimal free resolutions", 1998).
 On the eight bases of the benchmark's ``resolve`` workload this order
 gives 8,692 non-minimal ranks where the basis's own descending order
 gave 9,844, for the same 3,680 minimal ones.
-Module vectors are the groebner kernel's records, divided by its
-`_reduce`: each term is one packed int of its Schreyer-shifted monomial
-and its component, whose order is the induced order, and a generator's
-twist is its lead's degree.  S-vectors and reducers keep only the tail
-terms in components holding a lead of the level; no other term is ever
-divided, so the quotients are the full records'.  `syzygies` of an
-arbitrary presentation matrix runs the groebner module's one Buchberger
-loop, `_buchberger_kernel`, on module vectors.  The tower's packed records
-are the chain a resolution keeps; exponent tuples are made on demand.
+Module vectors are the groebner kernel's records: each term is one
+packed int of its Schreyer-shifted monomial and its component, whose
+order is the induced order, and a generator's twist is its lead's degree.
+One loop per pair divides the S-vector and writes the syzygy as it goes,
+a step of zero shift being a constant entry.  S-vectors and reducers keep
+only the tail terms in components holding a lead of the level, copies
+made with the records; no other term is ever divided, so the quotients
+are the full records'.  `syzygies` of an arbitrary presentation matrix
+runs the groebner module's one Buchberger loop, `_buchberger_kernel`, on
+module vectors.  The tower's packed records are the chain a resolution
+keeps; exponent tuples are made on demand.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
 residue field: the differential d_i reduces there to its scalar blocks
@@ -50,8 +52,6 @@ from .groebner import (
     _Gen,
     _Overflow,
     _Packing,
-    _reduce,
-    _reducers,
     _spoly,
     _widening,
     _width,
@@ -106,17 +106,17 @@ def _retained_pairs(basis, lvl, pk):
     for comp in sorted(by_comp):
         bucket = by_comp[comp]
         for a, bi in enumerate(bucket):
-            cands = []
-            for bj in bucket[a + 1 :]:
-                mij = quo(bi.lm, bj.lm)
-                cands.append((deg(mij), mij, bj.idx))
-            cands.sort()
+            lm, i = bi.lm, bi.idx
             kept = []
-            for _, mij, jidx in cands:
-                if all((mij - k) & guard for k, _ in kept):
-                    kept.append((mij, jidx))
-            for mij, jidx in kept:
-                pairs.append((bi.idx, jidx, mij))
+            for _, mij, jidx in sorted(
+                [(deg(q := quo(lm, bj.lm)), q, bj.idx) for bj in bucket[a + 1 :]]
+            ):
+                for k in kept:
+                    if not (mij - k) & guard:
+                        break
+                else:
+                    kept.append(mij)
+                    pairs.append((i, jidx, mij))
     return pairs
 
 
@@ -140,13 +140,17 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     level has its twist's degree, so twists within ``pk``'s bound keep
     every exponent in its field; a larger one raises `_Overflow`.
 
-    S-vectors and reducers use copies of the level's records that keep
-    only the tail terms in live components, those holding a lead of the
-    level; a record that loses no term is reused.  Division buckets by
-    component, so a term in a dead component is never divided: it gives
-    no quotient and cancels, the full S-vector reducing to zero.  So every
-    quotient, tail, scalar and twist is the full records', and the zero
-    check covers the live part.  The stored records keep every term.
+    One loop per pair forms the S-vector, divides it as `_reduce` would,
+    by the first record in list order, and writes the next level's record
+    as the steps happen; a step of zero shift is a constant entry.
+    S-vectors and reducers use copies of the records that keep only the
+    tail terms in live components, those holding a lead of the level.
+    The pairs the degree limit keeps name the next level's, so each copy
+    is made with its record; a record that loses no term is its own copy.
+    Division buckets by component, so a term in a dead component is never
+    divided: it gives no quotient and cancels, the full S-vector reducing
+    to zero.  So every quotient, tail, scalar and twist is the full
+    records', and the zero check covers the live part.
 
     Returns ``(twists, levels, truncated, stats)``: ``twists[i]`` maps each
     level-i id, its position, to its twist, and ``levels[i - 1]`` is
@@ -163,9 +167,13 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
         level_cap = pk.nvars + DEFAULT_LEVEL_MARGIN
     one = field.one
     neg_one = field.neg(one)
+    # The operators on ints mod p or on Fractions, as in `_reduce`.
+    prime = field.p if isinstance(field, PrimeField) else None
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     lvl = pk.with_components(1)
-    basis = [_Gen(g.lm, g.tail, i) for i, g in enumerate(gens)]
+    # Level 1 has one component, so its records are their own copies.
+    basis = work = [_Gen(g.lm, g.tail, i) for i, g in enumerate(gens)]
     twists = [{0: 0}, {b.idx: pk.deg(b.lm) for b in basis}]
     # The ring's lead is the packed 1, 0.
     levels = [(lvl.cw, basis, [(b.idx, {0: one}) for b in basis if not b.lm])]
@@ -195,16 +203,6 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
         top = max(pk.deg(mij) + twist[i] for i, _, mij in pairs)
         if top > pk.maxdeg:
             raise _Overflow(top)
-
-        # The S-vectors' and reducers' copies: live tail terms only.
-        cw, cmask = lvl.cw, lvl.cmask
-        live = {b.lm & cmask for b in basis}
-        work = basis
-        if len(live) < lvl.components:
-            work = []
-            for b in basis:
-                tail = tuple([t for t in b.tail if t[0] & cmask in live])
-                work.append(b if len(tail) == len(b.tail) else _Gen(b.lm, tail, b.idx))
         stats["pairs"] += len(pairs)
         stats["stored_terms"] += sum(len(b.tail) for b in basis)
         stats["live_terms"] += sum(len(b.tail) for b in work)
@@ -213,35 +211,71 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
         # are the syzygy's coefficients.  A quotient q e_k is stored as q lm_k,
         # the divided term's monomial, in component k; it is below the lcm,
         # so it meets neither term of the pair and none cancels.  A term is
-        # constant when that monomial is lm_k; the pair's are when one lead
-        # divides the other, as in a basis that is not reduced.
+        # constant when that monomial is lm_k, a step of zero shift; the
+        # pair's are when one lead divides the other, as in a basis that is
+        # not reduced.  The rows of the pairs' i hold the next level's leads:
+        # a term in one of them goes to the record's live copy too.
         nxt = pk.with_components(len(basis))
-        cw2 = nxt.cw
-        reducers = _reducers(work, lvl)
+        cw, cmask, guard, cw2 = lvl.cw, lvl.cmask, lvl.guard, nxt.cw
+        buckets = {}
+        for b in work:
+            buckets.setdefault(b.lm & cmask, []).append(b)
         lms = [b.lm for b in basis]
-        new_basis = []
-        new_twists = {}
-        scalars = []
+        live = {i for i, _, _ in pairs}
+        new_basis, new_work, new_twists, scalars = [], [], {}, []
         for (i, j, mij) in pairs:
-            rem, quot = _reduce(
-                _spoly(work[j], work[i], lvl, field), reducers, lvl, field, full=False, track=True
-            )
-            if rem:
-                raise InternalError("an S-vector failed to reduce to zero")
-            stats["steps"] += len(quot)
             lcm = lms[i] + (mij << cw)
-            terms = [(lcm, j, neg_one), *quot]
-            tail = tuple([(((m >> cw) << cw2) + r, c) for m, r, c in terms])
+            acc = _spoly(work[j], work[i], lvl, field, lcm)
+            base = (lcm >> cw) << cw2
+            tail = [(base + j, neg_one)]
+            live_tail = tail[:] if j in live else []
+            units = {r: c for r, c in ((i, one), (j, neg_one)) if lcm == lms[r]}
+            heap = list(acc)
+            heapq.heapify(heap)
+            while heap:
+                m = heappop(heap)
+                c = acc.pop(m, None)
+                if not c:
+                    continue
+                for red in buckets.get(m & cmask, ()):
+                    shift = m - red.lm
+                    if not shift & guard:
+                        break
+                else:
+                    raise InternalError("an S-vector failed to reduce to zero")
+                r = red.idx
+                t = (((m >> cw) << cw2) + r, c)
+                tail.append(t)
+                if r in live:
+                    live_tail.append(t)
+                if not shift:
+                    units[r] = c
+                for e, c2 in red.tail:
+                    e += shift
+                    prev = acc.get(e)
+                    val = -c * c2 if prev is None else prev - c * c2
+                    if prime:
+                        val %= prime
+                    if val:
+                        if prev is None:
+                            heappush(heap, e)
+                        acc[e] = val
+                    elif prev is not None:
+                        del acc[e]
             k = len(new_basis)
-            new_basis.append(_Gen(((lcm >> cw) << cw2) + i, tail, k))
+            stats["steps"] += len(tail) - 1
+            rec = _Gen(base + i, tuple(tail), k)
+            new_basis.append(rec)
+            new_work.append(
+                rec if len(live_tail) == len(tail) else _Gen(rec.lm, tuple(live_tail), k)
+            )
             new_twists[k] = twist[i] + pk.deg(mij)
-            units = {r: c for m, r, c in [(lcm, i, one), *terms] if m == lms[r]}
             if units:
                 scalars.append((k, units))
 
         twists.append(new_twists)
         levels.append((cw2, new_basis, scalars))
-        basis = new_basis
+        basis, work = new_basis, new_work
         lvl = nxt
 
     return twists, levels, truncated, stats

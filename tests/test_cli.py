@@ -284,12 +284,21 @@ def test_sweep_verify_uses_the_requested_field(monkeypatch, capsys):
 def test_internal_error_exit_4(monkeypatch, capsys):
     import idealfam.resolution as resolution
 
-    def unreduced(terms, reducers, key, field, *, full=True, track=False):
-        return dict(terms) or {(0,) * 5: field.one}, []
+    retained = resolution._retained_pairs
+
+    def corrupting(basis, lvl, pk):
+        # Level 1 of the tower gets one doubled tail coefficient: its
+        # records are no longer a Groebner basis.  (In the basis of
+        # caviglia 2, binomials and monomials, that would only rescale z.)
+        if lvl.components == 1:
+            b = next(b for b in basis if b.tail)
+            (t, c), *rest = b.tail
+            b.tail = ((t, c * 2 % 32003), *rest)
+        return retained(basis, lvl, pk)
 
     # An S-vector that does not reduce to zero is a bug, not bad input.
-    monkeypatch.setattr(resolution, "_reduce", unreduced)
-    code, _, err = run(capsys, "betti", "caviglia", "2")
+    monkeypatch.setattr(resolution, "_retained_pairs", corrupting)
+    code, _, err = run(capsys, "betti", "2:(2,1)")
     assert code == 4
     assert "internal error" in err
 

@@ -1130,11 +1130,11 @@ def test_membership_division_work_pinned():
     basis = _degree_route("2:(2,3,4)")
     assert not basis.contains(basis.ring.one())  # builds the degree-ordered list
 
-    pk, by_degree = basis._by_degree
+    pk, by_degree, inside = basis._by_degree
 
     def tests(reducers):
         counted = _CountedReducers(reducers)
-        basis._by_degree = (pk, counted)
+        basis._by_degree = (pk, counted, inside)
         assert verify_socle(params, basis).conclusion
         assert verify_lemma(params, basis).ok
         return counted.tests

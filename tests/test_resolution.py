@@ -870,6 +870,70 @@ def test_tower_levels_numbered_in_lead_component_order(name):
         assert [g.idx for g in records] == list(range(len(records))), name
 
 
+def _minimal_quotient_pairs(leads):
+    """The retained pairs of a level from its leads, ``(exps, component)``
+    in id order: for each i the quotients lcm(lm_i, lm_j)/lm_i over the
+    later same-component j, kept when no other quotient of i divides them,
+    an equal one going to the smallest j.  Returns the ``(i, j, quotient)``
+    set and whether some i had equal quotients."""
+    pairs, tied = set(), False
+    for i, (ei, ci) in enumerate(leads):
+        first = {}
+        for j in range(i + 1, len(leads)):
+            ej, cj = leads[j]
+            if cj == ci:
+                q = tuple(max(a, b) - a for a, b in zip(ei, ej))
+                tied |= q in first
+                first.setdefault(q, j)
+        for q, j in first.items():
+            if not any(p != q and all(a <= b for a, b in zip(p, q)) for p in first):
+                pairs.add((i, j, q))
+    return pairs, tied
+
+
+def _assert_retained_pairs_minimal(res):
+    """`_retained_pairs` on every stored level of ``res`` against
+    `_minimal_quotient_pairs`; returns whether some level had a tie."""
+    pk, levels = res._packed
+    tied = False
+    below = 1
+    for _, records, _ in levels:
+        lvl = pk.with_components(below)
+        leads = [(e[:-1], e[-1]) for e in map(lvl.unpack, (g.lm for g in records))]
+        want, ties = _minimal_quotient_pairs(leads)
+        got = {(i, j, pk.unpack(mij)) for i, j, mij in resolution._retained_pairs(records, lvl, pk)}
+        assert got == want
+        tied |= ties
+        below = len(records)
+    return tied
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("resolve", name) for name in RESOLVE_BASES]
+    + [("oracle", name, order) for name, order in sorted({c[::2] for c in ORACLE_CASES})],
+    ids=lambda c: "-".join(c),
+)
+def test_retained_pairs_are_the_minimal_quotients(case):
+    # Exponent tuples, not the packed quotient and guard test.
+    if case[0] == "resolve":
+        res = _resolve_base(case[1])[1]
+    else:
+        res = schreyer_resolution(_oracle_ideal(case[1], "F_32003", case[2])[0])
+    _assert_retained_pairs_minimal(res)
+
+
+def test_retained_pairs_keep_the_first_of_equal_quotients():
+    rng = random.Random("retained pairs")
+    tied = 0
+    for kind in ("grevlex", "lex", "permuted"):
+        for _ in range(4):
+            tied += _assert_retained_pairs_minimal(
+                schreyer_resolution(_random_ideal(rng, PrimeField(32003), kind))
+            )
+    assert tied >= 6
+
+
 def _level_work(res):
     """The tower's counters recomputed from its stored levels."""
     levels = res._packed[1]
