@@ -271,17 +271,17 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None,
     its records lowest lead degree first, which finds a divisor after far
     fewer tests.  Buchberger's kernel and `_interreduce` keep list order:
     there the divisor chosen shows in non-canonical bases and in the
-    S-polynomials formed.  Records are homogeneous, so every term formed
-    has the degree of a term of the input, and the caller's degree bound
-    holds for all of them.  With ``regular`` a dividing record ``r`` is
+    S-polynomials formed, and shortest tails first made neither faster.
+    Records are homogeneous, so every term formed has the degree of a term
+    of the input, and the caller's degree bound holds for all of them.  With ``regular`` a dividing record ``r`` is
     used only when ``regular(r, m - r.lm)`` holds, and a term a step forms
     is left out when ``drop`` (`_Packing.multiples`) marks it: the
     signature route's reductions.  Returns ``(remainder, quotients)``;
     quotients is None unless ``track``, and then lists one ``(m, idx, c)``
     per step: ``c m`` was divided by record ``idx``.  No term is divided
     twice, so no (record, shift) repeats.  ``track`` serves only the tests'
-    reference route `_reference_tower`; the Schreyer tower divides in its
-    own loop.
+    reference route `_reference_tower`, which offers the records in the
+    Schreyer tower's order (`resolution._reducer_rank`).
     """
     guard = pk.guard
     add, mask = drop or (0, 0)
@@ -414,23 +414,35 @@ def _chain_pairs(G, h, pk, degree_limit=None):
     limit each criterion dropped, ``above`` those the degree pass dropped.
     """
     mh = h.lm
-    guard = pk.guard
-    if pk.module:
+    guard, lcm_of, module = pk.guard, pk.lcm, pk.module
+    if module:
         c = mh & pk.cmask
         G = [g for g in G if g.lm & pk.cmask == c]
     above, candidates = False, len(G)
     if degree_limit is not None:
         G, above = pk.within(mh, G, degree_limit)
+    # The witnesses' leads: those later in G, then those kept before g.
+    leads = [g.lm for g in G]
     kept, new = [], []
     chained = 0
     for k, g in enumerate(G):
-        lcm = pk.lcm(mh, g.lm)
-        if pk.module or lcm != mh + g.lm:
-            if any(not (lcm - p.lm) & guard for p in chain(islice(G, k + 1, None), kept)):
-                chained += 1
-                continue
-            new.append((g, lcm))
-        kept.append(g)
+        lm = leads[k]
+        lcm = lcm_of(mh, lm)
+        if module or lcm != mh + lm:
+            for p in leads[k + 1 :]:
+                if not (lcm - p) & guard:
+                    break
+            else:
+                for p in kept:
+                    if not (lcm - p) & guard:
+                        break
+                else:
+                    new.append((g, lcm))
+                    kept.append(lm)
+                    continue
+            chained += 1
+            continue
+        kept.append(lm)
     return new, above, len(kept) - len(new), chained, candidates - len(G)
 
 
@@ -971,9 +983,11 @@ class GroebnerBasis:
     kernel's counters for a computed basis (see `_buchberger_kernel`) and
     is None for one built from polynomials.  A ``truncated_at`` that is
     not None is the degree up to which normal forms are exact; a
-    polynomial above it is refused.  A basis truncated to bidegree boxes
-    as well (``verification_basis``) keeps them privately and also
-    refuses a polynomial with a term outside every box.
+    polynomial above it is refused.  A pair above the limit that survived
+    the criteria sets it though it may reduce to zero, so a complete basis
+    can carry it.  A basis truncated to bidegree boxes as well
+    (``verification_basis``) keeps them privately and also refuses a
+    polynomial with a term outside every box.
     """
 
     __slots__ = (
@@ -1128,7 +1142,8 @@ def buchberger(
     formed, and the basis is exact in all degrees up to the limit.  The
     result's ``truncated_at`` is then the limit when such a pair survived
     the pair criteria, and None when none did, so that the basis is
-    complete; without a limit it is always None.
+    complete; without a limit it is always None.  A surviving pair can
+    still reduce to zero, so a complete basis can carry the limit too.
     ``pair_limit`` bounds the queued pairs; pairs above ``degree_limit``
     are never queued and do not count.  ``interreduce=False`` skips the
     final tail interreduction; the result still yields correct normal

@@ -22,9 +22,12 @@ One loop per pair divides the S-vector and writes the syzygy as it goes,
 a step of zero shift being a constant entry.  S-vectors and reducers keep
 only the tail terms in components holding a lead of the level, copies
 made with the records; no other term is ever divided, so the quotients
-are the full records'.  `syzygies` of an arbitrary presentation matrix
-runs the groebner module's one Buchberger loop, `_buchberger_kernel`, on
-module vectors.  The tower's packed records are the chain a resolution
+are the full records'.  A term goes to the dividing record with the
+shortest such tail, the smaller index among equal lengths: any dividing
+record gives a syzygy with the same lead, so the records depend on the
+choice and the frame, ranks and Betti table do not (Erocal et al.).
+`syzygies` of an arbitrary presentation matrix runs the groebner
+module's one Buchberger loop, `_buchberger_kernel`, on module vectors.  The tower's packed records are the chain a resolution
 keeps; exponent tuples are made on demand.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
@@ -120,6 +123,11 @@ def _retained_pairs(basis, lvl, pk):
     return pairs
 
 
+def _reducer_rank(rec):
+    """The tower's stable sort key of a live copy among its bucket's reducers."""
+    return len(rec.tail)
+
+
 def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     """Iterated syzygy bases starting from a reduced Groebner basis.
 
@@ -141,8 +149,11 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     every exponent in its field; a larger one raises `_Overflow`.
 
     One loop per pair forms the S-vector, divides it as `_reduce` would,
-    by the first record in list order, and writes the next level's record
-    as the steps happen; a step of zero shift is a constant entry.
+    and writes the next level's record as the steps happen; a step of zero
+    shift is a constant entry.  A term's reducer is the first dividing
+    record of its component's bucket, which lists the live copies by
+    `_reducer_rank`: shortest live tail first, equal lengths in index
+    order.  The choice moves tails and scalars, not leads or twists.
     S-vectors and reducers use copies of the records that keep only the
     tail terms in live components, those holding a lead of the level.
     The pairs the degree limit keeps name the next level's, so each copy
@@ -218,7 +229,7 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
         nxt = pk.with_components(len(basis))
         cw, cmask, guard, cw2 = lvl.cw, lvl.cmask, lvl.guard, nxt.cw
         buckets = {}
-        for b in work:
+        for b in sorted(work, key=_reducer_rank):
             buckets.setdefault(b.lm & cmask, []).append(b)
         lms = [b.lm for b in basis]
         live = {i for i, _, _ in pairs}

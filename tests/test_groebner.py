@@ -26,6 +26,7 @@ from idealfam import (
     lemma_targets,
     mccullough_ideal,
     mccullough_witness,
+    minimal_free_resolution,
     normal_form,
     s_polynomial,
     schreyer_resolution,
@@ -424,12 +425,15 @@ def _gebauer_moeller_basis(spec):
     # A verify instance's basis on Gebauer-Moeller's truncated route (with
     # tail reduction: without it the kernel takes the signature route), and
     # the packed lcm calls made inside `_chain_pairs` and the `_b_filters`
-    # calls of that run.  Full remainders take seconds on the larger
-    # instances, so the tests share one run of each.
+    # calls of that run, and the arguments of each `_chain_pairs` call.
+    # Full remainders take seconds on the larger instances, so the tests
+    # share one run of each.
     counts = {"lcm": 0, "b_filters": 0}
+    calls = []
     chain_pairs, b_filters = groebner._chain_pairs, groebner._b_filters
 
     def counted_chain_pairs(G, h, pk, degree_limit=None):
+        calls.append((G, h, pk, degree_limit))
         lcm = pk.lcm
 
         def counted_lcm(a, b):
@@ -454,7 +458,7 @@ def _gebauer_moeller_basis(spec):
         )
     finally:
         groebner._chain_pairs, groebner._b_filters = chain_pairs, b_filters
-    return basis, (counts["lcm"], counts["b_filters"])
+    return basis, (counts["lcm"], counts["b_filters"]), calls
 
 
 def test_basis_sizes_pinned():
@@ -569,6 +573,58 @@ def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
         assert above == want_above
         flags.add((degree_limit is None, above))
     assert flags == {(True, False), (False, False), (False, True)}
+
+
+def _chain_pairs_any(G, h, pk, degree_limit=None):
+    # The chain test the two plain loops replaced: one `any` over a chain
+    # of the later generators and the kept ones.
+    mh = h.lm
+    guard = pk.guard
+    if pk.module:
+        c = mh & pk.cmask
+        G = [g for g in G if g.lm & pk.cmask == c]
+    above, candidates = False, len(G)
+    if degree_limit is not None:
+        G, above = pk.within(mh, G, degree_limit)
+    kept, new = [], []
+    chained = 0
+    for k, g in enumerate(G):
+        lcm = pk.lcm(mh, g.lm)
+        if pk.module or lcm != mh + g.lm:
+            if any(not (lcm - p.lm) & guard for p in chain(islice(G, k + 1, None), kept)):
+                chained += 1
+                continue
+            new.append((g, lcm))
+        kept.append(g)
+    return new, above, len(kept) - len(new), chained, candidates - len(G)
+
+
+def test_chain_pairs_loops_match_the_any_formulation(monkeypatch):
+    # Every (G, h, degree_limit) the kernel passes on the verify bases'
+    # Gebauer-Moeller truncated route, the eight bases of the benchmark's
+    # resolve workload and a module input of `syzygies` gives the same
+    # pairs in the same order and the same four counts on both routes.
+    calls = [c for spec in VERIFY_SPECS for c in _gebauer_moeller_basis(spec)[2]]
+    chain_pairs = groebner._chain_pairs
+
+    def recorded(G, h, pk, degree_limit=None):
+        calls.append((G, h, pk, degree_limit))
+        return chain_pairs(G, h, pk, degree_limit)
+
+    monkeypatch.setattr(groebner, "_chain_pairs", recorded)
+    for ideal in (
+        build_ideal(FamilyParams.parse("2:(3,1)")),
+        build_ideal(FamilyParams.parse("2:(2,1,2)")),
+        mccullough_ideal(3, 1, 3),
+        *(caviglia_ideal(d) for d in range(3, 8)),
+    ):
+        buchberger(ideal)
+    syzygies(minimal_free_resolution(build_ideal(FamilyParams.parse("2:(2,1)"))).matrices[1])
+    kinds = set()
+    for G, h, pk, degree_limit in calls:
+        assert chain_pairs(G, h, pk, degree_limit) == _chain_pairs_any(G, h, pk, degree_limit)
+        kinds.add((pk.module, degree_limit is None))
+    assert kinds == {(False, False), (False, True), (True, True)}
 
 
 def test_pair_update_work_pinned():

@@ -527,29 +527,28 @@ def _chain_digest(res):
 
 # name: (ideal, degree limit, digest of `schreyer_resolution`'s chain,
 # digest of the chain `_schreyer_tower` makes from the basis records in
-# the `GroebnerBasis` element order).  The element-order digests were
-# measured before the tower took level 1 in reverse-lexicographic lead
-# order: the first five when it stored terms unshifted and each order key
-# rebuilt e + mu[c], the last three while S-vectors and reducers still
-# kept the terms in components without a lead.
+# the `GroebnerBasis` element order).  Both columns were measured when
+# the tower's reducers went shortest live tail first: that moved the
+# tails of six chains, not their leads or twists.  The element-order
+# digests of the two unmoved chains date from before the level-1 sort.
 CHAIN_DIGESTS = {
     "2:(2,1)": (
         _family("2:(2,1)"),
         None,
-        "543fbfe6d24bca5fb028a9c9875a9850b06b1be21ccb877ebdf4921be8abaa2a",
-        "6594ad533a63e0d1e7f7dc58445b79a864aa0055409563714074b4c1cd025ab9",
+        "cb78746c6e74a65a3542d9d5ee3183da564504b0f4f707f5c53c97c70522eab7",
+        "7f6764fb8dd41413686ebf51bb9e67794ba65082df0af8b51e84fb4796a1e07b",
     ),
     "2:(2,1) lex": (
         _family("2:(2,1)", order=MonomialOrder("lex")),
         None,
-        "679c4a68a2d8cb6484eac0d0eb6caf7bd25d10c025bdcb7df5a0b19e3d13192d",
-        "e00e582f48e51901b2d70b5ca2cde7fc5cab938a053b7b4b9654eb3cc44848fd",
+        "5162061b39a8cf21d8cb475fc5d37fb630f73adf4de07c53298621463b16fc1e",
+        "1f42eef816dc9dd43040f40c70a14815c24a29ed8063e645e4148bd64af544d4",
     ),
     "2:(2,1) permuted": (
         _family("2:(2,1)", order=_permuted_grevlex(6)),
         None,
-        "926eef24e08c5e446202fc4e4573e9d6c810c6b78a80be94dad41014535fd0ef",
-        "14cf138b6df8e1afc633663d95fedbfcd90edd46e92bc6367d73d2b0be4c877c",
+        "8570a585039b429554a78fb2df8b59f0b8d5bea04a6a675438da2c412fe16804",
+        "96e0d29b5998801c25400298c66a389c0b0670c0cca1a95986700cf5a5cc3a42",
     ),
     "mccullough(2,1,3) over QQ": (
         lambda: mccullough_ideal(2, 1, 3, QQ),
@@ -567,20 +566,20 @@ CHAIN_DIGESTS = {
     "2:(3,1)": (
         _family("2:(3,1)"),
         None,
-        "91286224d42638644a8068e496fcfaed98bb513ca731585d4d94694194ae2bcb",
-        "e2e67083b1bfaa6b14456d284f5ff8fc73dace372035dff60dc6cfb5e2018ee4",
+        "0e7454e238b3dee93b49405961cda2742f79ae9d26ce054dff3675669d53acc4",
+        "d380524acae4c4a002f014107b9ec7db69b50332fba44185c0f57a03ee626bcf",
     ),
     "2:(2,1,2)": (
         _family("2:(2,1,2)"),
         None,
-        "471c9b7e1821232091bd627dc5548ae8ba32604c0ed9754f16658515d2f329e7",
-        "bfdeea04d50e7d0262080824e34781b77c7dadebb6384f9f0efa9e005deef580",
+        "8d0de7e7ab40efa865dec76c7732fbe13db7cbbb351ab8d09000566e7a81bcdf",
+        "8e2ed9a52d5f7f22b6559d26d7f046d8d9829f548d58e14b8004f15412bc8bae",
     ),
     "mccullough(3,1,3)": (
         lambda: mccullough_ideal(3, 1, 3),
         None,
-        "af399202a4f0ce1c25b76974793bd23bc6457d943e2a9b4551c9f6e3e8c3f510",
-        "a6450306d441d9c103aeb9eb43c97c3aba988295f512c3fcce7366fb7466d0a7",
+        "42bfd9be90cadbb518f3b4c42cdcc85c64ea25f0807a04a1f2b26c7bcded5b6e",
+        "e7cd91626cafe29846b10c5858cd4464c5252a4e79ca4b636adf23c749f620f2",
     ),
 }
 
@@ -611,8 +610,7 @@ def test_nonminimal_chain_pinned(name):
 @pytest.mark.parametrize("name", sorted(CHAIN_DIGESTS))
 def test_element_order_tower_keeps_the_earlier_chains(name):
     # Fed the records in the basis's element order, the tower makes the
-    # chains it made before the level-1 sort: the numbering of level 1 is
-    # the only thing that moved.
+    # chain pinned for that order: only level 1's numbering differs.
     make, limit, _, digest = CHAIN_DIGESTS[name]
     gb = buchberger(make(), degree_limit=limit)
     assert _chain_digest(_tower_in(gb, gb._gens, limit)) == digest
@@ -746,8 +744,10 @@ def _reference_tower(gens, pk, field, degree_limit=None):
     keep the tail terms in components that hold none of the level's leads.
 
     Asserts that every full S-vector reduces to zero, which checks the
-    cancellation of the terms `_schreyer_tower` leaves out.  Returns
-    ``(twists, levels)`` in the tower's layout.
+    cancellation of the terms `_schreyer_tower` leaves out.  The reducers
+    of a component run as the tower's do: by the length of the record's
+    tail restricted to the level's live components, ties by index.
+    Returns ``(twists, levels)`` in the tower's layout.
     """
     one = field.one
     neg_one = field.neg(one)
@@ -766,8 +766,11 @@ def _reference_tower(gens, pk, field, degree_limit=None):
             return twists, levels
         pairs.sort(key=lambda t: (t[0], t[2], t[1]))
         nxt = pk.with_components(len(basis))
-        cw, cw2 = lvl.cw, nxt.cw
-        reducers = groebner._reducers(basis, lvl)
+        cw, cw2, cmask = lvl.cw, nxt.cw, lvl.cmask
+        live = {b.lm & cmask for b in basis}
+        reducers = groebner._reducers(
+            sorted(basis, key=lambda b: sum(t & cmask in live for t, _ in b.tail)), lvl
+        )
         lms = [b.lm for b in basis]
         new_basis, new_twists, scalars = [], {}, []
         for i, j, mij in pairs:
@@ -850,11 +853,93 @@ def test_tower_matches_reference_route(case):
         gb, res = _resolve_base(case[1])
         limit = None
     else:
-        ideal, limit = _oracle_ideal(*case[1:4])
-        limit = limit if case[4] else None
-        gb = buchberger(ideal, degree_limit=limit)
-        res = schreyer_resolution(gb, degree_limit=limit)
+        gb, res, limit = _oracle_resolution(*case[1:])
     _assert_matches_reference(gb, res, limit)
+
+
+# ------------------------------------------------ the reducer choice
+
+@functools.cache
+def _oracle_resolution(name, field, order, limited):
+    """The basis, `schreyer_resolution` and degree limit of an oracle case."""
+    ideal, limit = _oracle_ideal(name, field, order)
+    limit = limit if limited else None
+    gb = buchberger(ideal, degree_limit=limit)
+    return gb, schreyer_resolution(gb, degree_limit=limit), limit
+
+
+def _first_in_list_order(monkeypatch, gb, limit=None):
+    """The tower under the rule shortest live tails replaced: each bucket
+    in index order, so a term goes to the first dividing record."""
+    with monkeypatch.context() as m:
+        m.setattr(resolution, "_reducer_rank", lambda rec: 0)
+        return schreyer_resolution(gb, degree_limit=limit)
+
+
+def _frame(res):
+    """What no reducer choice may move: the twists, every level's retained
+    pairs, the ranks and the Betti table."""
+    pk, levels = res._packed
+    retained, below = [], 1
+    for _, records, _ in levels:
+        retained.append(resolution._retained_pairs(records, pk.with_components(below), pk))
+        below = len(records)
+    return res._twists, retained, [m.rank for m in res.modules], res.betti()
+
+
+def _assert_reducer_choice_invariant(monkeypatch, gb, res, limit=None):
+    """The old rule's tower on ``gb`` has ``res``'s frame, and an
+    untruncated table passes the Hilbert cross-check; returns whether the
+    records differ."""
+    old = _first_in_list_order(monkeypatch, gb, limit)
+    assert _frame(old) == _frame(res)
+    if res.truncated_at is None:
+        assert hilbert_crosscheck(res.betti(), gb.hilbert_numerator())
+    return _records(old._packed[1]) != _records(res._packed[1])
+
+
+def test_reducer_choice_moves_no_frame_of_the_resolve_bases(monkeypatch):
+    # Any dividing record gives a syzygy with the same lead, so the two
+    # rules give the same frame.  The old rule's counters are those the
+    # tower had before shortest live tails.
+    keys = ("pairs", "steps", "stored_terms", "live_terms")
+    old, moved = dict.fromkeys(keys, 0), set()
+    for name in RESOLVE_BASES:
+        gb, res = _resolve_base(name)
+        if _assert_reducer_choice_invariant(monkeypatch, gb, res):
+            moved.add(name)
+        for key, n in _first_in_list_order(monkeypatch, gb).stats.items():
+            old[key] += n
+    assert old == {"pairs": 8440, "steps": 63561, "stored_terms": 71359, "live_terms": 41482}
+    assert {"2:(3,1)", "2:(2,1,2)", "mccullough(3,1,3)"} <= moved
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_reducer_choice_moves_no_frame_of_the_oracle_cases(monkeypatch, case):
+    _assert_reducer_choice_invariant(monkeypatch, *_oracle_resolution(*case))
+
+
+@pytest.mark.parametrize("field", sorted(ORACLE_FIELDS))
+def test_reducer_choice_moves_no_frame_of_random_ideals(monkeypatch, field):
+    # Small towers: on most of them the first dividing record already
+    # has the shortest live tail.
+    rng = random.Random(f"reducer choice {field}")
+    moved = 0
+    for kind in ("grevlex", "lex", "permuted"):
+        for _ in range(16):
+            gb = buchberger(_random_ideal(rng, ORACLE_FIELDS[field], kind))
+            moved += _assert_reducer_choice_invariant(monkeypatch, gb, schreyer_resolution(gb))
+    assert moved >= 4
+
+
+@pytest.mark.parametrize("name", ["2:(3,1)", "2:(2,1,2)", "mccullough(3,1,3)"])
+def test_shortest_tail_chains_are_complexes(name):
+    # The chains whose tails the reducer rule changes; a fresh tower, so
+    # the cached one keeps no tuple columns.
+    res = schreyer_resolution(_resolve_base(name)[0])
+    mres = res.minimalize()
+    assert res.check_complex() and mres.is_minimal_complex()
+    assert [m.rank for m in mres.modules] == res.betti().totals()
 
 
 @pytest.mark.parametrize("name", sorted(RESOLVE_BASES))
@@ -952,9 +1037,9 @@ def _level_work(res):
 
 TOWER_WORK = {
     # pairs, steps, stored_terms, live_terms
-    "2:(3,1)": (1605, 17007, 18728, 10481),
-    "2:(2,1,2)": (3648, 26527, 29469, 16909),
-    "mccullough(3,1,3)": (3027, 19837, 22882, 13922),
+    "2:(3,1)": (1605, 17501, 19218, 9464),
+    "2:(2,1,2)": (3648, 25670, 28716, 14222),
+    "mccullough(3,1,3)": (3027, 20460, 23505, 12517),
     "caviglia(3)": (18, 20, 32, 18),
     "caviglia(4)": (25, 29, 44, 26),
     "caviglia(5)": (32, 38, 56, 34),
@@ -965,7 +1050,7 @@ TOWER_WORK = {
 
 def test_tower_work_pinned():
     # The retained pairs and the quotients are those of the full route;
-    # the S-vectors and reducers see 41,482 of the 71,359 stored tail terms.
+    # the S-vectors and reducers see 36,373 of the 71,719 stored tail terms.
     keys = ("pairs", "steps", "stored_terms", "live_terms")
     total = dict.fromkeys(keys, 0)
     for name, want in TOWER_WORK.items():
@@ -975,7 +1060,7 @@ def test_tower_work_pinned():
         for key in keys:
             total[key] += res.stats[key]
     assert total == {
-        "pairs": 8440, "steps": 63561, "stored_terms": 71359, "live_terms": 41482
+        "pairs": 8440, "steps": 63821, "stored_terms": 71719, "live_terms": 36373
     }
 
 
