@@ -34,22 +34,18 @@ from .errors import (
 from .family import (
     DEFAULT_PRIME,
     FamilyParams,
-    _target_basis,
+    _family_reports,
     build_ideal,
     caviglia_ideal,
     caviglia_witness,
     derived_constants,
     mccullough_ideal,
     mccullough_witness,
-    membership_basis,
     pd_formula,
     preset_many_generators,
     preset_three_generators,
     stage_count,
     variable_count,
-    verification_basis,
-    verify_lemma,
-    verify_socle,
     verify_socle_ideal,
 )
 from .groebner import DEFAULT_PAIR_LIMIT, buchberger
@@ -191,21 +187,13 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     kind, ideal, extra = _build_target(args.target, args.field)
+    limits = {"degree_limit": args.degree_limit, "pair_limit": args.pair_limit}
     if kind == "family":
-        witness = None
-    elif kind == "mccullough":
-        witness = mccullough_witness(*extra, ideal.ring.table)
+        socle, lemma = _family_reports(extra, ideal, **limits)
+        lemma = lemma.as_dict()
     else:
-        witness = caviglia_witness(*extra, ideal.ring.table)
-    if witness is None:
-        # The family's bidegree boxes, within --degree-limit when given.
-        gb = _target_basis(extra, ideal, args.pair_limit, args.degree_limit)
-        socle = verify_socle(extra, gb)
-        lemma = verify_lemma(extra, gb).as_dict()
-    else:
-        limit = args.degree_limit or witness.degree + 1
-        gb = membership_basis(ideal, limit, pair_limit=args.pair_limit)
-        socle = verify_socle_ideal(ideal, witness, gb)
+        make = mccullough_witness if kind == "mccullough" else caviglia_witness
+        socle = verify_socle_ideal(ideal, make(*extra, ideal.ring.table), **limits)
         lemma = None
     ok = socle.conclusion and (lemma is None or lemma["ok"])
     payload = _payload(kind, extra, ideal, {"socle": socle.as_dict(), "lemma": lemma})
@@ -311,9 +299,9 @@ def _sweep_instance(args):
         "agree": formula == count,
     }
     if do_verify:
-        gb = verification_basis(params, field, pair_limit=pair_limit)
-        row["socle"] = verify_socle(params, gb).conclusion
-        row["lemma"] = verify_lemma(params, gb).ok
+        socle, lemma = _family_reports(params, build_ideal(params, field), pair_limit=pair_limit)
+        row["socle"] = socle.conclusion
+        row["lemma"] = lemma.ok
     return row
 
 

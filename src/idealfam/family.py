@@ -8,18 +8,36 @@ projective dimension equals the number of ring variables, for which a
 closed product formula is also provided.  The classical three-generator
 and m+n-generator special families are exposed as separate constructors
 together with a recognizer mapping parameters onto them.
+
+The certificate follows the paper's induction over the stage monomials
+(`_Induction`): each is the dense generator times a monomial less terms
+already shown to lie in the ideal, and the witness lies outside it
+because no generator and no term of the dense generator divides it.  It
+needs no Groebner basis and divides only by units, so it holds in every
+characteristic.  A target it leaves open goes to a degree-truncated
+Groebner basis (:func:`membership_basis`), and the reports count those;
+a caller that passes its own basis gets every answer from that basis,
+an independent check of the induction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
 
-from .errors import InternalError, ValidationError
-from .groebner import DEFAULT_PAIR_LIMIT, GroebnerBasis, IdealPresentation, _basis, buchberger
+from .errors import InternalError, ResourceLimitError, ValidationError
+from .groebner import (
+    DEFAULT_PAIR_LIMIT,
+    GroebnerBasis,
+    IdealPresentation,
+    _Packing,
+    _width,
+    buchberger,
+)
 from .ring import (
     Monomial,
     MonomialOrder,
@@ -332,7 +350,12 @@ def variable_count(params: FamilyParams) -> int:
 
 @dataclass(frozen=True)
 class SocleReport:
-    """Outcome of the depth-zero verification for one parameter choice."""
+    """Outcome of the depth-zero verification for one parameter choice.
+
+    ``fallbacks`` counts the membership answers a Groebner basis gave
+    because the stage induction left them open; it is None when the
+    caller's basis gave every answer, and no comparison reads it.
+    """
 
     params: FamilyParams
     witness: Monomial
@@ -340,6 +363,7 @@ class SocleReport:
     killed_by: tuple[tuple[str, bool], ...]
     conclusion: bool
     implied_pd: int
+    fallbacks: int | None = dataclasses.field(default=None, compare=False)
 
     def as_dict(self):
         return {
@@ -354,11 +378,13 @@ class SocleReport:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of the stage-monomial membership check."""
+    """Outcome of the stage-monomial membership check; ``fallbacks`` as
+    in :class:`SocleReport`."""
 
     params: FamilyParams
     ok: bool
     failures: tuple[Monomial, ...]
+    fallbacks: int | None = dataclasses.field(default=None, compare=False)
 
     def as_dict(self):
         return {
@@ -380,13 +406,15 @@ def membership_basis(
 ) -> GroebnerBasis:
     """Groebner basis truncated at ``degree_limit``, for membership tests.
 
-    Homogeneous reduction never raises degree, so membership of elements
-    at or below the truncation degree is exact.  No pair whose lcm lies
-    above that degree is formed, and on this family those are most of the
-    candidates: on this degree route, 2,693 of the 59,295 of the six
-    ``verify`` bases lie within it.  Tails are only top-reduced, less the
-    multiples of pure-power inputs, and the final interreduction is
-    skipped: the bases stay sparser and no membership answer changes.
+    The reports of this module need it only for the targets the stage
+    induction leaves open (see `_Induction`), or as an independent check
+    when a caller passes it in.  Homogeneous reduction never raises
+    degree, so membership of elements at or below the truncation degree
+    is exact.  No pair whose lcm lies above that degree is formed, and on
+    this family those are most of the candidates: 2,693 of the 59,295 of
+    the six ``verify`` bases lie within it.  Tails are only top-reduced,
+    less the multiples of pure-power inputs, and the final interreduction
+    is skipped: the bases stay sparser and no membership answer changes.
     Without tail reduction the kernel takes its signature criteria, which
     leave few reductions to zero (see `~idealfam.groebner._Signatures`).
     ``pair_limit`` bounds the queued signatures as it bounds the pair
@@ -404,42 +432,167 @@ def membership_basis(
 def verification_basis(
     params: FamilyParams, field=None, *, pair_limit=DEFAULT_PAIR_LIMIT
 ) -> GroebnerBasis:
-    """:func:`membership_basis` of the family ideal at the largest membership
-    degree, truncated further to the bidegree boxes of its targets.
+    """:func:`membership_basis` of the family ideal at
+    :func:`verification_degree`: a basis to pass to :func:`verify_socle`
+    and :func:`verify_lemma` when their answers should come from Groebner
+    division instead of the stage induction."""
+    return membership_basis(
+        build_ideal(params, field), verification_degree(params), pair_limit=pair_limit
+    )
 
-    A bidegree is the degree in x[1,1], ..., x[g,1] and in all the other
-    variables; every generator is homogeneous for it.  Pairs whose lcm
-    lies outside the boxes below the socle witness w, each ``x_i * w`` and
-    the stage monomials are left out.  Every membership test of
-    :func:`verify_socle` and :func:`verify_lemma` answers as on the degree
-    route, with fewer elements (the six ``verify`` bases: 352 against
-    742); a polynomial with a term outside the boxes is refused.
+
+class _Induction:
+    """The paper's stage induction on the packed monomials of one ideal.
+
+    Write I = P + (f_1, ..., f_r), where P is generated by the monomial
+    generators and the forms f_i are the others; on the family, P holds the
+    pure powers x[j,1]^d and f is the one dense generator.  Two facts
+    decide a monomial:
+      - u lies outside I when no generator of P and no term of any f_i
+        divides u: every element of I then has coefficient 0 at u;
+      - u lies in I when some term e of some f_i divides u and every other
+        term of (u/e) f_i is a multiple of a proved monomial, for then u is
+        (u/e) f_i less those terms, divided by the unit coefficient of e.
+    The proved set starts at P and grows with each monomial `prove`
+    proves, in the caller's order.  When no term e closes u at once, a
+    depth-one search tries, term by term, to prove each uncovered monomial
+    of (u/e) f_i by the second rule before closing u.  Only units are
+    divided by, so one proof holds in every characteristic.
+
+    Monomials are packed ints of one `~idealfam.groebner._Packing` wide
+    enough for ``degree``; divisibility is the guard-bit test.  ``proved``
+    lists P's generators, then each proved monomial in proof order.  Each
+    (monomial, dividing term) candidate counts against ``pair_limit``.
     """
-    return _target_basis(params, build_ideal(params, field), pair_limit)
+
+    def __init__(self, ideal, degree, pair_limit):
+        ring = ideal.ring
+        self.pk = pk = _Packing(ring.order, ring.nvars, _width(max(degree, *ideal.degrees())))
+        self.base = [pk.pack(g.terms[0][0]) for g in ideal.generators if len(g) == 1]
+        self.forms = [[pk.pack(e) for e, _ in g.terms] for g in ideal.generators if len(g) > 1]
+        self.proved = list(self.base)
+        self.pair_limit, self.candidates = pair_limit, 0
+
+    def outside(self, u):
+        guard = self.pk.guard
+        return all((u - p) & guard for p in self.base) and all(
+            (u - e) & guard for form in self.forms for e in form
+        )
+
+    def _covered(self, t):
+        guard = self.pk.guard
+        for p in self.proved:
+            if not (t - p) & guard:
+                return True
+        return False
+
+    def _closes(self, u, search):
+        """Prove u from a dividing term; with ``search``, through one-step
+        proofs of the other terms left uncovered."""
+        guard = self.pk.guard
+        for form in self.forms:
+            for e in form:
+                if (u - e) & guard:
+                    continue
+                self.candidates += 1
+                if self.candidates > self.pair_limit:
+                    raise ResourceLimitError(
+                        f"pair queue exceeded the configured bound ({self.pair_limit})"
+                    )
+                q = u - e
+                open_ = [q + t for t in form if t != e and not self._covered(q + t)]
+                if open_ and not (search and all(self._closes(t, False) for t in open_)):
+                    continue
+                self.proved.append(u)
+                return True
+        return False
+
+    def prove(self, u):
+        """Whether u is proved to lie in I; a proved u joins the proved set."""
+        return self._covered(u) or self._closes(u, True)
 
 
-def _target_basis(params, ideal, pair_limit, degree_limit=None):
-    """`verification_basis` of ``ideal``, the family ideal of ``params``, at
-    ``degree_limit`` (by default the largest target degree)."""
-    table = ideal.ring.table
-    first = tuple(table.x_index(j, 1) for j in range(1, params.g + 1))
-
-    def bidegree(exps):
-        a = sum(exps[v] for v in first)
-        return a, sum(exps) - a
-
-    for gen in ideal.generators:
-        if len({bidegree(e) for e, _ in gen.terms}) != 1:
-            raise InternalError(f"generator {gen} of {params} is not bihomogeneous")
-    # The witness w, each x_v * w and the stage monomials; only maximal boxes.
-    a, b = bidegree(socle_witness(params, table).exps)
-    targets = {(a, b)} | {(a + (v in first), b + (v not in first)) for v in range(len(table))}
-    targets |= set(map(bidegree, _stage_exponents(params, table)))
-    boxes = tuple(sorted(t for t in targets if not any(
-        t != u and t[0] <= u[0] and t[1] <= u[1] for u in targets)))
+def _refuse_above(targets, degree_limit):
+    """Refuse the first target above ``degree_limit``, when one is given,
+    with the text a basis truncated there gives."""
     if degree_limit is None:
-        degree_limit = max(a + b for a, b in boxes)
-    return _basis(ideal, ideal.ring, degree_limit, pair_limit, False, False, (first, boxes))
+        return
+    for t in targets:
+        if sum(t) > degree_limit:
+            raise ValidationError(
+                f"normal form of degree {sum(t)} is not exact against a basis "
+                f"truncated at degree {degree_limit}"
+            )
+
+
+def _certify(ideal, targets, degree_limit, pair_limit):
+    """Membership of each exponent tuple of ``targets``, and the indices
+    of those a Groebner basis answered.
+
+    The targets are proved in order, each joining the proved set of
+    `_Induction` (True); one left unproved is answered False when the
+    outside test holds, else left open.  The open ones go to
+    :func:`membership_basis` at ``degree_limit``, by default the largest
+    target degree: only that basis or the outside test answers that a
+    target is not a member.
+    """
+    top = max(map(sum, targets))
+    induction = _Induction(ideal, top, pair_limit)
+    pack = induction.pk.pack
+    answers = []
+    for t in targets:
+        u = pack(t)
+        answers.append(True if induction.prove(u) else False if induction.outside(u) else None)
+    open_ = [k for k, ok in enumerate(answers) if ok is None]
+    if open_:
+        basis = membership_basis(ideal, degree_limit or top, pair_limit=pair_limit)
+        for k, ok in zip(open_, basis._contains_monomials([targets[k] for k in open_])):
+            answers[k] = ok
+    return answers, open_
+
+
+def _witness_targets(ring, witness):
+    """The witness w as an exponent tuple, then w times each variable."""
+    w = ring.monomial(witness).exps
+    return [w] + [w[:v] + (w[v] + 1,) + w[v + 1:] for v in range(ring.nvars)]
+
+
+def _socle_report(params, ring, witness, answers, fallbacks=None):
+    """The report of the membership answers of w and each ``x_v * w``."""
+    return SocleReport(
+        params=params,
+        witness=witness,
+        not_in_ideal=not answers[0],
+        killed_by=tuple(zip(ring.table.names, answers[1:])),
+        conclusion=not answers[0] and all(answers[1:]),
+        implied_pd=ring.nvars,
+        fallbacks=fallbacks,
+    )
+
+
+def _lemma_report(params, table, stage, answers, fallbacks=None):
+    failures = tuple(Monomial(table, e) for e, ok in zip(stage, answers) if not ok)
+    return LemmaReport(params=params, ok=not failures, failures=failures, fallbacks=fallbacks)
+
+
+def _family_reports(params, ideal, *, degree_limit=None, pair_limit=DEFAULT_PAIR_LIMIT):
+    """The socle and lemma reports of the family ideal ``ideal`` of
+    ``params`` from one stage induction: the stage monomials, then w,
+    then each ``x_v * w``.  With ``degree_limit`` a target above it is
+    refused before any work, and the fallback basis is truncated there;
+    ``pair_limit`` bounds both the induction's (monomial, dividing term)
+    candidates and the fallback's queue."""
+    ring = ideal.ring
+    witness = socle_witness(params, ring.table)
+    targets = _witness_targets(ring, witness)
+    stage = list(_stage_exponents(params, ring.table))
+    _refuse_above(targets + stage, degree_limit)
+    answers, open_ = _certify(ideal, stage + targets, degree_limit, pair_limit)
+    k = len(stage)
+    return (
+        _socle_report(params, ring, witness, answers[k:], sum(i >= k for i in open_)),
+        _lemma_report(params, ring.table, stage, answers[:k], sum(i < k for i in open_)),
+    )
 
 
 def verify_socle(
@@ -450,40 +603,54 @@ def verify_socle(
     """Check the witness lies outside the ideal while every variable kills it.
 
     A true conclusion verifies depth zero for this instance, so the
-    projective dimension equals the number of ring variables.  The witness
-    w and each ``x_v * w`` are tested as exponent tuples, in the basis's
-    kernel form, with the checks of :meth:`GroebnerBasis.contains`.
+    projective dimension equals the number of ring variables.  With no
+    basis the answers come from the paper's stage induction
+    (`_Induction`) on the family ideal over ``field``: the stage monomials
+    of :func:`lemma_targets` are proved in order, then each ``x_v * w``,
+    and the witness w lies outside the ideal because no generator and no
+    term of the dense generator divides it.  No Groebner basis is built
+    unless a target stays open; those go to :func:`membership_basis` at
+    :func:`verification_degree`, and the report's ``fallbacks`` counts
+    them.  With a basis, w and each ``x_v * w`` are tested as exponent
+    tuples in its kernel form, with the checks of
+    :meth:`GroebnerBasis.contains`.
     """
     if basis is None:
-        basis = verification_basis(params, field)
+        return _family_reports(params, build_ideal(params, field))[0]
     return _socle_report_for(params, basis, socle_witness(params, basis.ring.table))
 
 
 def _socle_report_for(params, basis, witness):
-    ring = basis.ring
-    w = ring.monomial(witness).exps
-    # w, then w times each variable: w plus a unit vector.
-    answers = basis._contains_monomials(
-        [w] + [w[:v] + (w[v] + 1,) + w[v + 1:] for v in range(ring.nvars)]
-    )
-    killed = tuple(zip(ring.table.names, answers[1:]))
-    return SocleReport(
-        params=params,
-        witness=witness,
-        not_in_ideal=not answers[0],
-        killed_by=killed,
-        conclusion=not answers[0] and all(answers[1:]),
-        implied_pd=ring.nvars,
-    )
+    targets = _witness_targets(basis.ring, witness)
+    return _socle_report(params, basis.ring, witness, basis._contains_monomials(targets))
 
 
-def verify_socle_ideal(ideal: IdealPresentation, witness: Monomial, basis=None, params=None) -> SocleReport:
-    """Socle verification for an explicit ideal and witness monomial, on the
-    kernel-form route of :func:`verify_socle`; a witness over another
-    variable table raises :class:`~idealfam.errors.DomainMismatchError`."""
-    if basis is None:
-        basis = membership_basis(ideal, witness.degree + 1)
-    return _socle_report_for(params, basis, witness)
+def verify_socle_ideal(
+    ideal: IdealPresentation,
+    witness: Monomial,
+    basis=None,
+    params=None,
+    *,
+    degree_limit=None,
+    pair_limit=DEFAULT_PAIR_LIMIT,
+) -> SocleReport:
+    """Socle verification for an explicit ideal and witness monomial.
+
+    With no basis, as :func:`verify_socle`: the induction proves each
+    ``x_v * w`` with every generator of more than one term in place of
+    the dense generator, and the open targets go to
+    :func:`membership_basis` at ``degree_limit``, by default one above the
+    witness degree.  ``degree_limit`` and ``pair_limit`` act as in
+    `_family_reports`.  With a basis, on the kernel-form route of
+    :func:`verify_socle`.  A witness over another variable table raises
+    :class:`~idealfam.errors.DomainMismatchError`.
+    """
+    if basis is not None:
+        return _socle_report_for(params, basis, witness)
+    targets = _witness_targets(ideal.ring, witness)
+    _refuse_above(targets, degree_limit)
+    answers, open_ = _certify(ideal, targets, degree_limit, pair_limit)
+    return _socle_report(params, ideal.ring, witness, answers, len(open_))
 
 
 def verify_lemma(
@@ -493,17 +660,16 @@ def verify_lemma(
 ) -> LemmaReport:
     """Check that every stage monomial is an ideal member.
 
-    The monomials of :func:`lemma_targets` are tested as exponent tuples,
-    in the basis's kernel form; only the failures become `Monomial`s.
+    With no basis the monomials of :func:`lemma_targets` are proved by the
+    stage induction of :func:`verify_socle`, with its fallback and
+    ``fallbacks`` count.  With a basis they are tested as exponent tuples
+    in its kernel form.  Only the failures become `Monomial`s.
     """
     if basis is None:
-        basis = verification_basis(params, field)
+        return _family_reports(params, build_ideal(params, field))[1]
     table = basis.ring.table
     stage = list(_stage_exponents(params, table))
-    failures = tuple(
-        Monomial(table, e) for e, ok in zip(stage, basis._contains_monomials(stage)) if not ok
-    )
-    return LemmaReport(params=params, ok=not failures, failures=failures)
+    return _lemma_report(params, table, stage, basis._contains_monomials(stage))
 
 
 def _monomials_of_degree(nvars: int, degree: int):

@@ -81,7 +81,7 @@ class _Packing:
     __slots__ = (
         "order", "nvars", "width", "components", "tagged", "twists", "module",
         "maxdeg", "cw", "cmask", "guard", "offsets", "pack", "unpack", "deg", "bound",
-        "quo", "lcm", "within", "inside",
+        "quo", "lcm", "within",
     )
 
     def __init__(self, order, nvars, width, components=None, tagged=None, twists=None):
@@ -173,18 +173,8 @@ class _Packing:
                     above = True
             return out, above
 
-        def inside(variables, boxes):
-            """A test whether a term's bidegree, its degree in ``variables``
-            and in the others, lies in one of ``boxes``; `deg` under a mask."""
-            mask = sum(fmask << offsets[v] for v in variables) << cw
-
-            def test(x):
-                a = ((x & mask) * ones >> top + cw) & fmask
-                return any(a <= A and deg(x) - a <= B for A, B in boxes)
-            return test
-
         self.pack, self.unpack, self.deg, self.bound = pack, unpack, deg, bound
-        self.quo, self.lcm, self.within, self.inside = quo, lcm, within, inside
+        self.quo, self.lcm, self.within = quo, lcm, within
 
     def with_components(self, components):
         return _Packing(self.order, self.nvars, self.width, components)
@@ -261,7 +251,7 @@ def _make_gen(terms, field, idx):
     return _Gen(lm, tail, idx)
 
 
-def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None, drop=None):
+def _reduce(terms, reducers, pk, field, *, full=True, regular=None, drop=None):
     """Divide a term dict, packed in ``pk``, by monic records, largest term first.
 
     ``reducers(m)`` lists the candidate records for the term ``m`` in a
@@ -273,15 +263,13 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None,
     there the divisor chosen shows in non-canonical bases and in the
     S-polynomials formed, and shortest tails first made neither faster.
     Records are homogeneous, so every term formed has the degree of a term
-    of the input, and the caller's degree bound holds for all of them.  With ``regular`` a dividing record ``r`` is
-    used only when ``regular(r, m - r.lm)`` holds, and a term a step forms
-    is left out when ``drop`` (`_Packing.multiples`) marks it: the
-    signature route's reductions.  Returns ``(remainder, quotients)``;
-    quotients is None unless ``track``, and then lists one ``(m, idx, c)``
-    per step: ``c m`` was divided by record ``idx``.  No term is divided
-    twice, so no (record, shift) repeats.  ``track`` serves only the tests'
-    reference route `_reference_tower`, which offers the records in the
-    Schreyer tower's order (`resolution._reducer_rank`).
+    of the input, and the caller's degree bound holds for all of them.
+    With ``regular`` a dividing record ``r`` is used only when
+    ``regular(r, m - r.lm)`` holds, and a term a step forms is left out
+    when ``drop`` (`_Packing.multiples`) marks it: the signature route's
+    reductions.  Returns the remainder; with ``full`` false the division
+    stops at the first term no record divides, and the terms below it
+    stay undivided.
     """
     guard = pk.guard
     add, mask = drop or (0, 0)
@@ -290,7 +278,6 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None,
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     remainder = {}
-    quotients = [] if track else None
     # Prime field elements are ints reduced mod p, rationals are Fractions;
     # both take the arithmetic operators.
     prime = field.p if isinstance(field, PrimeField) else None
@@ -308,8 +295,6 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None,
                 continue
             break
         shift = m - red.lm
-        if track:
-            quotients.append((m, red.idx, c))
         tail = red.tail
         if mask:
             s = shift + add
@@ -327,7 +312,7 @@ def _reduce(terms, reducers, pk, field, *, full=True, track=False, regular=None,
             elif prev is not None:
                 del work[e]
     remainder.update(work)
-    return remainder, quotients
+    return remainder
 
 
 def _spoly(f, g, pk, field, lcm=None):
@@ -381,7 +366,7 @@ def _interreduce(gens, pk, field):
         t = {g.lm: one}
         t.update(g.tail)
         others = _reducers(gens[:a] + gens[a + 1 :], pk)
-        r, _ = _reduce(t, others, pk, field)
+        r = _reduce(t, others, pk, field)
         if r == t:
             a += 1
             continue
@@ -634,18 +619,10 @@ class _Signatures:
     signature of the finished run: the pairs above the limit are replayed,
     latest h first, until one such pair is found.  When none is, the
     basis is complete.
-
-    With ``inside`` (`_Packing.inside`) a candidate whose lcm lies outside
-    every bidegree box is not queued either (``outside_box``), and the
-    basis counts as truncated.  A signature's reducers, criteria and pick
-    read only generators of bidegree below its lcm's, so inside the boxes
-    all is decided as without them (Caboara, De Dominicis and Robbiano,
-    "Multigraded Hilbert functions and Buchberger algorithm", ISSAC 1996).
     """
 
     COUNTERS = (
         "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular", "above_limit",
-        "outside_box",
     )
 
     def __init__(self, f, pk, field, degree_limit, stats):
@@ -666,7 +643,6 @@ class _Signatures:
         self.heap = []
         self.above_limit = []
         self.current = None
-        self.inside = None
         # Per position, `_Packing.multiples` of the pure-power inputs below it.
         powers, self.drop = {}, []
         for g in f:
@@ -708,7 +684,7 @@ class _Signatures:
 
     def _within(self, h):
         """The generators before h whose lead's lcm with h's lies within
-        the limit and the region, in order, and the number above the limit."""
+        the limit, in order, and the number above it."""
         earlier = self.f[: h.idx]
         limit = self.degree_limit
         if limit is None:
@@ -724,12 +700,7 @@ class _Signatures:
             within = [g for g in earlier if not (hl - g.lm) & guard]
         else:
             within = []
-        above = len(earlier) - len(within)
-        if self.inside is not None:
-            kept = [g for g in within if self.inside(pk.lcm(hl, g.lm))]
-            self.stats["outside_box"] += len(within) - len(kept)
-            within = kept
-        return within, above
+        return within, len(earlier) - len(within)
 
     @staticmethod
     def _signature(g, h, lcm):
@@ -815,7 +786,7 @@ class _Signatures:
             if g.lm not in equal and all((g.lm - m) & guard for m in lower):
                 equal.add(g.lm)
                 G.append(g)
-        return G, self.inside is not None or self._live_above_limit()
+        return G, self._live_above_limit()
 
     def _live_above_limit(self):
         pk = self.pk
@@ -838,7 +809,6 @@ def _buchberger_kernel(
     pair_limit=DEFAULT_PAIR_LIMIT,
     tail_reduce=True,
     interreduce=True,
-    region=None,
 ):
     """Groebner basis of homogeneous term dicts; returns (gens, truncated, pk, stats).
 
@@ -883,8 +853,6 @@ def _buchberger_kernel(
     reductions, those to zero, the pairs or signatures queued and dropped
     by each criterion, and the candidates above ``degree_limit`` (the
     route's ``COUNTERS``).
-    ``region``, ``(variables, boxes)`` for `_Packing.inside`, needs the
-    signature route and a ``degree_limit``; the result counts as truncated.
     """
     f = []
     for t in inputs:
@@ -902,10 +870,6 @@ def _buchberger_kernel(
     route = _Signatures if not pk.module and not tail_reduce else _GebauerMoeller
     stats = dict.fromkeys(route.COUNTERS + ("reductions", "zero_reductions"), 0)
     crit = route(f, pk, field, degree_limit, stats)
-    if region is not None:
-        if route is _GebauerMoeller or degree_limit is None:
-            raise InternalError("a bidegree region needs the signature route and a degree limit")
-        crit.inside = pk.inside(*region)
     for h in f[:]:
         crit.add(h)
 
@@ -919,7 +883,7 @@ def _buchberger_kernel(
         if job is None:
             continue
         terms, reducers, regular, drop = job
-        r, _ = _reduce(terms, reducers, pk, field, full=tail_reduce, regular=regular, drop=drop)
+        r = _reduce(terms, reducers, pk, field, full=tail_reduce, regular=regular, drop=drop)
         stats["reductions"] += 1
         stats["zero_reductions"] += not r
         crit.done(r)
@@ -985,14 +949,12 @@ class GroebnerBasis:
     not None is the degree up to which normal forms are exact; a
     polynomial above it is refused.  A pair above the limit that survived
     the criteria sets it though it may reduce to zero, so a complete basis
-    can carry it.  A basis truncated to bidegree boxes as well
-    (``verification_basis``) keeps them privately and also refuses a
-    polynomial with a term outside every box.
+    can carry it.
     """
 
     __slots__ = (
         "ring", "reduced", "truncated_at", "source", "stats", "_gens", "_pk",
-        "_elements", "_by_degree", "_region",
+        "_elements", "_by_degree",
     )
 
     def __init__(self, ring, elements, *, reduced, truncated_at=None, source=None):
@@ -1004,7 +966,6 @@ class GroebnerBasis:
         self.stats = None
         self._elements = tuple(elements)
         self._by_degree = None
-        self._region = None
         degrees = [p.homogeneous_degree() for p in self._elements]
         if "any" in degrees:
             raise ValidationError("Groebner basis elements must be nonzero")
@@ -1017,14 +978,13 @@ class GroebnerBasis:
         ]
 
     @classmethod
-    def _from_kernel(cls, ring, gens, pk, stats, region, **flags):
-        """A basis that keeps the kernel records, counters and region ``buchberger`` computed."""
+    def _from_kernel(cls, ring, gens, pk, stats, **flags):
+        """A basis that keeps the kernel records and counters ``buchberger`` computed."""
         basis = cls(ring, (), **flags)
         basis.stats = stats
         basis._gens = gens
         basis._pk = pk
         basis._elements = None
-        basis._region = region
         return basis
 
     @property
@@ -1043,27 +1003,22 @@ class GroebnerBasis:
 
     def _guarded(self, degree, terms):
         """The packing, the degree-ordered records and the packed ``(exps,
-        coeff)`` ``terms`` of at most ``degree``, after the truncation and
-        bidegree-box refusals."""
+        coeff)`` ``terms`` of at most ``degree``, after the truncation
+        refusal."""
         if self.truncated_at is not None and degree > self.truncated_at:
             raise ValidationError(
                 f"normal form of degree {degree} is not exact against a "
                 f"basis truncated at degree {self.truncated_at}"
             )
         # The records sorted by lead degree, in a packing that holds the
-        # degree: they are homogeneous, so no term formed exceeds it.  The
-        # bidegree-box test goes with the packing.
+        # degree: they are homogeneous, so no term formed exceeds it.
         packed = self._by_degree
         if packed is None or degree > packed[0].maxdeg:
             pk = self._pk if degree <= self._pk.maxdeg else self._pk.widened(degree)
             gens = sorted(pk.convert(self._gens, self._pk), key=lambda g: pk.deg(g.lm))
-            inside = self._region and pk.inside(*self._region)
-            self._by_degree = packed = (pk, gens, inside)
-        pk, by_degree, inside = packed
-        terms = pk.pack_terms(terms)
-        if inside and not all(map(inside, terms)):
-            raise ValidationError(f"a term lies outside the basis's bidegree boxes {self._region[1]}")
-        return pk, by_degree, terms
+            self._by_degree = packed = (pk, gens)
+        pk, by_degree = packed
+        return pk, by_degree, pk.pack_terms(terms)
 
     def _remainder(self, p, full):
         """Remainder of ``p`` and the packing it is in."""
@@ -1072,7 +1027,7 @@ class GroebnerBasis:
         if not p:
             return {}, self._pk
         pk, by_degree, terms = self._guarded(p.degree(), p.terms)
-        r, _ = _reduce(terms, lambda m: by_degree, pk, self.ring.field, full=full)
+        r = _reduce(terms, lambda m: by_degree, pk, self.ring.field, full=full)
         return r, pk
 
     def _contains_monomials(self, monomials):
@@ -1082,7 +1037,7 @@ class GroebnerBasis:
         out = []
         for e in monomials:
             pk, by_degree, terms = self._guarded(sum(e), ((e, field.one),))
-            out.append(not _reduce(terms, lambda m: by_degree, pk, field, full=False)[0])
+            out.append(not _reduce(terms, lambda m: by_degree, pk, field, full=False))
         return out
 
     def normal_form(self, p: Polynomial) -> Polynomial:
@@ -1091,8 +1046,8 @@ class GroebnerBasis:
 
     def contains(self, p: Polynomial) -> bool:
         """Whether ``p`` lies in the ideal: no remainder term is left.  The
-        certificates of `idealfam.family` test their monomials as exponent
-        tuples in kernel form, through `_contains_monomials`."""
+        reports of `idealfam.family` test their monomials against a basis
+        as exponent tuples in kernel form, through `_contains_monomials`."""
         return not self._remainder(p, full=False)[0]
 
     __contains__ = contains
@@ -1166,24 +1121,18 @@ def buchberger(
             order = MonomialOrder(order)
         if order != ring.order:
             ring = ring.with_order(order)
-    return _basis(ideal, ring, degree_limit, pair_limit, tail_reduce, interreduce)
-
-
-def _basis(ideal, ring, degree_limit, pair_limit, tail_reduce, interreduce, region=None):
-    """`buchberger` in ``ring``, also truncated to the kernel's bidegree
-    ``region`` when one is given; the basis keeps it."""
     # With a limit no pair above it is reduced, so its fields always fit.
     bound = max(max(ideal.degrees()), degree_limit or 0)
     inputs = [dict(g.terms) for g in ideal.generators]
     gens, truncated, pk, stats = _widening(
         lambda pk: _buchberger_kernel(
             inputs, pk, ring.field, degree_limit=degree_limit, pair_limit=pair_limit,
-            tail_reduce=tail_reduce, interreduce=interreduce, region=region,
+            tail_reduce=tail_reduce, interreduce=interreduce,
         ),
         _Packing(ring.order, ring.nvars, _width(bound)),
     )
     return GroebnerBasis._from_kernel(
-        ring, gens, pk, stats, region, reduced=interreduce,
+        ring, gens, pk, stats, reduced=interreduce,
         truncated_at=degree_limit if truncated else None, source=ideal,
     )
 

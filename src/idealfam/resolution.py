@@ -775,12 +775,10 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     depend on the numbering; the Betti table does not.  Equal leads,
     which only a basis that is not reduced has, keep their element order.
     A truncated basis needs a ``degree_limit`` of at most its
-    ``truncated_at``, and one truncated to bidegree boxes is refused.
+    ``truncated_at``.
     """
     if isinstance(source, GroebnerBasis):
         gb = source
-        if gb._region is not None:
-            raise ValidationError("a basis truncated to bidegree boxes cannot be resolved")
         cut = gb.truncated_at
         if cut is not None and (degree_limit is None or degree_limit > cut):
             raise ValidationError(f"a basis truncated at degree {cut} needs a degree_limit <= {cut}")

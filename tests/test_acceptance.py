@@ -14,6 +14,7 @@ from idealfam import (
     buchberger,
     build_ideal,
     caviglia_ideal,
+    caviglia_witness,
     derived_constants,
     hilbert_crosscheck,
     is_member,
@@ -27,6 +28,7 @@ from idealfam import (
     resolve,
     s_polynomial,
     schreyer_resolution,
+    socle_witness,
     variable_count,
     verification_basis,
     verify_lemma,
@@ -219,6 +221,23 @@ def test_a7_mccullough_pd(resolved):
         table = resolved[f"mccullough 2 1 {d}"]["min"].betti()
         assert pd_of(table) == d + 2
     print("\n[PASS] A7 - special-family pd equals d + 2 for d = 3, 4")
+
+
+def test_a7_socle_degree_bounds_the_regularity(resolved):
+    # A socle element of degree delta gives reg(R/I) >= delta (Eisenbud,
+    # The Geometry of Syzygies, ch. 4), on every resolution with a witness.
+    for label, bundle in resolved.items():
+        ideal, table = bundle["ideal"], bundle["min"].betti()
+        kind, *args = label.split()
+        if kind == "caviglia":
+            witness = caviglia_witness(int(args[0]), ideal.ring.table)
+        elif kind == "mccullough":
+            witness = mccullough_witness(*map(int, args), ideal.ring.table)
+        else:
+            witness = socle_witness(FamilyParams.parse(kind), ideal.ring.table)
+        assert verify_socle_ideal(ideal, witness).conclusion, label
+        assert witness.degree <= reg_of(table), label
+    print("\n[PASS] A7 - the socle witness degree bounds reg(R/I) on every resolution")
 
 
 def test_a8_property_suites(resolved):

@@ -242,11 +242,12 @@ def test_out_file(tmp_path, capsys):
 def test_verification_failure_exit_1(monkeypatch, capsys):
     import idealfam.cli as cli
 
-    def fake_verify_socle(params, basis=None, field=None):
-        real = cli.verify_socle.__wrapped__ if hasattr(cli.verify_socle, "__wrapped__") else None
+    real = cli._family_reports
+
+    def failing_socle(params, ideal, **limits):
         from idealfam.family import SocleReport, socle_witness
 
-        return SocleReport(
+        socle = SocleReport(
             params=params,
             witness=socle_witness(params),
             not_in_ideal=False,
@@ -254,8 +255,9 @@ def test_verification_failure_exit_1(monkeypatch, capsys):
             conclusion=False,
             implied_pd=4,
         )
+        return socle, real(params, ideal, **limits)[1]
 
-    monkeypatch.setattr(cli, "verify_socle", fake_verify_socle)
+    monkeypatch.setattr(cli, "_family_reports", failing_socle)
     code, out, _ = run(capsys, "verify", "2:(1,1)")
     assert code == 1
     assert "depth-zero verified: False" in out
@@ -266,13 +268,13 @@ def test_sweep_verify_uses_the_requested_field(monkeypatch, capsys):
     from idealfam import QQ
 
     seen = []
-    real = cli.verification_basis
+    real = cli.build_ideal
 
-    def spy(params, field=None, **kwargs):
+    def spy(params, field=None, *args):
         seen.append(field)
-        return real(params, field, **kwargs)
+        return real(params, field, *args)
 
-    monkeypatch.setattr(cli, "verification_basis", spy)
+    monkeypatch.setattr(cli, "build_ideal", spy)
     code, _, _ = run(
         capsys, "sweep", "--max-g", "2", "--max-n", "1", "--max-m", "1",
         "--verify", "--field", "QQ",

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -11,9 +12,12 @@ from idealfam import (
     FamilyParams,
     IdealPresentation,
     InternalError,
+    PolynomialRing,
     PrimeField,
     QQ,
+    ResourceLimitError,
     ValidationError,
+    VariableTable,
     build_ideal,
     buchberger,
     caviglia_ideal,
@@ -37,7 +41,8 @@ from idealfam import (
     verify_socle,
     verify_socle_ideal,
 )
-from idealfam.family import _target_basis, membership_basis
+from idealfam import family
+from idealfam.family import membership_basis
 from idealfam.groebner import DEFAULT_PAIR_LIMIT
 
 
@@ -361,14 +366,14 @@ def test_verify_socle_negative_control():
 
 
 # Every family instance whose verification basis tier-1 builds, except
-# 4:(2,2) (degree route over 20 s) and 5:(2) (2.4 s, box route below).
+# 4:(2,2) (over 20 s) and 5:(2); both certify in the reach tests below.
 TIER1_FAMILY = (
     "2:(0)", "2:(1,0)", "2:(1,1)", "2:(2,0)", "2:(2,1)", "2:(3,0)", "2:(3,1)", "3:(2)",
     "3:(2,0)", "3:(2,1)", "3:(4,0)", "4:(2)", "3:(2,2)", "2:(4,3)", "2:(2,1,2)",
     "2:(2,1,3)", "2:(2,2,2)", "2:(4,2,1)", "2:(4,4,0)", "2:(2,3,4)",
 )
 
-# Instances of the g <= 3, n <= 3, m <= 3 box whose degree route was
+# Instances of the g <= 3, n <= 3, m <= 3 box whose verification basis was
 # measured at 1.5 s or more on a shared 2-core host (most ran past 6 s).
 SLOW_DEGREE_ROUTE = frozenset((
     "3:(2,3)", "3:(3,2)", "3:(3,3)", "2:(3,3,3)", "3:(2,1,2)", "3:(2,1,3)",
@@ -376,69 +381,260 @@ SLOW_DEGREE_ROUTE = frozenset((
     *(f"3:({a},{b},{c})" for a in (2, 3) for b in (2, 3) for c in range(4)),
 ))
 
+# The special families the induction proves with no basis.
+SPECIAL = (
+    *(("caviglia", (d,)) for d in range(2, 8)),
+    *(("mccullough", a) for a in ((2, 1, 3), (3, 1, 3), (2, 2, 3), (3, 2, 3), (4, 1, 3), (3, 1, 4))),
+)
 
-def _reports(params, basis):
-    return verify_socle(params, basis), verify_lemma(params, basis)
+
+def _special(kind, args, field=None):
+    if kind == "caviglia":
+        ideal = caviglia_ideal(*args, field)
+        return ideal, caviglia_witness(*args, ideal.ring.table)
+    ideal = mccullough_ideal(*args, field)
+    return ideal, mccullough_witness(*args, ideal.ring.table)
+
+
+def _reports(params, basis=None, field=None):
+    return verify_socle(params, basis, field), verify_lemma(params, basis, field)
 
 
 @functools.cache
-def _routes(spec):
-    # The box route's and the degree route's verification basis.
-    params = FamilyParams.parse(spec)
-    degree = membership_basis(build_ideal(params), verification_degree(params))
-    return verification_basis(params), degree
+def _basis(spec):
+    return verification_basis(FamilyParams.parse(spec))
 
 
-def _assert_box_route_answers_as_degree_route(specs):
+def _assert_induction_answers_as_basis(specs):
+    # Every membership answer: not_in_ideal, each killed_by, each lemma
+    # monomial; and no answer came from a fallback basis.
     for spec in specs:
         params = FamilyParams.parse(spec)
-        box, degree = _routes(spec)
-        assert len(box) <= len(degree), spec
-        assert _reports(params, box) == _reports(params, degree), spec
+        socle, lemma = _reports(params)
+        assert (socle, lemma) == _reports(params, _basis(spec)), spec
+        assert socle.fallbacks == lemma.fallbacks == 0, spec
+        assert socle.conclusion and lemma.ok, spec
 
 
-def test_box_route_matches_degree_route_on_tier1_instances():
-    # Every membership answer: not_in_ideal, each killed_by, each lemma monomial.
-    _assert_box_route_answers_as_degree_route(TIER1_FAMILY)
+def test_induction_matches_basis_route_on_tier1_instances():
+    _assert_induction_answers_as_basis(TIER1_FAMILY)
 
 
-def test_box_route_matches_degree_route_on_a_seeded_sweep():
+def test_induction_matches_basis_route_on_a_seeded_sweep():
     eligible = [str(p) for p in sweep_params(3, 3, 3) if str(p) not in SLOW_DEGREE_ROUTE]
     assert len(eligible) == 55
-    _assert_box_route_answers_as_degree_route(random.Random(1101).sample(eligible, 16))
+    _assert_induction_answers_as_basis(random.Random(1101).sample(eligible, 16))
 
 
-@pytest.mark.parametrize("spec", ["5:(2)", "3:(2,2)", "3:(3,1)", "3:(2,1,2)"])
-def test_box_route_conclusions(spec):
-    # Instances whose degree route takes 0.4-2.4 s certify in well under a second.
-    params = FamilyParams.parse(spec)
-    basis = verification_basis(params)
-    socle = verify_socle(params, basis)
-    assert socle.conclusion, spec
-    assert socle.implied_pd == pd_formula(params), spec
-    assert verify_lemma(params, basis).ok, spec
+def test_induction_matches_basis_route_on_the_benchmark_sweep():
+    # The 16 rows of `sweep --verify --max-g 2 --max-n 2 --max-m 3`.
+    specs = [str(p) for p in sweep_params(2, 2, 3)]
+    assert len(specs) == 16
+    _assert_induction_answers_as_basis(specs)
 
 
-def test_box_basis_refuses_outside_its_region():
-    # x[1,1]^2 * w / x[1,2] has the limit's degree, but its bidegree lies
-    # outside every target box; the degree route accepts it.
+def test_induction_matches_basis_route_over_QQ():
     params = FamilyParams.parse("2:(2,1)")
-    basis = verification_basis(params)
-    ring, table = basis.ring, basis.ring.table
-    exps = list(socle_witness(params, table).exps)
-    exps[table.x_index(1, 1)] += 2
-    exps[table.x_index(1, 2)] -= 1
-    outside = ring.from_monomial(ring.monomial(exps))
-    assert outside.degree() == basis.truncated_at == verification_degree(params)
-    assert membership_basis(build_ideal(params), basis.truncated_at).contains(outside)
-    with pytest.raises(ValidationError, match="bidegree boxes"):
-        basis.contains(outside)
-    with pytest.raises(ValidationError, match="bidegree boxes"):
-        basis.normal_form(outside + ring.from_monomial(socle_witness(params, table)))
-    with pytest.raises(ValidationError):
-        basis.hilbert_numerator()
-    with pytest.raises(ValidationError, match="bidegree boxes"):
-        schreyer_resolution(basis, degree_limit=basis.truncated_at)
+    basis = verification_basis(params, QQ)
+    assert basis.ring.field == QQ
+    assert _reports(params, field=QQ) == _reports(params, basis)
+    assert _reports(params, field=QQ) == _reports(params)
+
+
+@pytest.mark.parametrize("kind, args", SPECIAL)
+def test_induction_matches_basis_route_on_the_special_families(kind, args):
+    ideal, witness = _special(kind, args)
+    report = verify_socle_ideal(ideal, witness)
+    assert report.conclusion and report.fallbacks == 0
+    assert report.implied_pd == ideal.ring.nvars
+    basis = membership_basis(ideal, witness.degree + 1)
+    assert report == verify_socle_ideal(ideal, witness, basis)
+    assert verify_socle_ideal(ideal, witness, basis).fallbacks is None
+
+
+@pytest.mark.parametrize("spec, pd", [
+    ("2:(5,5,5,0)", 72), ("3:(3,2)", 48), ("2:(3,3,3)", 22), ("5:(2)", 20),
+    ("3:(2,2)", 24), ("3:(3,1)", 27), ("3:(2,1,2)", 9), ("4:(2,2)", 68),
+])
+def test_induction_certifies_instances_beyond_the_basis(spec, pd):
+    # preset_three_generators(4) raised ResourceLimitError on its basis,
+    # 3:(3,2) took 26.6 s and 2:(3,3,3) peaked near 1 GB.
+    params = FamilyParams.parse(spec)
+    t0 = time.perf_counter()
+    socle, lemma = _reports(params)
+    elapsed = time.perf_counter() - t0
+    assert socle.conclusion and lemma.ok, spec
+    assert socle.fallbacks == lemma.fallbacks == 0, spec
+    assert socle.implied_pd == pd_formula(params) == variable_count(params) == pd, spec
+    assert elapsed < 1.0, f"{spec} took {elapsed:.2f}s"
+
+
+def _induction(ideal, targets):
+    # The induction's own verdicts on ``targets`` in order (True proved,
+    # False outside, None open), with no fallback, and the induction.
+    induction = family._Induction(ideal, max(map(sum, targets)), DEFAULT_PAIR_LIMIT)
+    pack = induction.pk.pack
+    verdicts = []
+    for t in targets:
+        u = pack(t)
+        verdicts.append(True if induction.prove(u) else False if induction.outside(u) else None)
+    return verdicts, induction
+
+
+def _family_targets(params, ring):
+    # The stage monomials, then w and each x_v * w: the order of the reports.
+    return [m.exps for m in lemma_targets(params, ring.table)] + _certificate_monomials(
+        ring, socle_witness(params, ring.table)
+    )
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _is_step(ring, u, f, e, c, earlier):
+    # u = (u/e) f / c - rest in Polynomial arithmetic, where every term of
+    # rest is a multiple of an earlier proved monomial.
+    quotient = ring.from_monomial(tuple(a - b for a, b in zip(u, e)), ring.field.inv(c))
+    rest = quotient * f - ring.from_monomial(u)
+    return u not in dict(rest.terms) and all(
+        any(_divides(p, t) for p in earlier) for t, _ in rest.terms
+    )
+
+
+def _expand_steps(ideal, induction):
+    # Each monomial the induction proved, in proof order, is one step
+    # u = (u/e) f / c_e - (the other terms) from the generators and the
+    # monomials proved before it.  Returns the proved monomials.
+    ring = ideal.ring
+    forms = [g for g in ideal.generators if len(g) > 1]
+    proved = [induction.pk.unpack(u) for u in induction.proved]
+    base = len(ideal.generators) - len(forms)
+    assert proved[:base] == [g.terms[0][0] for g in ideal.generators if len(g) == 1]
+    for k in range(base, len(proved)):
+        u = proved[k]
+        assert any(
+            _is_step(ring, u, f, e, c, proved[:k])
+            for f in forms for e, c in f.terms if _divides(e, u)
+        ), u
+    return proved
+
+
+@pytest.mark.parametrize("spec", ["2:(1,1)", "2:(2,1)", "2:(3,1)", "3:(2,1)", "2:(2,1,2)"])
+def test_induction_steps_expand_to_identities(spec):
+    params = FamilyParams.parse(spec)
+    ideal = build_ideal(params)
+    targets = _family_targets(params, ideal.ring)
+    verdicts, induction = _induction(ideal, targets)
+    assert verdicts == [True] * (len(targets) - 1 - ideal.ring.nvars) + [False] + [True] * ideal.ring.nvars
+    proved = _expand_steps(ideal, induction)
+    # Every target proved is a multiple of a monomial the steps proved.
+    for t, v in zip(targets, verdicts):
+        assert v == any(_divides(p, t) for p in proved), t
+
+
+@pytest.mark.parametrize("kind, args", SPECIAL[:3] + SPECIAL[6:8])
+def test_induction_steps_expand_on_the_special_families(kind, args):
+    ideal, witness = _special(kind, args, QQ)
+    verdicts, induction = _induction(ideal, _certificate_monomials(ideal.ring, witness))
+    assert verdicts == [False] + [True] * ideal.ring.nvars
+    _expand_steps(ideal, induction)
+
+
+def test_induction_proves_nothing_false_on_the_smaller_ideal():
+    # The smaller ideal of test_verify_lemma_negative_control (the pure
+    # powers alone): the induction proves only what its basis proves, and
+    # the reports' answers flip where the dense generator is needed.
+    params = FamilyParams(2, (1, 1))
+    ideal = build_ideal(params)
+    smaller = IdealPresentation(ideal.ring, ideal.generators[:-1])
+    targets = _family_targets(params, ideal.ring)
+    basis = membership_basis(smaller, verification_degree(params))
+    truth = basis._contains_monomials(targets)
+    verdicts, _ = _induction(smaller, targets)
+    assert all(truth[k] for k, v in enumerate(verdicts) if v)
+    assert not any(truth[k] for k, v in enumerate(verdicts) if v is False)
+    full, _ = _induction(ideal, targets)
+    assert verdicts != full and not all(truth)
+    # With no form left, the two rules decide every target.
+    assert family._certify(smaller, targets, None, DEFAULT_PAIR_LIMIT) == (truth, [])
+
+
+def _random_form(ring, rng, degree, terms):
+    monos = [e for e in itertools.product(range(degree + 1), repeat=ring.nvars) if sum(e) == degree]
+    return ring.poly({e: rng.choice((1, -1, 2)) for e in rng.sample(monos, terms)})
+
+
+def test_induction_agrees_with_the_basis_on_random_ideals():
+    # Pure powers and two- or three-term forms in four variables: every
+    # proved monomial is a member and every outside one is not, and the
+    # random ideals leave some monomials open.  Skipping one term of
+    # (u/e) f in the one-step rule proves non-members here.
+    rng = random.Random(1101)
+    ring = PolynomialRing(VariableTable.named(("a", "b", "c", "d")), PrimeField(101))
+    counts = {True: 0, False: 0, None: 0}
+    for _ in range(40):
+        degree = rng.randrange(2, 4)
+        gens = [ring.from_monomial(tuple(degree * (v == k) for v in range(4))) for k in rng.sample(range(4), 2)]
+        gens += [_random_form(ring, rng, degree, rng.randrange(2, 4)) for _ in range(rng.randrange(1, 3))]
+        ideal = IdealPresentation(ring, gens)
+        top = degree + rng.randrange(1, 3)
+        targets = [e for e in itertools.product(range(top + 1), repeat=4) if sum(e) == top]
+        rng.shuffle(targets)
+        truth = membership_basis(ideal, top)._contains_monomials(targets)
+        verdicts, induction = _induction(ideal, targets)
+        for ok, v, t in zip(truth, verdicts, targets):
+            assert v is None or v == ok, (gens, t)
+            counts[v] += 1
+        _expand_steps(ideal, induction)
+        assert family._certify(ideal, targets, None, DEFAULT_PAIR_LIMIT)[0] == truth
+    assert all(counts.values()), counts
+
+
+def test_induction_searches_one_intermediate_monomial():
+    # In K[a,b,c], ab = (ab + bc) - (bc + c^2) + c^2: the one-step rule
+    # leaves ab open (bc is not proved yet), the search proves bc first.
+    ring = PolynomialRing(VariableTable.named(("a", "b", "c")), PrimeField(101))
+    a, b, c = (ring.variable(i) for i in range(3))
+    ideal = IdealPresentation(ring, [c * c, a * b + b * c, b * c + c * c])
+    verdicts, induction = _induction(ideal, [(1, 1, 0)])
+    assert verdicts == [True]
+    assert [induction.pk.unpack(u) for u in induction.proved[1:]] == [(0, 1, 1), (1, 1, 0)]
+    _expand_steps(ideal, induction)
+    # With two intermediate steps, ab = (ab + bc) - (bc + bd) + (bd + d^2)
+    # - d^2, the search stops and the basis answers.
+    ring = PolynomialRing(VariableTable.named(("a", "b", "c", "d")), PrimeField(101))
+    a, b, c, d = (ring.variable(i) for i in range(4))
+    ideal = IdealPresentation(ring, [d * d, a * b + b * c, b * c + b * d, b * d + d * d])
+    assert _induction(ideal, [(1, 1, 0, 0)])[0] == [None]
+    answers, open_ = family._certify(ideal, [(1, 1, 0, 0)], None, DEFAULT_PAIR_LIMIT)
+    assert answers == [True] and open_ == [0]
+
+
+def test_induction_limits():
+    # A target above the degree limit is refused first, with the text a
+    # truncated basis gives; the candidates count against pair_limit.
+    params = FamilyParams.parse("2:(1,1)")
+    ideal = build_ideal(params)
+
+    def reports(**limits):
+        return family._family_reports(params, ideal, **limits)
+
+    text = "normal form of degree 6 is not exact against a basis truncated at degree 3"
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        reports(degree_limit=3)
+    special = mccullough_ideal(2, 1, 3)
+    witness = mccullough_witness(2, 1, 3, special.ring.table)
+    with pytest.raises(ValidationError, match="normal form of degree 4 "):
+        verify_socle_ideal(special, witness, degree_limit=3)
+    with pytest.raises(ResourceLimitError, match=r"\(0\)$"):
+        verify_socle_ideal(special, witness, pair_limit=0)
+    # 2:(1,1) makes two candidates, one per stage-1 monomial; each x_v * w
+    # is then a multiple of a proved one.
+    assert reports(pair_limit=2) == _reports(params)
+    with pytest.raises(ResourceLimitError, match=r"\(1\)$"):
+        reports(pair_limit=1)
+    assert reports(degree_limit=7) == _reports(params)
 
 
 def _certificate_monomials(ring, witness, params=None):
@@ -460,19 +656,16 @@ def _kernel_form_answers(basis, monomials):
     return got
 
 
-def test_kernel_form_membership_matches_contains_on_both_routes():
+def test_kernel_form_membership_matches_contains():
     for spec in TIER1_FAMILY:
         params = FamilyParams.parse(spec)
-        box, degree = _routes(spec)
-        ring = box.ring
+        basis = _basis(spec)
+        ring = basis.ring
         monos = _certificate_monomials(ring, socle_witness(params, ring.table), params)
         assert len(monos) == 1 + ring.nvars + params.g * params.n, spec
-        answers = _kernel_form_answers(box, monos)
-        assert answers == _kernel_form_answers(degree, monos), spec
+        answers = _kernel_form_answers(basis, monos)
         assert answers == [False] + [True] * (len(monos) - 1), spec
-        # The box basis's leads lie in its boxes and are not all members.
-        leads = [m.exps for m in box.leading_monomials()]
-        assert _kernel_form_answers(box, leads) == _kernel_form_answers(degree, leads), spec
+        _kernel_form_answers(basis, [m.exps for m in basis.leading_monomials()])
 
 
 def test_kernel_form_membership_on_the_special_families():
@@ -497,20 +690,19 @@ def test_kernel_form_membership_on_the_special_families():
 
 
 def test_kernel_form_membership_negative_control():
-    # The smaller ideal of test_verify_lemma_negative_control: its bases
-    # on both routes, and the reduced one that test uses, answer alike,
+    # The smaller ideal of test_verify_lemma_negative_control: its
+    # membership basis and the reduced one that test uses answer alike,
     # and some of the full ideal's members are not members here.
     params = FamilyParams(2, (1, 1))
     ideal = build_ideal(params)
     smaller = IdealPresentation(ideal.ring, ideal.generators[:-1])
     limit = verification_degree(params)
     monos = _certificate_monomials(ideal.ring, socle_witness(params, ideal.ring.table), params)
-    full = _kernel_form_answers(_routes(str(params))[0], monos)
-    box = _kernel_form_answers(_target_basis(params, smaller, DEFAULT_PAIR_LIMIT), monos)
-    assert box == _kernel_form_answers(membership_basis(smaller, limit), monos)
-    assert box == _kernel_form_answers(buchberger(smaller, degree_limit=limit), monos)
-    assert box != full
-    assert all(full[k] for k, ok in enumerate(box) if ok)
+    full = _kernel_form_answers(_basis(str(params)), monos)
+    small = _kernel_form_answers(membership_basis(smaller, limit), monos)
+    assert small == _kernel_form_answers(buchberger(smaller, degree_limit=limit), monos)
+    assert small != full
+    assert all(full[k] for k, ok in enumerate(small) if ok)
 
 
 def test_kernel_form_membership_refusals():
@@ -532,16 +724,12 @@ def test_kernel_form_membership_refusals():
     ):
         with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
             call()
-    # A term of the limit's degree whose bidegree lies outside every box.
-    outside = list(w)
-    outside[table.x_index(1, 1)] += 2
-    outside[table.x_index(1, 2)] -= 1
-    with pytest.raises(ValidationError, match="bidegree boxes"):
-        basis._contains_monomials([w, tuple(outside)])
-    # A witness over another variable table.
+    # A witness over another variable table, on both routes.
     other = socle_witness(FamilyParams.parse("2:(1,1)"))
     with pytest.raises(DomainMismatchError):
         verify_socle_ideal(build_ideal(params), other, basis, params)
+    with pytest.raises(DomainMismatchError):
+        verify_socle_ideal(build_ideal(params), other)
 
 
 def test_shared_basis_matches_fresh_runs():
@@ -684,6 +872,7 @@ def test_three_generator_presets():
         assert pd_formula(params) >= p ** (p - 1)
     assert preset_three_generators(2) == FamilyParams(2, (3, 0))
     assert preset_three_generators(3) == FamilyParams(2, (4, 4, 0))
+    assert preset_three_generators(4) == FamilyParams(2, (5, 5, 5, 0))
     assert pd_formula(FamilyParams(2, (4, 4, 0))) == 15
 
 

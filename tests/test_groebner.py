@@ -169,7 +169,7 @@ def test_module_basis_is_groebner(rng):
         reducers = groebner._reducers(basis, pk)
 
         def remainder(terms):
-            return groebner._reduce(terms, reducers, pk, field, full=False)[0]
+            return groebner._reduce(terms, reducers, pk, field, full=False)
 
         for a, f in enumerate(basis):
             for g in basis[a + 1 :]:
@@ -414,8 +414,8 @@ def _size(basis):
 
 
 def _degree_route(spec):
-    # A verification basis truncated at the verification degree alone, as
-    # before bidegree boxes: the kernel pins below were taken on it.
+    # A verification basis, truncated at the verification degree: the
+    # kernel pins below were taken on it.
     params = FamilyParams.parse(spec)
     return membership_basis(build_ideal(params), verification_degree(params))
 
@@ -673,20 +673,18 @@ def test_stats_count_each_route():
     sig = buchberger(ideal, tail_reduce=False).stats
     assert set(sig) == {
         "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular",
-        "above_limit", "outside_box", "reductions", "zero_reductions",
+        "above_limit", "reductions", "zero_reductions",
     }
-    box = verification_basis(FamilyParams.parse("2:(2,1)")).stats
-    assert set(box) == set(sig)
-    for stats in (gm, sig, box):
+    limited = verification_basis(FamilyParams.parse("2:(2,1)")).stats
+    assert set(limited) == set(sig)
+    for stats in (gm, sig, limited):
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
         assert stats["zero_reductions"] <= stats["reductions"] <= stats["pairs"]
     # Without a limit the degree pass drops nothing; with one, on both.
-    # Only a bidegree region drops candidates outside its boxes.
-    assert gm["above_limit"] == sig["above_limit"] == sig["outside_box"] == 0
+    assert gm["above_limit"] == sig["above_limit"] == 0
     for tail_reduce in (True, False):
         assert buchberger(ideal, degree_limit=4, tail_reduce=tail_reduce).stats["above_limit"] > 0
-    assert buchberger(ideal, degree_limit=4, tail_reduce=False).stats["outside_box"] == 0
-    assert box["above_limit"] > 0 and box["outside_box"] > 0
+    assert limited["above_limit"] > 0
     # A basis built from polynomials has no kernel counters.
     assert GroebnerBasis(ideal.ring, buchberger(ideal).elements, reduced=True).stats is None
 
@@ -704,49 +702,6 @@ def test_signature_above_limit_pinned():
         "2:(2,3,4)": 6731,
     }
     assert sum(got.values()) == 56602
-
-
-def _inside_boxes(basis, poly):
-    # Every term's bidegree lies in one of the basis's boxes, read from
-    # the exponent tuples rather than the packed kernel test.
-    first, boxes = basis._region
-    for exps, _ in poly.terms:
-        a = sum(exps[v] for v in first)
-        if not any(a <= A and sum(exps) - a <= B for A, B in boxes):
-            return False
-    return True
-
-
-def test_box_route_pinned():
-    # The six verify bases truncated to their targets' bidegree boxes:
-    # elements kept (742 on the degree route, 352 here) and candidates
-    # within the degree limit dropped outside every box.
-    got = {}
-    for spec in VERIFY_SPECS:
-        basis = verification_basis(FamilyParams.parse(spec))
-        got[spec] = (len(basis), basis.stats["outside_box"])
-    assert got == {
-        "2:(2,2,2)": (24, 9),
-        "3:(2,1)": (51, 82),
-        "4:(2)": (14, 36),
-        "2:(4,3)": (82, 34),
-        "2:(4,2,1)": (70, 142),
-        "2:(2,3,4)": (111, 11),
-    }
-
-
-def test_box_route_is_the_degree_route_inside_the_boxes():
-    # Inside the boxes the box route decides and reduces every signature
-    # as the degree route does, so its basis is exactly the degree route's
-    # elements that lie in the boxes, in the same order.
-    for spec in VERIFY_SPECS + ("2:(3,1)", "2:(2,1,2)"):
-        box, degree = verification_basis(FamilyParams.parse(spec)), _degree_route(spec)
-        assert box.truncated_at == degree.truncated_at == verification_degree(
-            FamilyParams.parse(spec)
-        )
-        inside = [p for p in degree.elements if _inside_boxes(box, p)]
-        assert list(box.elements) == inside, spec
-        assert len(inside) < len(degree), spec
 
 
 def _signature_corpus():
@@ -877,20 +832,15 @@ def _certificate(ring, witness, params=None):
 
 def _pure_power_cases():
     # (name, basis builder, monomials to test) on the signature route: the
-    # six verify bases, box-route bases, Caviglia's and McCullough's
-    # membership bases, and seeded random truncated ideals with pure
-    # powers at the first, a middle and the last input position over
-    # three fields and orders.
-    for spec in VERIFY_SPECS:
+    # six verify bases and two more family verification bases, Caviglia's
+    # and McCullough's membership bases, and seeded random truncated
+    # ideals with pure powers at the first, a middle and the last input
+    # position over three fields and orders.
+    for spec in VERIFY_SPECS + ("2:(3,1)", "2:(2,1,2)"):
         params = FamilyParams.parse(spec)
         table = build_ideal(params).ring.table
         probes = _certificate(build_ideal(params).ring, socle_witness(params, table), params)
         yield spec, functools.partial(_degree_route, spec), probes
-    for spec in ("5:(2)", "3:(2,2)", "3:(3,1)", "3:(2,1,2)"):
-        params = FamilyParams.parse(spec)
-        ring = build_ideal(params).ring
-        probes = _certificate(ring, socle_witness(params, ring.table), params)
-        yield f"box {spec}", functools.partial(verification_basis, params), probes
     special = [(caviglia_ideal(d), caviglia_witness, (d,)) for d in (2, 3, 4)]
     special += [(mccullough_ideal(*a), mccullough_witness, a) for a in ((2, 1, 3), (3, 1, 3))]
     for ideal, witness, args in special:
@@ -1107,7 +1057,7 @@ def _list_order_remainder(basis, p, full):
     # The route the degree-ordered reducers replaced: the first divisor
     # in element order, largest lead first.
     pk = basis._pk
-    r, _ = groebner._reduce(
+    r = groebner._reduce(
         pk.pack_terms(p.terms), lambda m: basis._gens, pk, basis.ring.field, full=full
     )
     return {pk.unpack(e): c for e, c in r.items()}
@@ -1186,11 +1136,11 @@ def test_membership_division_work_pinned():
     basis = _degree_route("2:(2,3,4)")
     assert not basis.contains(basis.ring.one())  # builds the degree-ordered list
 
-    pk, by_degree, inside = basis._by_degree
+    pk, by_degree = basis._by_degree
 
     def tests(reducers):
         counted = _CountedReducers(reducers)
-        basis._by_degree = (pk, counted, inside)
+        basis._by_degree = (pk, counted)
         assert verify_socle(params, basis).conclusion
         assert verify_lemma(params, basis).ok
         return counted.tests

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import heapq
 import random
 import warnings
 import pytest
@@ -22,17 +23,21 @@ from idealfam import (
     build_ideal,
     buchberger,
     caviglia_ideal,
+    caviglia_witness,
     hilbert_crosscheck,
     mccullough_ideal,
+    mccullough_witness,
     minimal_free_resolution,
     pd_formula,
     pd_of,
     reg_of,
     resolve,
     schreyer_resolution,
+    socle_witness,
     syzygies,
     variable_count,
     verify_socle,
+    verify_socle_ideal,
 )
 from idealfam import groebner, resolution
 
@@ -354,7 +359,7 @@ def _generates_within(P, Q):
     basis, _, pk, _ = groebner._buchberger_kernel(_module_vectors(Q), pk, field)
     reducers = groebner._reducers(basis, pk)
     return all(
-        not groebner._reduce(pk.pack_terms(v.items()), reducers, pk, field, full=False)[0]
+        not groebner._reduce(pk.pack_terms(v.items()), reducers, pk, field, full=False)
         for v in _module_vectors(P)
     )
 
@@ -739,6 +744,39 @@ def test_packed_constant_ranks_match_tuple_columns(name, field, order, limited):
 
 # ------------------------------------------- live components: the reference route
 
+def _tracked_division(terms, reducers, pk, field):
+    """Divide a packed term dict as `groebner._reduce` does with ``full``
+    false: largest term first, by the first record ``reducers(m)`` offers
+    whose lead divides it.  Returns the remainder, empty when every term
+    was divided, and one ``(m, idx, c)`` per step: ``c m`` was divided by
+    record ``idx``.  No term is divided twice, so no (record, shift)
+    repeats."""
+    work = dict(terms)
+    heap = list(work)
+    heapq.heapify(heap)
+    steps = []
+    while heap:
+        m = heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        red = next((r for r in reducers(m) if not (m - r.lm) & pk.guard), None)
+        if red is None:
+            work[m] = c
+            return work, steps
+        steps.append((m, red.idx, c))
+        for e, c2 in red.tail:
+            e += m - red.lm
+            v = field.sub(work.get(e, field.zero), field.mul(c, c2))
+            if e not in work:
+                heapq.heappush(heap, e)
+            if v == field.zero:
+                work.pop(e, None)
+            else:
+                work[e] = v
+    return work, steps
+
+
 def _reference_tower(gens, pk, field, degree_limit=None):
     """The tower's level loop on full records: its S-vectors and reducers
     keep the tail terms in components that hold none of the level's leads.
@@ -775,7 +813,7 @@ def _reference_tower(gens, pk, field, degree_limit=None):
         new_basis, new_twists, scalars = [], {}, []
         for i, j, mij in pairs:
             spoly = groebner._spoly(basis[j], basis[i], lvl, field)
-            rem, quot = groebner._reduce(spoly, reducers, lvl, field, full=False, track=True)
+            rem, quot = _tracked_division(spoly, reducers, lvl, field)
             assert not rem, "a full S-vector failed to reduce to zero"
             lcm = lms[i] + (mij << cw)
             terms = [(lcm, j, neg_one), *quot]
@@ -855,6 +893,42 @@ def test_tower_matches_reference_route(case):
     else:
         gb, res, limit = _oracle_resolution(*case[1:])
     _assert_matches_reference(gb, res, limit)
+
+
+# ------------------------------------------- a regularity bound from the socle
+
+def _socle_witness_of(ideal, name):
+    """The socle witness of a family (``g:(...)``), ``caviglia(d)`` or
+    ``mccullough(m,n,d)`` ideal, over its table."""
+    table = ideal.ring.table
+    if name.startswith("caviglia"):
+        return caviglia_witness(int(name[9:-1]), table)
+    if name.startswith("mccullough"):
+        return mccullough_witness(*map(int, name[11:-1].split(",")), table)
+    return socle_witness(FamilyParams.parse(name), table)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("2:(3,1)", (10, 12)), ("2:(2,1,2)", (20, 41)), ("mccullough(3,1,3)", (6, 7)),
+    *((f"caviglia({d})", (4 * d - 6, d * d - 2)) for d in range(3, 8)),
+    ("2:(2,1)", (8, 9)), ("2:(2,2)", (12, 17)),
+])
+def test_socle_degree_bounds_the_regularity(name, want):
+    # A socle element of degree delta lies in H^0_m(R/I), so reg(R/I) >=
+    # delta (Eisenbud, The Geometry of Syzygies, ch. 4): a check on each
+    # resolved table with a witness, the witness proved a socle element
+    # by the stage induction.
+    if name in RESOLVE_BASES:
+        ideal = RESOLVE_BASES[name]()
+        table = _resolve_base(name)[1].minimalize().betti()
+    else:
+        ideal = build_ideal(FamilyParams.parse(name))
+        table = resolve(ideal)
+    witness = _socle_witness_of(ideal, name)
+    report = verify_socle_ideal(ideal, witness)
+    assert report.conclusion and report.fallbacks == 0
+    assert (witness.degree, table.reg) == want
+    assert witness.degree <= table.reg
 
 
 # ------------------------------------------------ the reducer choice
