@@ -15,6 +15,10 @@ TARGET is family parameters such as ``2:(2,1,2)``, ``caviglia D`` or
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input,
 3 resource limit exceeded, 4 internal error (a bug in idealfam, not in
 the input).
+
+Only ``betti`` needs the resolution layer, so it imports it when it runs:
+the other commands then never compile it, which matters where no bytecode
+cache is written and every process compiles its modules afresh.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .family import (
     verify_socle_ideal,
 )
 from .groebner import DEFAULT_PAIR_LIMIT, buchberger
-from .resolution import resolve
 from .ring import PrimeField, QQ, _term_text, format_monomial
 
 EXIT_OK = 0
@@ -263,6 +266,9 @@ def cmd_betti(args) -> int:
     if args.fmt == "m2":
         _emit(_m2_script(ideal, compute_betti=True), args)
         return EXIT_OK
+    # Imported here, so that no other command compiles the resolution layer.
+    from .resolution import resolve
+
     limit = args.degree_limit
     gb = buchberger(ideal, degree_limit=limit, pair_limit=args.pair_limit)
     table = resolve(gb, degree_limit=limit)

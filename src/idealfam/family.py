@@ -120,10 +120,15 @@ class DerivedConstants:
         return self.d[0]
 
 
+def _stage_bound(m: tuple[int, ...], k: int) -> int:
+    """M_k, the entry bound of column k (0-based): m_k - 1, but m_k in the last column."""
+    return m[k] - 1 if k < len(m) - 1 else m[k]
+
+
 def derived_constants(params: FamilyParams) -> DerivedConstants:
     m = params.m
     n = len(m)
-    M = tuple(m[k] - 1 if k < n - 1 else m[k] for k in range(n))
+    M = tuple(_stage_bound(m, k) for k in range(n))
     d = tuple(sum(m[k:]) + 1 for k in range(n))
     return DerivedConstants(params, M, d)
 
@@ -210,10 +215,8 @@ def _stage_columns(params: FamilyParams, k: int):
     """The bounded column choices for columns 1..k of a stage-k matrix."""
     if not 0 <= k <= params.n:
         raise ValidationError(f"stage must lie in 0..{params.n}, got {k}")
-    cs = derived_constants(params)
-    return [
-        _column_choices(params.g, params.m[kk], cs.M[kk]) for kk in range(k)
-    ]
+    g, m = params.g, params.m
+    return [_column_choices(g, m[kk], _stage_bound(m, kk)) for kk in range(k)]
 
 
 def enumerate_A(params: FamilyParams, k: int) -> list[ExponentMatrix]:

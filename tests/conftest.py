@@ -2,7 +2,11 @@
 membership oracle independent of the division machinery."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,20 @@ from idealfam import (
 )
 
 P = 32003
+
+
+def fresh_interpreter(*args):
+    """Run ``python *args`` on the checkout's ``src`` with no bytecode cache.
+
+    As on a host with PYTHONDONTWRITEBYTECODE=1, the process compiles every
+    module it loads from source.  Raises when the process fails.
+    """
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
 
 
 def small_ring(names=("x", "y"), p=P, order="grevlex"):

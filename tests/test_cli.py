@@ -1,13 +1,11 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from idealfam import FamilyParams, IdealPresentation, buchberger, build_ideal
 from idealfam.cli import main
+
+from conftest import fresh_interpreter
 
 
 def run(capsys, *argv):
@@ -386,8 +384,45 @@ def test_import_surface_is_the_standard_library():
     # A fresh interpreter: the package and its command line load only
     # standard-library modules, and `sweep`'s process pool stays unloaded
     # until `--jobs` asks for one.
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_SURFACE], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
+    out = fresh_interpreter("-c", _IMPORT_SURFACE).stdout.splitlines()
     assert out == ["[]", "[]"]
+
+
+_COMMAND_SURFACE = """
+import contextlib, io, sys
+import idealfam, idealfam.cli
+print('import', 'idealfam.resolution' in sys.modules)
+for argv in (
+    ['pd', '2:(1,1)'],
+    ['construct', '2:(1,1)'],
+    ['verify', '2:(2,1)'],
+    ['sweep', '--max-g', '2', '--max-n', '2', '--max-m', '2', '--verify'],
+    ['betti', '2:(1,1)'],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = idealfam.cli.main(argv)
+    print(argv[0], code, 'idealfam.resolution' in sys.modules)
+"""
+
+
+def test_only_betti_loads_the_resolution_layer():
+    # The commands run in this order in one fresh interpreter, so each line
+    # says whether that command, or any before it, loaded the layer.
+    out = fresh_interpreter("-c", _COMMAND_SURFACE).stdout.splitlines()
+    assert out == [
+        "import False",
+        "pd 0 False",
+        "construct 0 False",
+        "verify 0 False",
+        "sweep 0 False",
+        "betti 0 True",
+    ]
+
+
+def test_module_entry_point_pd_leaves_the_resolution_layer_unloaded():
+    err = fresh_interpreter("-X", "importtime", "-m", "idealfam", "pd", "2:(1,1)").stderr
+    loaded = {
+        line.rsplit("|", 1)[1].strip() for line in err.splitlines() if line.startswith("import time:")
+    }
+    assert "idealfam.cli" in loaded
+    assert "idealfam.resolution" not in loaded
