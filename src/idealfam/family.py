@@ -415,20 +415,16 @@ def membership_basis(
     degree, so membership of elements at or below the truncation degree
     is exact.  No pair whose lcm lies above that degree is formed, and on
     this family those are most of the candidates: 2,693 of the 59,295 of
-    the six ``verify`` bases lie within it.  Tails are only top-reduced,
-    less the multiples of pure-power inputs, and the final interreduction
-    is skipped: the bases stay sparser and no membership answer changes.
-    Without tail reduction the kernel takes its signature criteria, which
-    leave few reductions to zero (see `~idealfam.groebner._Signatures`).
+    the six ``verify`` bases lie within it.  The limit takes the kernel's
+    signature criteria, which leave few reductions to zero (see
+    `~idealfam.groebner._Signatures`).  Tails are only top-reduced, less
+    the multiples of pure-power inputs, and the final interreduction is
+    skipped: the bases stay sparser and no membership answer changes.
     ``pair_limit`` bounds the queued signatures as it bounds the pair
     queue in :func:`~idealfam.groebner.buchberger`.
     """
     return buchberger(
-        ideal,
-        degree_limit=degree_limit,
-        pair_limit=pair_limit,
-        tail_reduce=False,
-        interreduce=False,
+        ideal, degree_limit=degree_limit, pair_limit=pair_limit, interreduce=False
     )
 
 

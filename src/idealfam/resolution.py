@@ -52,6 +52,7 @@ from .groebner import (
     HilbertNumerator,
     IdealPresentation,
     _buchberger_kernel,
+    _check_limits,
     _Gen,
     _Overflow,
     _Packing,
@@ -146,7 +147,10 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     in component i: each level is again a Groebner basis, its leads are
     the next ``mu``, and a twist is a lead's degree.  Every term of a
     level has its twist's degree, so twists within ``pk``'s bound keep
-    every exponent in its field; a larger one raises `_Overflow`.
+    every exponent in its field; a larger one raises `_Overflow`.  With
+    ``degree_limit`` level 1 takes only the records of degree at most the
+    limit and no pair above it is reduced; ``truncated`` says whether
+    either left something out.
 
     One loop per pair forms the S-vector, divides it as `_reduce` would,
     and writes the next level's record as the steps happen; a step of zero
@@ -182,6 +186,13 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     prime = field.p if isinstance(field, PrimeField) else None
     heappop, heappush = heapq.heappop, heapq.heappush
 
+    truncated = False
+    if degree_limit is not None:
+        # Every pair above the limit is dropped, so a record above it would
+        # stand with none of the syzygies that may cancel it in the table.
+        kept = [g for g in gens if pk.deg(g.lm) <= degree_limit]
+        truncated = len(kept) < len(gens)
+        gens = kept
     lvl = pk.with_components(1)
     # Level 1 has one component, so its records are their own copies.
     basis = work = [_Gen(g.lm, g.tail, i) for i, g in enumerate(gens)]
@@ -189,7 +200,6 @@ def _schreyer_tower(gens, pk, field, *, degree_limit=None, level_cap=None):
     # The ring's lead is the packed 1, 0.
     levels = [(lvl.cw, basis, [(b.idx, {0: one}) for b in basis if not b.lm])]
 
-    truncated = False
     stats = dict.fromkeys(("pairs", "steps", "stored_terms", "live_terms"), 0)
 
     while True:
@@ -775,8 +785,12 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     depend on the numbering; the Betti table does not.  Equal leads,
     which only a basis that is not reduced has, keep their element order.
     A truncated basis needs a ``degree_limit`` of at most its
-    ``truncated_at``.
+    ``truncated_at``.  With a limit, level 1 keeps only the basis records
+    of degree at most the limit, and the table is exact up to it.  A
+    ``degree_limit`` below 1, a negative ``level_cap`` or one that is not
+    an int raises `ValidationError`.
     """
+    _check_limits(degree_limit=degree_limit, level_cap=level_cap)
     if isinstance(source, GroebnerBasis):
         gb = source
         cut = gb.truncated_at

@@ -117,7 +117,7 @@ def test_normal_form_idempotent_and_linear(rng):
 def test_membership_examples():
     ideal = build_ideal(FamilyParams(2, (2, 2, 2)))
     R = ideal.ring
-    G = buchberger(ideal, degree_limit=25, tail_reduce=False, interreduce=False)
+    G = buchberger(ideal, degree_limit=25, interreduce=False)
     assert is_member(R.zero(), G)
     for mono in lemma_targets(FamilyParams(2, (2, 2, 2)), R.table):
         assert is_member(R.from_monomial(mono), G)
@@ -188,7 +188,8 @@ def _reordered(ideal, rng):
 
 def test_reduced_basis_invariant_under_input_order():
     # The reduced basis is unique: both routes give the original's from
-    # any order and scaling of the generators.
+    # any order and scaling of the generators.  A limit at the basis's top
+    # degree takes the signature route.
     rng = random.Random(1991)
     for _ in range(60):
         nvars = rng.randrange(3, 5)
@@ -202,7 +203,8 @@ def test_reduced_basis_invariant_under_input_order():
         want = buchberger(ideal).elements
         other = _reordered(ideal, rng)
         assert buchberger(other).elements == want, ideal
-        assert buchberger(other, tail_reduce=False).elements == want, ideal
+        top = max(g.degree() for g in want)
+        assert buchberger(other, degree_limit=top).elements == want, ideal
 
 
 def test_source_generators_reduce_to_zero():
@@ -268,22 +270,24 @@ def test_truncated_basis_exact_below_limit(rng):
 
 
 def test_truncated_at_pinned():
-    # truncated_at is set when a pair above the limit survives the chain
-    # test and no generator that arrives after its h B-filters it: every
-    # pair within the limit is taken before every pair above it, so every
-    # later generator arrives before that pair's turn.  Flagging every
-    # candidate above the limit would give 12 for 2:(2,1) at limit 12 and
-    # 6 for mccullough(2,1,3) at limit 6.
+    # truncated_at is set when a signature above the limit, left out when
+    # its h arrived, is neither singular nor divisible by a Koszul or
+    # syzygy signature of the finished run.  Each unflagged case below
+    # but the last left candidates out, so flagging every candidate would
+    # flag it.
     grid = (
         (build_ideal(FamilyParams.parse("2:(2,1)")), {4: 4, 8: 8, 12: None}),
         (mccullough_ideal(2, 1, 3), {5: 5, 6: None, 9: None}),
+        (build_ideal(FamilyParams.parse("2:(3,1)")), {15: 15, 16: None}),
     )
     for ideal, want in grid:
-        got = {limit: buchberger(ideal, degree_limit=limit).truncated_at for limit in want}
-        assert got == want
-    # In the first case the replayed chain test drops every pair above
-    # the limit.  In the second an input that arrives after the pair's h
-    # B-filters it, and in the last a generator made by a pair does.
+        bases = {limit: buchberger(ideal, degree_limit=limit) for limit in want}
+        assert {limit: b.truncated_at for limit, b in bases.items()} == want
+        left_out = {limit for limit, b in bases.items() if b.stats["above_limit"]}
+        assert left_out == set(want) - {9}
+    # Complete bases: in the first case the Koszul criterion drops every
+    # signature above the limit.  The other two keep one live that reduces
+    # to zero, so they carry the limit: the flag is conservative.
     R = PolynomialRing(VariableTable.named(("x", "y", "z")), PrimeField(101), MonomialOrder())
     x, y, z = (R.variable(i) for i in range(3))
     R4 = PolynomialRing(
@@ -300,9 +304,11 @@ def test_truncated_at_pinned():
                 4 * x * z + 64 * x**2 + 40 * y * z,
             ),
             5,
+            None,
         ),
         (
             _ideal(R4, 16 * a**2 * d, 76 * c**2 * d, 86 * a * c),
+            4,
             4,
         ),
         (
@@ -314,12 +320,13 @@ def test_truncated_at_pinned():
                 10 * x**2 + 34 * y**2 + 33 * y * z,
             ),
             4,
+            4,
         ),
     )
-    for ideal, limit in cases:
+    for ideal, limit, flag in cases:
         full = buchberger(ideal).elements
         trunc = buchberger(ideal, degree_limit=limit)
-        assert trunc.truncated_at is None
+        assert trunc.truncated_at == flag
         assert trunc.elements == full
 
 
@@ -346,6 +353,24 @@ def test_pair_limit_resource_error():
         buchberger(ideal, pair_limit=0)
     # The only pair has lcm x*y^2, above the limit, so it is never stored.
     assert buchberger(ideal, pair_limit=0, degree_limit=2).truncated_at == 2
+
+
+def test_limits_are_validated():
+    # The library refuses, as invalid input, what the CLI refuses: a
+    # degree limit that is not an int of at least 1, or a pair limit that
+    # is not an int of at least 0.  A bool is not an int here.
+    ideal = build_ideal(FamilyParams.parse("2:(1,1)"))
+    for bad in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValidationError, match="degree_limit"):
+            buchberger(ideal, degree_limit=bad)
+        with pytest.raises(ValidationError, match="degree_limit"):
+            membership_basis(ideal, bad)
+    for bad in (-1, 2.5, None, False):
+        with pytest.raises(ValidationError, match="pair_limit"):
+            buchberger(ideal, pair_limit=bad)
+        with pytest.raises(ValidationError, match="pair_limit"):
+            membership_basis(ideal, 4, pair_limit=bad)
+    assert buchberger(ideal, degree_limit=1, pair_limit=0).truncated_at == 1
 
 
 # ---------------------------------------------------------------- hilbert
@@ -420,47 +445,6 @@ def _degree_route(spec):
     return membership_basis(build_ideal(params), verification_degree(params))
 
 
-@functools.cache
-def _gebauer_moeller_basis(spec):
-    # A verify instance's basis on Gebauer-Moeller's truncated route (with
-    # tail reduction: without it the kernel takes the signature route), and
-    # the packed lcm calls made inside `_chain_pairs` and the `_b_filters`
-    # calls of that run, and the arguments of each `_chain_pairs` call.
-    # Full remainders take seconds on the larger instances, so the tests
-    # share one run of each.
-    counts = {"lcm": 0, "b_filters": 0}
-    calls = []
-    chain_pairs, b_filters = groebner._chain_pairs, groebner._b_filters
-
-    def counted_chain_pairs(G, h, pk, degree_limit=None):
-        calls.append((G, h, pk, degree_limit))
-        lcm = pk.lcm
-
-        def counted_lcm(a, b):
-            counts["lcm"] += 1
-            return lcm(a, b)
-
-        pk.lcm = counted_lcm
-        try:
-            return chain_pairs(G, h, pk, degree_limit)
-        finally:
-            pk.lcm = lcm
-
-    def counted_b_filters(*args):
-        counts["b_filters"] += 1
-        return b_filters(*args)
-
-    params = FamilyParams.parse(spec)
-    groebner._chain_pairs, groebner._b_filters = counted_chain_pairs, counted_b_filters
-    try:
-        basis = buchberger(
-            build_ideal(params), degree_limit=verification_degree(params), interreduce=False
-        )
-    finally:
-        groebner._chain_pairs, groebner._b_filters = chain_pairs, b_filters
-    return basis, (counts["lcm"], counts["b_filters"]), calls
-
-
 def test_basis_sizes_pinned():
     # Element and term counts of known bases; any change to the kernel
     # that alters a basis shows up here.  The signature route's tails leave
@@ -477,21 +461,14 @@ def test_basis_sizes_pinned():
     assert _size(buchberger(mccullough_ideal(2, 1, 3))) == (6, 10)
     assert _size(buchberger(caviglia_ideal(4, QQ))) == (6, 7)
     # Without interreduction the tails depend on the order in which pairs
-    # are processed, and on the criteria: without tail reduction the
-    # signature route's, with it Gebauer-Moeller's.
-    for spec, signatures, gebauer_moeller in (
-        ("3:(2,1)", (123, 2870), (123, 14049)),
-        ("2:(4,3)", (146, 3790), (146, 240721)),
-    ):
+    # are processed, and on the criteria: with a limit, the signature
+    # route's.
+    for spec, want in (("3:(2,1)", (123, 2870)), ("2:(4,3)", (146, 3790))):
         params = FamilyParams.parse(spec)
         G = buchberger(
-            build_ideal(params),
-            degree_limit=verification_degree(params),
-            tail_reduce=False,
-            interreduce=False,
+            build_ideal(params), degree_limit=verification_degree(params), interreduce=False
         )
-        assert _size(G) == signatures, spec
-        assert _size(_gebauer_moeller_basis(spec)[0]) == gebauer_moeller, spec
+        assert _size(G) == want, spec
 
 
 def test_spolynomial_counts_pinned():
@@ -511,71 +488,7 @@ def test_spolynomial_counts_pinned():
     assert buchberger(caviglia_ideal(5)).stats["reductions"] == 13
 
 
-def _chain_pairs_reference(G, h, pk, degree_limit=None):
-    # The route the degree pass replaced: every candidate pays a packed
-    # lcm, and one above the limit stays a chain witness.
-    mh = h.lm
-    guard = pk.guard
-    if pk.module:
-        c = mh & pk.cmask
-        G = [g for g in G if g.lm & pk.cmask == c]
-    kept = []
-    new = []
-    above = False
-    for k, g in enumerate(G):
-        lcm = pk.lcm(mh, g.lm)
-        if pk.module or lcm != mh + g.lm:
-            if degree_limit is not None and pk.deg(lcm) > degree_limit:
-                above = True
-            else:
-                if any(
-                    not (lcm - p.lm) & guard
-                    for p in chain(islice(G, k + 1, None), kept)
-                ):
-                    continue
-                new.append((g, lcm))
-        kept.append(g)
-    return new, above
-
-
-def test_chain_pairs_degree_pass_matches_reference(monkeypatch):
-    # Every (G, h, degree_limit) the kernel passes while building three
-    # verify bases on Gebauer-Moeller's route and seeded random truncated
-    # bases gives the same pairs, in the same order, and the same
-    # above-limit flag on both routes.
-    calls = []
-    chain_pairs = groebner._chain_pairs
-
-    def recorded(G, h, pk, degree_limit=None):
-        calls.append((list(G), h, pk, degree_limit))
-        return chain_pairs(G, h, pk, degree_limit)
-
-    monkeypatch.setattr(groebner, "_chain_pairs", recorded)
-    # The three verify bases whose full remainders take well under a second.
-    for spec in ("2:(2,2,2)", "3:(2,1)", "4:(2)"):
-        params = FamilyParams.parse(spec)
-        buchberger(build_ideal(params), degree_limit=verification_degree(params), interreduce=False)
-    rng = random.Random(1988)
-    truncated = 0
-    for names in (("x", "y", "z"), ("x", "y", "z", "w")):
-        R = PolynomialRing(VariableTable.named(names), PrimeField(101), MonomialOrder())
-        for _ in range(24):
-            gens = [random_homogeneous(R, rng, rng.randrange(2, 5)) for _ in range(3)]
-            ideal = IdealPresentation(R, [g for g in gens if g])
-            for limit in (3, 5, 7):
-                truncated += buchberger(ideal, degree_limit=limit).truncated_at is not None
-    assert truncated
-    flags = set()
-    for G, h, pk, degree_limit in calls:
-        new, above = chain_pairs(G, h, pk, degree_limit)[:2]
-        want, want_above = _chain_pairs_reference(G, h, pk, degree_limit)
-        assert [(g.idx, lcm) for g, lcm in new] == [(g.idx, lcm) for g, lcm in want]
-        assert above == want_above
-        flags.add((degree_limit is None, above))
-    assert flags == {(True, False), (False, False), (False, True)}
-
-
-def _chain_pairs_any(G, h, pk, degree_limit=None):
+def _chain_pairs_any(G, h, pk):
     # The chain test the two plain loops replaced: one `any` over a chain
     # of the later generators and the kept ones.
     mh = h.lm
@@ -583,9 +496,6 @@ def _chain_pairs_any(G, h, pk, degree_limit=None):
     if pk.module:
         c = mh & pk.cmask
         G = [g for g in G if g.lm & pk.cmask == c]
-    above, candidates = False, len(G)
-    if degree_limit is not None:
-        G, above = pk.within(mh, G, degree_limit)
     kept, new = [], []
     chained = 0
     for k, g in enumerate(G):
@@ -596,20 +506,19 @@ def _chain_pairs_any(G, h, pk, degree_limit=None):
                 continue
             new.append((g, lcm))
         kept.append(g)
-    return new, above, len(kept) - len(new), chained, candidates - len(G)
+    return new, len(kept) - len(new), chained
 
 
 def test_chain_pairs_loops_match_the_any_formulation(monkeypatch):
-    # Every (G, h, degree_limit) the kernel passes on the verify bases'
-    # Gebauer-Moeller truncated route, the eight bases of the benchmark's
+    # Every (G, h) the kernel passes on the eight bases of the benchmark's
     # resolve workload and a module input of `syzygies` gives the same
-    # pairs in the same order and the same four counts on both routes.
-    calls = [c for spec in VERIFY_SPECS for c in _gebauer_moeller_basis(spec)[2]]
+    # pairs in the same order and the same two counts on both routes.
+    calls = []
     chain_pairs = groebner._chain_pairs
 
-    def recorded(G, h, pk, degree_limit=None):
-        calls.append((G, h, pk, degree_limit))
-        return chain_pairs(G, h, pk, degree_limit)
+    def recorded(G, h, pk):
+        calls.append((G, h, pk))
+        return chain_pairs(G, h, pk)
 
     monkeypatch.setattr(groebner, "_chain_pairs", recorded)
     for ideal in (
@@ -621,25 +530,10 @@ def test_chain_pairs_loops_match_the_any_formulation(monkeypatch):
         buchberger(ideal)
     syzygies(minimal_free_resolution(build_ideal(FamilyParams.parse("2:(2,1)"))).matrices[1])
     kinds = set()
-    for G, h, pk, degree_limit in calls:
-        assert chain_pairs(G, h, pk, degree_limit) == _chain_pairs_any(G, h, pk, degree_limit)
-        kinds.add((pk.module, degree_limit is None))
-    assert kinds == {(False, False), (False, True), (True, True)}
-
-
-def test_pair_update_work_pinned():
-    # Packed lcm calls made inside `_chain_pairs`, and `_b_filters` calls,
-    # on Gebauer-Moeller's truncated route.  The degree pass lcm's only the
-    # candidates within the limit, and the inline divisibility test leaves
-    # few live pairs for `_b_filters`.
-    for spec, want in (
-        ("2:(2,2,2)", (131, 7)),
-        ("3:(2,1)", (458, 21)),
-        ("4:(2)", (707, 68)),
-        ("2:(4,2,1)", (730, 22)),
-        ("2:(2,3,4)", (649, 36)),
-    ):
-        assert _gebauer_moeller_basis(spec)[1] == want, spec
+    for G, h, pk in calls:
+        assert chain_pairs(G, h, pk) == _chain_pairs_any(G, h, pk)
+        kinds.add(pk.module)
+    assert kinds == {False, True}
 
 
 VERIFY_SPECS = ("2:(2,2,2)", "3:(2,1)", "4:(2)", "2:(4,3)", "2:(4,2,1)", "2:(2,3,4)")
@@ -666,11 +560,8 @@ def test_signature_zero_reductions_pinned():
 def test_stats_count_each_route():
     ideal = build_ideal(FamilyParams.parse("2:(2,1)"))
     gm = buchberger(ideal).stats
-    assert set(gm) == {
-        "pairs", "product", "chain", "b_filter", "above_limit", "reductions",
-        "zero_reductions",
-    }
-    sig = buchberger(ideal, tail_reduce=False).stats
+    assert set(gm) == {"pairs", "product", "chain", "b_filter", "reductions", "zero_reductions"}
+    sig = buchberger(ideal, degree_limit=4).stats
     assert set(sig) == {
         "pairs", "singular_pair", "duplicate", "koszul", "syzygy", "singular",
         "above_limit", "reductions", "zero_reductions",
@@ -680,11 +571,7 @@ def test_stats_count_each_route():
     for stats in (gm, sig, limited):
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
         assert stats["zero_reductions"] <= stats["reductions"] <= stats["pairs"]
-    # Without a limit the degree pass drops nothing; with one, on both.
-    assert gm["above_limit"] == sig["above_limit"] == 0
-    for tail_reduce in (True, False):
-        assert buchberger(ideal, degree_limit=4, tail_reduce=tail_reduce).stats["above_limit"] > 0
-    assert limited["above_limit"] > 0
+    assert sig["above_limit"] > 0 and limited["above_limit"] > 0
     # A basis built from polynomials has no kernel counters.
     assert GroebnerBasis(ideal.ring, buchberger(ideal).elements, reduced=True).stats is None
 
@@ -722,7 +609,7 @@ def _signature_corpus():
         degrees = [rng.randrange(2, 4) for _ in range(rng.randrange(1, 4))]
         degrees.append(limit + rng.randrange(2))
         ideal = IdealPresentation(R, [random_homogeneous(R, rng, d) for d in degrees])
-        buchberger(ideal, degree_limit=limit, tail_reduce=False, interreduce=False)
+        buchberger(ideal, degree_limit=limit, interreduce=False)
 
 
 def test_signature_candidates_match_degree_pass(monkeypatch):
@@ -737,7 +624,7 @@ def test_signature_candidates_match_degree_pass(monkeypatch):
         before = crit.stats["above_limit"]
         add(crit, h)
         pk, earlier = crit.pk, crit.f[: h.idx]
-        want = pk.within(h.lm, earlier, crit.degree_limit)[0]
+        want = pk.within(h.lm, earlier, crit.degree_limit)
         got, _ = crit._within(h)
         assert [g.idx for g in got] == [g.idx for g in want]
         dropped = len(earlier) - len(want)
@@ -858,8 +745,7 @@ def _pure_power_cases():
                     gens.insert(at, power)
                 limit = rng.randrange(5, 8)
                 build = functools.partial(
-                    buchberger, IdealPresentation(R, gens), degree_limit=limit,
-                    tail_reduce=False, interreduce=False,
+                    buchberger, IdealPresentation(R, gens), degree_limit=limit, interreduce=False
                 )
                 probes = [_random_exps(rng, 4, limit) for _ in range(20)]
                 yield f"random {field} {order} {trial}", build, probes
@@ -924,42 +810,70 @@ def test_pure_power_filter_marks_exactly_the_multiples(rng):
                     assert marked == any(not (x - p) & pk.guard for p in packed)
 
 
-def _leads(basis, limit=None):
-    return sorted(
-        m.exps for m in basis.leading_monomials() if limit is None or m.degree <= limit
-    )
+def _probes(ideal, limit, rng):
+    # Forms of degree at most the limit, and at most two above an input:
+    # random ones, multiples of an input, and their sums.
+    out = []
+    for _ in range(4):
+        g = rng.choice(ideal.generators)
+        d = rng.randrange(2, min(limit, g.degree() + 2) + 1)
+        p = random_homogeneous(ideal.ring, rng, d)
+        out.append(p)
+        if d > g.degree():
+            member = random_homogeneous(ideal.ring, rng, d - g.degree()) * g
+            out += [member, member + p]
+    return out
 
 
-def _signature_matches_gebauer_moeller(ideal, limit, polys, gm):
-    # The signature route (no tail reduction) against Gebauer-Moeller's
-    # basis ``gm`` of the same ideal and limit.
-    sig = buchberger(ideal, degree_limit=limit, tail_reduce=False, interreduce=False)
-    assert _leads(sig, limit) == _leads(gm, limit)
-    for p in polys:
-        assert sig.contains(p) == gm.contains(p), p
-    if sig.truncated_at is None:
-        # Complete: a basis four degrees further has no other lead.  (The
-        # full basis of a truncated lex ideal can take minutes.)
-        assert _leads(sig) == _leads(buchberger(ideal, degree_limit=limit + 4))
-    return sig.truncated_at
-
-
-def test_signature_route_matches_gebauer_moeller():
-    # Same lead ideal up to the limit, same membership answers, and a
-    # basis not flagged truncated is complete.
-    for spec in VERIFY_SPECS:
-        params = FamilyParams.parse(spec)
-        ring = build_ideal(params).ring
-        w = ring.from_monomial(socle_witness(params, ring.table))
-        polys = [w] + [ring.variable(i) * w for i in range(ring.nvars)]
-        polys += [ring.from_monomial(m) for m in lemma_targets(params, ring.table)]
-        _signature_matches_gebauer_moeller(
-            build_ideal(params), verification_degree(params), polys,
-            _gebauer_moeller_basis(spec)[0],
+@functools.cache
+def _limit_corpus():
+    # (ideal, limit, probes): family, McCullough and Caviglia ideals at
+    # limits below, at and above their basis's top degree, and 100 seeded
+    # random ideals in 3-5 variables over F_101 and F_32003 under three
+    # orders at limits 3-7.
+    rng = random.Random(2002)
+    named = [
+        (build_ideal(FamilyParams.parse("2:(2,1)")), (4, 8, 10, 12)),
+        (build_ideal(FamilyParams.parse("2:(3,1)")), (10, 14, 15, 16)),
+        (build_ideal(FamilyParams.parse("2:(2,1,2)")), (12, 24, 42)),
+        (mccullough_ideal(2, 1, 3), (4, 5, 6)),
+    ]
+    # The top degrees are 7, 13 and 21.
+    named += [(caviglia_ideal(d), (d + 1, d * d - d, d * d - d + 1, d * d)) for d in (3, 4, 5)]
+    out = [(ideal, limit, _probes(ideal, limit, rng)) for ideal, limits in named for limit in limits]
+    for _ in range(100):
+        nvars = rng.randrange(3, 6)
+        R = PolynomialRing(
+            VariableTable.named(tuple(f"x{i}" for i in range(nvars))),
+            PrimeField(rng.choice((101, 32003))),
+            MonomialOrder(rng.choice(("grevlex", "grlex", "lex"))),
         )
+        gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(2, 5))]
+        ideal = IdealPresentation(R, gens)
+        limit = rng.randrange(3, 8)
+        out.append((ideal, limit, _probes(ideal, limit, rng)))
+    return tuple(out)
+
+
+def test_truncated_basis_matches_the_full_basis():
+    # On the corpus the reduced basis truncated at the limit has the full
+    # reduced basis's elements up to the limit, answers every membership
+    # probe as it does, and, when not flagged truncated, is the full basis.
+    outcomes = set()
+    for ideal, limit, probes in _limit_corpus():
+        full = buchberger(ideal)
+        trunc = buchberger(ideal, degree_limit=limit)
+        below = [g for g in full if g.degree() <= limit]
+        assert [g for g in trunc if g.degree() <= limit] == below, (ideal, limit)
+        for p in probes:
+            assert trunc.contains(p) == full.contains(p), p
+        if trunc.truncated_at is None:
+            assert trunc.elements == full.elements, (ideal, limit)
+        outcomes.add(trunc.truncated_at is None)
+    assert outcomes == {True, False}
 
     # A lex case where a regularity test that compared multipliers across
-    # input positions lost the lead x2*x3^5.
+    # input positions lost the lead x2*x3^5; 7 is the basis's top degree.
     R = PolynomialRing(
         VariableTable.named(("x0", "x1", "x2", "x3", "x4")), PrimeField(32003),
         MonomialOrder("lex"),
@@ -972,39 +886,22 @@ def test_signature_route_matches_gebauer_moeller():
         6067 * x0 * x2 + 2554 * x1**2 + 30360 * x1 * x4 + 14686 * x2 * x4,
         5390 * x0 * x1 * x2 + 31392 * x1 * x3**2,
     )
-    basis = buchberger(ideal, tail_reduce=False)
-    assert basis.truncated_at is None
+    basis = buchberger(ideal, degree_limit=7)
     assert basis.elements == buchberger(ideal).elements
-    assert (0, 0, 1, 5, 0) in _leads(basis)
+    assert (0, 0, 1, 5, 0) in [m.exps for m in basis.leading_monomials()]
 
-    rng = random.Random(2002)
-    outcomes = set()
-    for trial in range(100):
-        nvars = rng.randrange(3, 6)
-        R = PolynomialRing(
-            VariableTable.named(tuple(f"x{i}" for i in range(nvars))),
-            PrimeField(rng.choice((101, 32003))),
-            MonomialOrder(rng.choice(("grevlex", "grlex", "lex"))),
-        )
-        gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(2, 5))]
-        limit = rng.randrange(3, 8)
-        polys = []
-        for _ in range(4):
-            d = rng.randrange(2, limit + 1)
-            p = random_homogeneous(R, rng, d)
-            polys.append(p)
-            g = rng.choice(gens)
-            if d > g.degree():
-                member = random_homogeneous(R, rng, d - g.degree()) * g
-                polys += [member, member + p]
-        ideal = IdealPresentation(R, gens)
-        gm = buchberger(ideal, degree_limit=limit, interreduce=False)
-        truncated = _signature_matches_gebauer_moeller(ideal, limit, polys, gm)
-        outcomes.add(truncated is None)
-        # Interreduced, both routes give the unique reduced basis.
-        reduced = buchberger(ideal, degree_limit=limit, tail_reduce=False)
-        assert reduced.elements == buchberger(ideal, degree_limit=limit).elements
-    assert outcomes == {True, False}
+
+def test_tail_reduce_changes_nothing():
+    # The input alone picks the route: with a limit or without, the
+    # ignored keyword leaves every element, counter and flag as it was,
+    # before interreduction too.
+    for ideal, limit, _ in _limit_corpus():
+        for kw in ({}, {"degree_limit": limit}):
+            a, b = (
+                buchberger(ideal, tail_reduce=flag, interreduce=False, **kw)
+                for flag in (True, False)
+            )
+            assert (a.elements, a.stats, a.truncated_at) == (b.elements, b.stats, b.truncated_at)
 
 
 def test_buchberger_signature_pinned():
@@ -1021,6 +918,15 @@ def test_kernel_rejects_inhomogeneous_input():
     pk = groebner._Packing(R.order, R.nvars, 8)
     with pytest.raises(InternalError, match="not homogeneous"):
         groebner._buchberger_kernel([{(2, 0): 1, (0, 1): 1}], pk, R.field)
+
+
+def test_kernel_refuses_a_degree_limit_on_a_module():
+    # A limit picks the signature route, which has no module form, and
+    # `syzygies` passes none: a module with a limit is a caller's bug.
+    R = small_ring()
+    pk = groebner._Packing(R.order, R.nvars, 8, components=2)
+    with pytest.raises(InternalError, match="no degree limit"):
+        groebner._buchberger_kernel([{(1, 0, 0): 1}], pk, R.field, degree_limit=3)
 
 
 def test_hilbert_kernel_base_cases():

@@ -180,16 +180,40 @@ def test_field_choice_stability_flagged_not_failed():
 
 def test_degree_truncated_resolution_marks_and_matches():
     ideal = caviglia_ideal(3)
-    full = resolve(ideal)
     part = resolve(ideal, degree_limit=6)
     assert part.truncated_at == 6
     assert "truncated" in part.render()
-    for (i, j), b in part.entries.items():
-        if j <= 6:
-            assert full.entry(i, j) == b
-    for (i, j), b in full.entries.items():
-        if j <= 6:
-            assert part.entry(i, j) == b
+
+    # A truncated table is the full table up to the limit, with no entry
+    # above it, whether the basis is truncated too or full (as `betti
+    # --degree-limit` and a passed full basis give it).  Level 1 used to
+    # keep the records above the limit with none of the syzygies that
+    # cancel them: the cubic of the first ideal lies in the ideal of the
+    # two quadrics, and was reported as a generator at limit 2.
+    R = PolynomialRing(VariableTable.named(("x", "y", "z")), PrimeField(101), MonomialOrder())
+    x, y, z = (R.variable(i) for i in range(3))
+    cases = [
+        (IdealPresentation(R, [x * y - z * z, y * y - x * z, x * x * z - y * z * z]), (2, 3, 4)),
+        (build_ideal(FamilyParams.parse("2:(2,1)")), (2, 4, 6, 8, 10)),
+        (build_ideal(FamilyParams.parse("2:(3,1)")), (5, 7, 9, 12)),
+        (caviglia_ideal(3), (3, 4, 6, 8)),
+    ]
+    rng = random.Random(1998)
+    for _ in range(20):
+        R = small_ring(("x", "y", "z", "w")[: rng.randrange(3, 5)])
+        gens = [random_homogeneous(R, rng, rng.randrange(2, 4)) for _ in range(rng.randrange(2, 5))]
+        cases.append((IdealPresentation(R, gens), (2, 3, 4, 5)))
+    for ideal, limits in cases:
+        gb = buchberger(ideal)
+        full = resolve(gb)
+        for limit in limits:
+            want = {(i, j): b for (i, j), b in full.entries.items() if j <= limit}
+            for part in (resolve(ideal, degree_limit=limit), resolve(gb, degree_limit=limit)):
+                assert part.entries == want, (ideal, limit)
+                if part.truncated_at is None:
+                    assert part == full
+                else:
+                    assert part.truncated_at == limit
 
 
 def test_truncated_basis_resolves_only_within_its_truncation():
@@ -206,6 +230,26 @@ def test_truncated_basis_resolves_only_within_its_truncation():
     part = schreyer_resolution(gb, degree_limit=5)
     assert part.truncated_at == 5
     assert part.betti() == schreyer_resolution(ideal, degree_limit=5).betti()
+
+
+def test_resolution_limits_are_validated():
+    # `schreyer_resolution`, and with it `resolve` and
+    # `minimal_free_resolution`, refuse as invalid input a degree limit
+    # that is not an int of at least 1 and a level cap that is not an int
+    # of at least 0, from an ideal or a basis.
+    ideal = build_ideal(FamilyParams.parse("2:(1,1)"))
+    gb = buchberger(ideal)
+    for make in (schreyer_resolution, minimal_free_resolution, resolve):
+        for source in (ideal, gb):
+            for bad in (0, -1, 2.5, True):
+                with pytest.raises(ValidationError, match="degree_limit"):
+                    make(source, degree_limit=bad)
+            for bad in (-1, 1.5, False):
+                with pytest.raises(ValidationError, match="level_cap"):
+                    make(source, level_cap=bad)
+    # A cap of 0 is valid input, and level 2 lies past it.
+    with pytest.raises(ResourceLimitError):
+        resolve(ideal, level_cap=0)
 
 
 def _counted(res):
