@@ -14,7 +14,9 @@ TARGET is family parameters such as ``2:(2,1,2)``, ``caviglia D`` or
 
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input,
 3 resource limit exceeded, 4 internal error (a bug in idealfam, not in
-the input).
+the input), 141 the reader of stdout closed it before the output was
+written (128 + SIGPIPE, what a shell reports for a writer the signal
+ends; nothing is printed).
 
 Only ``betti`` needs the resolution layer, so it imports it when it runs:
 the other commands then never compile it, which matters where no bytecode
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -60,6 +63,9 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE_LIMIT = 3
 EXIT_INTERNAL_ERROR = 4
+# stdout's reader went away: 128 + SIGPIPE, as a shell reports a writer
+# that signal ended, and neither a verdict nor an error of the input.
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_field(text):
@@ -305,7 +311,7 @@ def _sweep_instance(args):
         "agree": formula == count,
     }
     if do_verify:
-        socle, lemma = _family_reports(params, build_ideal(params, field), pair_limit=pair_limit)
+        socle, lemma = _family_reports(params, field=field, pair_limit=pair_limit)
         row["socle"] = socle.conclusion
         row["lemma"] = lemma.ok
     return row
@@ -444,7 +450,15 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit does not fail again
+        # (the recipe of the Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

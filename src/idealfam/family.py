@@ -14,10 +14,15 @@ The certificate follows the paper's induction over the stage monomials
 already shown to lie in the ideal, and the witness lies outside it
 because no generator and no term of the dense generator divides it.  It
 needs no Groebner basis and divides only by units, so it holds in every
-characteristic.  A target it leaves open goes to a degree-truncated
-Groebner basis (:func:`membership_basis`), and the reports count those;
-a caller that passes its own basis gets every answer from that basis,
-an independent check of the induction.
+characteristic.  Its data -- the pure powers, the dense generator's
+terms, the witness and the targets -- are packed ints made straight from
+the parameters' stage columns (`_family_induction`), with no ring or
+polynomial.  The ideal is built only when a target stays open: it goes
+to a degree-truncated Groebner basis (:func:`membership_basis`), and the
+reports count those.  Invalid limits are refused before any work, as
+:func:`~idealfam.groebner.buchberger` refuses them.  A caller that passes
+its own basis gets every answer from that basis, an independent check of
+the induction.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .groebner import (
     DEFAULT_PAIR_LIMIT,
     GroebnerBasis,
     IdealPresentation,
+    _check_limits,
     _Packing,
     _width,
     buchberger,
@@ -171,16 +177,6 @@ class ExponentMatrix:
                     return False
         return True
 
-    def x_exponents(self, table: VariableTable) -> tuple[int, ...]:
-        """Exponent tuple of the monomial prod x[j,k]^(entry j,k)."""
-        exps = [0] * len(table)
-        for j in range(self.g):
-            for k in range(self.n):
-                e = self.rows[j][k]
-                if e:
-                    exps[table.x_index(j + 1, k + 1)] = e
-        return tuple(exps)
-
     def __str__(self):
         return _format_rows(self.rows)
 
@@ -238,6 +234,14 @@ def enumerate_A(params: FamilyParams, k: int) -> list[ExponentMatrix]:
     return matrices
 
 
+def _family_index(params: FamilyParams, j: int, k: int = 0) -> int:
+    """Position in `family_table` of x[j,k] (1-based j and k): the grid
+    lies column by column, so at (k-1)*g + (j-1).  With no k, that of the y
+    of the j-th (from 0) stage-n matrix of `enumerate_A`: at g*n + j."""
+    g = params.g
+    return (k - 1) * g + j - 1 if k else g * params.n + j
+
+
 def family_table(params: FamilyParams) -> VariableTable:
     """Variable table for the family ring: the x grid plus one y per matrix."""
     descriptors = [
@@ -252,33 +256,38 @@ def family_table(params: FamilyParams) -> VariableTable:
 def build_ideal(params: FamilyParams, field=None, order=None) -> IdealPresentation:
     """The g+1 generators x[j,1]^d and the dense stage-sum generator.
 
-    Every generator is homogeneous of the top stage degree d_1.
+    Every generator is homogeneous of the top stage degree d_1.  A stage-k
+    matrix's x monomial is its columns laid end to end (`_family_index`),
+    so each term is that head and a fixed tail.
     """
     if field is None:
         field = default_field()
-    cs = derived_constants(params)
-    g, n = params.g, params.n
+    d = derived_constants(params).d
+    g, n, m = params.g, params.n, params.m
     table = family_table(params)
     ring = PolynomialRing(table, field, order)
-    d = cs.d
+    nv = len(table)
     gens = []
     for j in range(1, g + 1):
-        exps = [0] * len(table)
-        exps[table.x_index(j, 1)] = d[0]
+        exps = [0] * nv
+        exps[_family_index(params, j, 1)] = d[0]
         gens.append(ring.poly({tuple(exps): 1}))
     terms = []
+    per_column = _stage_columns(params, n)
     for k in range(1, n):
-        for mat in enumerate_A(params, k - 1):
-            base = mat.x_exponents(table)
-            for j in range(1, g + 1):
-                exps = list(base)
-                exps[table.x_index(j, k)] += params.m[k - 1]
-                exps[table.x_index(j, k + 1)] += d[k]
-                terms.append((tuple(exps), 1))
-    for mat in enumerate_A(params, n):
-        exps = list(mat.x_exponents(table))
-        exps[table.y_index(mat.rows)] += 1
-        terms.append((tuple(exps), 1))
+        # x[j,k]^(m_k) x[j,k+1]^(d_(k+1)) after the head of columns 1..k-1.
+        tails = []
+        for j in range(1, g + 1):
+            exps = [0] * nv
+            exps[_family_index(params, j, k)] = m[k - 1]
+            exps[_family_index(params, j, k + 1)] += d[k]
+            tails.append(tuple(exps[_family_index(params, 1, k):]))
+        for cols in itertools.product(*per_column[: k - 1]):
+            head = sum(cols, ())
+            terms += [(head + tail, 1) for tail in tails]
+    ys = nv - _family_index(params, 0)
+    for i, cols in enumerate(itertools.product(*per_column)):
+        terms.append((sum(cols, ()) + (0,) * i + (1,) + (0,) * (ys - i - 1), 1))
     gens.append(ring.poly(terms))
     return IdealPresentation(ring, gens)
 
@@ -287,11 +296,10 @@ def socle_witness(params: FamilyParams, table: VariableTable | None = None) -> M
     """The witness monomial prod x[j,k]^(d_k - 1); no y variables occur."""
     if table is None:
         table = family_table(params)
-    cs = derived_constants(params)
     exps = [0] * len(table)
-    for j in range(1, params.g + 1):
-        for k in range(1, params.n + 1):
-            exps[table.x_index(j, k)] = cs.d[k - 1] - 1
+    for k, dk in enumerate(derived_constants(params).d, start=1):
+        start = _family_index(params, 1, k)
+        exps[start:start + params.g] = [dk - 1] * params.g
     return Monomial(table, exps)
 
 
@@ -309,16 +317,23 @@ def lemma_targets(params: FamilyParams, table: VariableTable | None = None) -> l
 
 def _stage_exponents(params, table):
     """The exponent tuples of `lemma_targets`, in its order."""
-    cs = derived_constants(params)
+    g, d = params.g, derived_constants(params).d
+    base = [0] * len(table)
     for k in range(params.n):
-        base = [0] * len(table)
-        for kk in range(1, k + 1):
-            for j in range(1, params.g + 1):
-                base[table.x_index(j, kk)] = cs.d[kk - 1] - 1
-        for j in range(1, params.g + 1):
+        for j in range(1, g + 1):
             exps = list(base)
-            exps[table.x_index(j, k + 1)] += cs.d[k]
+            exps[_family_index(params, j, k + 1)] = d[k]
             yield tuple(exps)
+        start = _family_index(params, 1, k + 1)
+        base[start:start + g] = [d[k] - 1] * g
+
+
+def _target_degrees(params):
+    """The degrees of the stage monomials, in `lemma_targets` order, and
+    of the witness."""
+    g, d = params.g, derived_constants(params).d
+    below = [g * sum(dk - 1 for dk in d[:k]) for k in range(params.n + 1)]
+    return [below[k] + d[k] for k in range(params.n) for _ in range(g)], below[-1]
 
 
 def pd_formula(params: FamilyParams) -> int:
@@ -399,9 +414,8 @@ class LemmaReport:
 
 def verification_degree(params: FamilyParams) -> int:
     """Largest degree any socle or stage-monomial membership test reaches."""
-    table = family_table(params)
-    top = socle_witness(params, table).degree + 1
-    return max(top, *map(sum, _stage_exponents(params, table)))
+    stage, witness = _target_degrees(params)
+    return max(witness + 1, *stage)
 
 
 def membership_basis(
@@ -421,8 +435,13 @@ def membership_basis(
     the multiples of pure-power inputs, and the final interreduction is
     skipped: the bases stay sparser and no membership answer changes.
     ``pair_limit`` bounds the queued signatures as it bounds the pair
-    queue in :func:`~idealfam.groebner.buchberger`.
+    queue in :func:`~idealfam.groebner.buchberger`.  The limit is
+    required: ``degree_limit`` must be an int of at least 1 and
+    ``pair_limit`` one of at least 0, else
+    :class:`~idealfam.errors.ValidationError`.
     """
+    if degree_limit is None:
+        raise ValidationError("degree_limit must be an int of at least 1, not None")
     return buchberger(
         ideal, degree_limit=degree_limit, pair_limit=pair_limit, interreduce=False
     )
@@ -441,7 +460,7 @@ def verification_basis(
 
 
 class _Induction:
-    """The paper's stage induction on the packed monomials of one ideal.
+    """The paper's stage induction on packed monomials.
 
     Write I = P + (f_1, ..., f_r), where P is generated by the monomial
     generators and the forms f_i are the others; on the family, P holds the
@@ -458,51 +477,79 @@ class _Induction:
     of (u/e) f_i by the second rule before closing u.  Only units are
     divided by, so one proof holds in every characteristic.
 
-    Monomials are packed ints of one `~idealfam.groebner._Packing` wide
-    enough for ``degree``; divisibility is the guard-bit test.  ``proved``
-    lists P's generators, then each proved monomial in proof order.  Each
-    (monomial, dividing term) candidate counts against ``pair_limit``.
+    The induction sees only packed ints of one `~idealfam.groebner._Packing`
+    wide enough for every target: ``base`` holds P's generators, ``forms``
+    each f_i's terms, and ``powers`` maps v to d for the pure powers x_v^d
+    among them.  The family's data are packed straight from its stage
+    columns (`_family_induction`), any other ideal's from its generators
+    (`_ideal_induction`).  Divisibility is the guard-bit test; a multiple
+    of a pure power is found with one add and one mask
+    (`~idealfam.groebner._Packing.multiples`), and only the other proved
+    monomials are scanned.  ``proved`` lists P's generators, then each
+    proved monomial in proof order.  Each (monomial, dividing term)
+    candidate counts against ``pair_limit``.
     """
 
-    def __init__(self, ideal, degree, pair_limit):
-        ring = ideal.ring
-        self.pk = pk = _Packing(ring.order, ring.nvars, _width(max(degree, *ideal.degrees())))
-        self.base = [pk.pack(g.terms[0][0]) for g in ideal.generators if len(g) == 1]
-        self.forms = [[pk.pack(e) for e, _ in g.terms] for g in ideal.generators if len(g) > 1]
-        self.proved = list(self.base)
+    def __init__(self, pk, base, forms, powers, pair_limit):
+        self.pk, self.forms = pk, forms
+        self.add, self.mask = add, mask = pk.multiples(powers)
+        # The mask reads only the bits from the lowest power field up, and
+        # below the degree bound a product's fields add without carries:
+        # `_closes` tests q + t by adding these windows of q and t.
+        self.lo = lo = min((pk.offsets[v] for v in powers), default=0)
+        self.window = window = (1 << max(mask.bit_length() - lo, 0)) - 1
+        self.windows = [[(t >> lo) & window for t in form] for form in forms]
+        self.proved = list(base)
+        # The proved monomials the mask does not cover, scanned one by one.
+        self.others = [p for p in base if not (p + add) & mask]
         self.pair_limit, self.candidates = pair_limit, 0
 
-    def outside(self, u):
-        guard = self.pk.guard
-        return all((u - p) & guard for p in self.base) and all(
-            (u - e) & guard for form in self.forms for e in form
-        )
-
     def _covered(self, t):
+        """Whether a proved monomial divides t."""
+        return bool((t + self.add) & self.mask) or self._scan(t)
+
+    def _scan(self, t):
+        """Whether a proved monomial the mask does not cover divides t."""
         guard = self.pk.guard
-        for p in self.proved:
+        for p in self.others:
             if not (t - p) & guard:
                 return True
         return False
 
+    def outside(self, u):
+        # A proved monomial is a multiple of a generator of P or of a term
+        # of a form, so testing the proved set instead of P is the same test.
+        guard = self.pk.guard
+        return not self._covered(u) and all(
+            (u - e) & guard for form in self.forms for e in form
+        )
+
     def _closes(self, u, search):
         """Prove u from a dividing term; with ``search``, through one-step
         proofs of the other terms left uncovered."""
-        guard = self.pk.guard
-        for form in self.forms:
+        guard, scan, lo, window = self.pk.guard, self._scan, self.lo, self.window
+        add, mask = self.add >> lo, self.mask >> lo
+        for form, windows in zip(self.forms, self.windows):
             for e in form:
-                if (u - e) & guard:
+                q = u - e
+                if q & guard:
                     continue
                 self.candidates += 1
                 if self.candidates > self.pair_limit:
                     raise ResourceLimitError(
                         f"pair queue exceeded the configured bound ({self.pair_limit})"
                     )
-                q = u - e
-                open_ = [q + t for t in form if t != e and not self._covered(q + t)]
-                if open_ and not (search and all(self._closes(t, False) for t in open_)):
+                # The other terms of (u/e) f no proved monomial divides.
+                qa, open_ = ((q >> lo) & window) + add, []
+                for t, tw in zip(form, windows):
+                    if t != e and not (qa + tw) & mask:
+                        x = q + t
+                        if not scan(x):
+                            open_.append(x)
+                if open_ and not (search and all(self._closes(x, False) for x in open_)):
                     continue
                 self.proved.append(u)
+                self.others.append(u)
                 return True
         return False
 
@@ -511,41 +558,96 @@ class _Induction:
         return self._covered(u) or self._closes(u, True)
 
 
-def _refuse_above(targets, degree_limit):
-    """Refuse the first target above ``degree_limit``, when one is given,
-    with the text a basis truncated there gives."""
+def _ideal_induction(ideal, degree, pair_limit):
+    """`_Induction` on the generators of ``ideal``, packed in its ring's
+    order with fields that hold ``degree``."""
+    ring = ideal.ring
+    pk = _Packing(ring.order, ring.nvars, _width(max(degree, *ideal.degrees())))
+    monomials = [g.terms[0][0] for g in ideal.generators if len(g) == 1]
+    # Any pure powers will do for the mask: the scan takes the rest.
+    supports = [[(v, x) for v, x in enumerate(e) if x] for e in monomials]
+    powers = dict(s[0] for s in supports if len(s) == 1)
+    forms = [[pk.pack(e) for e, _ in g.terms] for g in ideal.generators if len(g) > 1]
+    return _Induction(pk, [pk.pack(e) for e in monomials], forms, powers, pair_limit)
+
+
+def _family_induction(params, order, degree, pair_limit):
+    """`_Induction` on the family ideal of ``params`` under ``order``, with
+    fields that hold ``degree``, and its packed targets: the stage
+    monomials, w, then each ``x_v * w``.
+
+    The packing is linear, so all is sums of the packed variables X[j,k]
+    and Y_i (`_Packing.sparse`): the pure powers are d_1 X[j,1]; a matrix's
+    x monomial grows one column at a time, in enumeration order; a term of
+    f is a stage-(k-1) matrix's plus m_k X[j,k] + d_(k+1) X[j,k+1] for
+    k < n, or the i-th stage-n matrix's plus Y_i.  f's terms are sorted
+    into the ideal's term order (a smaller packed int is a larger
+    monomial), so the data equal those `_ideal_induction` packs from
+    :func:`build_ideal`.  No ring, polynomial or exponent tuple is built.
+    """
+    g, n, m = params.g, params.n, params.m
+    d = derived_constants(params).d
+    per_column = _stage_columns(params, n)
+    nv = _family_index(params, prod(map(len, per_column)))  # one past the last y
+    pk = _Packing(order, nv, _width(max(degree, d[0])))
+    unit = [pk.sparse({v: 1}) for v in range(nv)]
+    X = [unit[_family_index(params, 1, k):_family_index(params, 1, k + 1)] for k in range(1, n + 1)]
+
+    def column(k):
+        return [sum(e * x for e, x in zip(col, X[k])) for col in per_column[k]]
+
+    heads, terms = [0], []
+    for k in range(1, n):
+        tails = [m[k - 1] * X[k - 1][j] + d[k] * X[k][j] for j in range(g)]
+        terms += [h + t for h in heads for t in tails]
+        heads = [h + c for h in heads for c in column(k - 1)]
+    heads = [h + c for h in heads for c in column(n - 1)]
+    terms += [h + y for h, y in zip(heads, unit[_family_index(params, 0):])]
+    terms.sort()
+    base, forms = [d[0] * x for x in X[0]], [terms]
+    if len(terms) == 1:  # f = y on g:(0), a monomial generator
+        base, forms = base + terms, []
+    targets, below = [], 0
+    for k in range(n):
+        targets += [below + d[k] * x for x in X[k]]
+        below += (d[k] - 1) * sum(X[k])
+    targets.append(below)
+    targets += [below + u for u in unit]
+    powers = {_family_index(params, j, 1): d[0] for j in range(1, g + 1)}
+    return _Induction(pk, base, forms, powers, pair_limit), targets
+
+
+def _refuse_above(degrees, degree_limit):
+    """Refuse the first target degree above ``degree_limit``, when one is
+    given, with the text a basis truncated there gives."""
     if degree_limit is None:
         return
-    for t in targets:
-        if sum(t) > degree_limit:
+    for t in degrees:
+        if t > degree_limit:
             raise ValidationError(
-                f"normal form of degree {sum(t)} is not exact against a basis "
+                f"normal form of degree {t} is not exact against a basis "
                 f"truncated at degree {degree_limit}"
             )
 
 
-def _certify(ideal, targets, degree_limit, pair_limit):
-    """Membership of each exponent tuple of ``targets``, and the indices
-    of those a Groebner basis answered.
+def _certify(induction, targets, make_ideal, degree_limit, pair_limit):
+    """Membership of each packed target, and the indices of those a
+    Groebner basis answered.
 
-    The targets are proved in order, each joining the proved set of
-    `_Induction` (True); one left unproved is answered False when the
-    outside test holds, else left open.  The open ones go to
-    :func:`membership_basis` at ``degree_limit``, by default the largest
-    target degree: only that basis or the outside test answers that a
-    target is not a member.
+    The targets are proved in order, each joining the proved set of the
+    induction (True); one left unproved is answered False when the outside
+    test holds, else left open.  Only then is ``make_ideal()`` called: the
+    open targets go to :func:`membership_basis` of it at ``degree_limit``, and
+    only that basis or the outside test answers that a target is not a
+    member.
     """
-    top = max(map(sum, targets))
-    induction = _Induction(ideal, top, pair_limit)
-    pack = induction.pk.pack
-    answers = []
-    for t in targets:
-        u = pack(t)
-        answers.append(True if induction.prove(u) else False if induction.outside(u) else None)
+    prove, outside = induction.prove, induction.outside
+    answers = [True if prove(u) else False if outside(u) else None for u in targets]
     open_ = [k for k, ok in enumerate(answers) if ok is None]
     if open_:
-        basis = membership_basis(ideal, degree_limit or top, pair_limit=pair_limit)
-        for k, ok in zip(open_, basis._contains_monomials([targets[k] for k in open_])):
+        unpack = induction.pk.unpack
+        basis = membership_basis(make_ideal(), degree_limit, pair_limit=pair_limit)
+        for k, ok in zip(open_, basis._contains_monomials([unpack(targets[k]) for k in open_])):
             answers[k] = ok
     return answers, open_
 
@@ -556,41 +658,60 @@ def _witness_targets(ring, witness):
     return [w] + [w[:v] + (w[v] + 1,) + w[v + 1:] for v in range(ring.nvars)]
 
 
-def _socle_report(params, ring, witness, answers, fallbacks=None):
+def _socle_report(params, table, witness, answers, fallbacks=None):
     """The report of the membership answers of w and each ``x_v * w``."""
     return SocleReport(
         params=params,
         witness=witness,
         not_in_ideal=not answers[0],
-        killed_by=tuple(zip(ring.table.names, answers[1:])),
+        killed_by=tuple(zip(table.names, answers[1:])),
         conclusion=not answers[0] and all(answers[1:]),
-        implied_pd=ring.nvars,
+        implied_pd=len(table),
         fallbacks=fallbacks,
     )
 
 
-def _lemma_report(params, table, stage, answers, fallbacks=None):
-    failures = tuple(Monomial(table, e) for e, ok in zip(stage, answers) if not ok)
+def _lemma_report(params, table, failures, fallbacks=None):
+    """The report of the stage monomials ``failures`` (exponent tuples)
+    not found in the ideal."""
+    failures = tuple(Monomial(table, e) for e in failures)
     return LemmaReport(params=params, ok=not failures, failures=failures, fallbacks=fallbacks)
 
 
-def _family_reports(params, ideal, *, degree_limit=None, pair_limit=DEFAULT_PAIR_LIMIT):
-    """The socle and lemma reports of the family ideal ``ideal`` of
-    ``params`` from one stage induction: the stage monomials, then w,
-    then each ``x_v * w``.  With ``degree_limit`` a target above it is
-    refused before any work, and the fallback basis is truncated there;
+def _family_reports(
+    params, ideal=None, *, field=None, degree_limit=None, pair_limit=DEFAULT_PAIR_LIMIT
+):
+    """The socle and lemma reports of the family ideal of ``params`` from
+    one stage induction on data packed from the stage columns
+    (`_family_induction`): the stage monomials, then w, then each
+    ``x_v * w``.
+
+    The limits are checked before any work, as
+    :func:`~idealfam.groebner.buchberger` checks them (None is no degree
+    limit), and a target above ``degree_limit`` is refused.  The ideal is needed only when a target
+    stays open: ``ideal`` when the caller has built it (its ring's order
+    then packs the data), else :func:`build_ideal` over ``field``, built
+    then.  The open targets go to :func:`membership_basis` at
+    ``degree_limit``, by default :func:`verification_degree`;
     ``pair_limit`` bounds both the induction's (monomial, dividing term)
-    candidates and the fallback's queue."""
-    ring = ideal.ring
-    witness = socle_witness(params, ring.table)
-    targets = _witness_targets(ring, witness)
-    stage = list(_stage_exponents(params, ring.table))
-    _refuse_above(targets + stage, degree_limit)
-    answers, open_ = _certify(ideal, stage + targets, degree_limit, pair_limit)
-    k = len(stage)
+    candidates and that basis's queue."""
+    _check_limits(degree_limit=degree_limit, pair_limit=pair_limit)
+    stage, wdeg = _target_degrees(params)
+    _refuse_above([*stage, wdeg, wdeg + 1], degree_limit)
+    top = max(wdeg + 1, *stage)
+    order = MonomialOrder() if ideal is None else ideal.ring.order
+    induction, targets = _family_induction(params, order, top, pair_limit)
+    answers, open_ = _certify(
+        induction, targets, lambda: build_ideal(params, field) if ideal is None else ideal,
+        degree_limit or top, pair_limit,
+    )
+    table = family_table(params) if ideal is None else ideal.ring.table
+    k, unpack = len(stage), induction.pk.unpack
+    witness = Monomial(table, unpack(targets[k]))
+    failures = [unpack(u) for u, ok in zip(targets, answers[:k]) if not ok]
     return (
-        _socle_report(params, ring, witness, answers[k:], sum(i >= k for i in open_)),
-        _lemma_report(params, ring.table, stage, answers[:k], sum(i < k for i in open_)),
+        _socle_report(params, table, witness, answers[k:], sum(i >= k for i in open_)),
+        _lemma_report(params, table, failures, sum(i < k for i in open_)),
     )
 
 
@@ -604,24 +725,25 @@ def verify_socle(
     A true conclusion verifies depth zero for this instance, so the
     projective dimension equals the number of ring variables.  With no
     basis the answers come from the paper's stage induction
-    (`_Induction`) on the family ideal over ``field``: the stage monomials
-    of :func:`lemma_targets` are proved in order, then each ``x_v * w``,
-    and the witness w lies outside the ideal because no generator and no
-    term of the dense generator divides it.  No Groebner basis is built
-    unless a target stays open; those go to :func:`membership_basis` at
-    :func:`verification_degree`, and the report's ``fallbacks`` counts
-    them.  With a basis, w and each ``x_v * w`` are tested as exponent
-    tuples in its kernel form, with the checks of
-    :meth:`GroebnerBasis.contains`.
+    (`_Induction`) on the family's generators, packed straight from the
+    parameters (`_family_induction`): the stage monomials of
+    :func:`lemma_targets` are proved in order, then each ``x_v * w``, and
+    the witness w lies outside the ideal because no generator and no term
+    of the dense generator divides it.  No ring, polynomial or Groebner
+    basis is built unless a target stays open; only then is the ideal
+    built over ``field``, and those targets go to :func:`membership_basis`
+    at :func:`verification_degree`; the report's ``fallbacks`` counts them.  With a basis, w and each
+    ``x_v * w`` are tested as exponent tuples in its kernel form, with the
+    checks of :meth:`GroebnerBasis.contains`.
     """
     if basis is None:
-        return _family_reports(params, build_ideal(params, field))[0]
+        return _family_reports(params, field=field)[0]
     return _socle_report_for(params, basis, socle_witness(params, basis.ring.table))
 
 
 def _socle_report_for(params, basis, witness):
     targets = _witness_targets(basis.ring, witness)
-    return _socle_report(params, basis.ring, witness, basis._contains_monomials(targets))
+    return _socle_report(params, basis.ring.table, witness, basis._contains_monomials(targets))
 
 
 def verify_socle_ideal(
@@ -635,21 +757,27 @@ def verify_socle_ideal(
 ) -> SocleReport:
     """Socle verification for an explicit ideal and witness monomial.
 
-    With no basis, as :func:`verify_socle`: the induction proves each
-    ``x_v * w`` with every generator of more than one term in place of
-    the dense generator, and the open targets go to
+    The limits are checked first, as `_family_reports` checks them.  With
+    no basis, as :func:`verify_socle`, on the ideal's generators packed in
+    its ring (`_ideal_induction`): every generator of more than one term
+    takes the dense generator's place, and the open targets go to
     :func:`membership_basis` at ``degree_limit``, by default one above the
-    witness degree.  ``degree_limit`` and ``pair_limit`` act as in
-    `_family_reports`.  With a basis, on the kernel-form route of
+    witness degree.  With a basis, on the kernel-form route of
     :func:`verify_socle`.  A witness over another variable table raises
     :class:`~idealfam.errors.DomainMismatchError`.
     """
+    _check_limits(degree_limit=degree_limit, pair_limit=pair_limit)
     if basis is not None:
         return _socle_report_for(params, basis, witness)
     targets = _witness_targets(ideal.ring, witness)
-    _refuse_above(targets, degree_limit)
-    answers, open_ = _certify(ideal, targets, degree_limit, pair_limit)
-    return _socle_report(params, ideal.ring, witness, answers, len(open_))
+    top = sum(targets[0]) + 1
+    _refuse_above([top - 1, top], degree_limit)
+    induction = _ideal_induction(ideal, top, pair_limit)
+    answers, open_ = _certify(
+        induction, [induction.pk.pack(t) for t in targets], lambda: ideal,
+        degree_limit or top, pair_limit,
+    )
+    return _socle_report(params, ideal.ring.table, witness, answers, len(open_))
 
 
 def verify_lemma(
@@ -660,15 +788,17 @@ def verify_lemma(
     """Check that every stage monomial is an ideal member.
 
     With no basis the monomials of :func:`lemma_targets` are proved by the
-    stage induction of :func:`verify_socle`, with its fallback and
-    ``fallbacks`` count.  With a basis they are tested as exponent tuples
-    in its kernel form.  Only the failures become `Monomial`s.
+    stage induction of :func:`verify_socle`, on the same packed data, with
+    its fallback (the ideal built over ``field`` only for an open target)
+    and ``fallbacks`` count.  With a basis they are tested as exponent
+    tuples in its kernel form.  Only the failures become `Monomial`s.
     """
     if basis is None:
-        return _family_reports(params, build_ideal(params, field))[1]
+        return _family_reports(params, field=field)[1]
     table = basis.ring.table
     stage = list(_stage_exponents(params, table))
-    return _lemma_report(params, table, stage, basis._contains_monomials(stage))
+    answers = basis._contains_monomials(stage)
+    return _lemma_report(params, table, [e for e, ok in zip(stage, answers) if not ok])
 
 
 def _monomials_of_degree(nvars: int, degree: int):

@@ -75,12 +75,13 @@ class _Packing:
     position over term, below every untagged term.  ``bound(x)`` bounds the
     exponents of a homogeneous vector with term ``x`` (for a module, graded
     by ``twists``), and ``pack`` refuses a term whose bound exceeds
-    ``2**width - 1``.
+    ``2**width - 1``; ``sparse({v: e})`` packs a ring monomial from its
+    nonzero exponents alone.
     """
 
     __slots__ = (
         "order", "nvars", "width", "components", "tagged", "twists", "module",
-        "maxdeg", "cw", "cmask", "guard", "offsets", "pack", "unpack", "deg", "bound",
+        "maxdeg", "cw", "cmask", "guard", "offsets", "pack", "sparse", "unpack", "deg", "bound",
         "quo", "lcm", "within",
     )
 
@@ -108,15 +109,25 @@ class _Packing:
         least = min(twists) if twists else 0
         excess = [t - least for t in twists] if twists else None
 
-        # The fields' sum collects in the top field: no partial sum carries
-        # while the total stays below 2**(width + 1).
+        # The order terms of fields ``low``: `place` is given their total,
+        # `item` sums them.  The fields' sum collects in the top field: no
+        # partial sum carries while the total stays below 2**(width + 1).
         if order.kind == "grevlex":
+            def place(low, total):
+                return low - (total << lw)
+
             def item(low):
                 return low - (((low * ones >> top) & fmask) << lw)
         elif order.kind == "grlex":
+            def place(low, total):
+                return low - (low << lw) - (total << 2 * lw)
+
             def item(low):
                 return low - (low << lw) - (((low * ones >> top) & fmask) << 2 * lw)
         else:
+            def place(low, total):
+                return low - (low << lw)
+
             def item(low):
                 return low - (low << lw)
 
@@ -125,15 +136,24 @@ class _Packing:
             exps, c = (t[:-1], t[-1]) if module else (t, 0)
             if not 0 <= c <= cmask:
                 raise InternalError(f"component {c} outside the packing")
-            bound = sum(exps) + (excess[c] if excess else 0)
+            total = sum(exps)
+            bound = total + (excess[c] if excess else 0)
             if bound > maxdeg:
                 raise _Overflow(bound)
-            x = item(sum(e << off for e, off in zip(exps, offsets)))
+            x = place(sum(e << off for e, off in zip(exps, offsets)), total)
             if not module:
                 return x
             if tagged is not None and c >= tagged:
                 c += (c << tagshift) + tag
             return (x << cw) + c
+
+        def sparse(powers):
+            """Packed ring monomial ``{v: e}``: the time and the ints it makes
+            follow the packed size, not one step per variable as `pack`."""
+            total = sum(powers.values())
+            if total > maxdeg:
+                raise _Overflow(total)
+            return place(sum(e << offsets[v] for v, e in powers.items()), total)
 
         def unpack(x):
             low = (x >> cw) & lowmask
@@ -171,7 +191,7 @@ class _Packing:
                     out.append(g)
             return out
 
-        self.pack, self.unpack, self.deg, self.bound = pack, unpack, deg, bound
+        self.pack, self.sparse, self.unpack, self.deg, self.bound = pack, sparse, unpack, deg, bound
         self.quo, self.lcm, self.within = quo, lcm, within
 
     def with_components(self, components):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,18 +265,39 @@ def test_verification_failure_exit_1(monkeypatch, capsys):
     assert "depth-zero verified: False" in out
 
 
+def test_closed_stdout_exits_quietly():
+    # stdout is a pipe whose reader is gone before the output is written:
+    # no traceback, and an exit code of its own.
+    import idealfam.cli as cli
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "idealfam", "betti", "2:(1,1)"],
+            stdout=write, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert done.stderr == b""
+
+
 def test_sweep_verify_uses_the_requested_field(monkeypatch, capsys):
     import idealfam.cli as cli
     from idealfam import QQ
 
+    # The sweep hands its field to the certificate, which builds the ideal
+    # over it only for a fallback (tests/test_family.py).
     seen = []
-    real = cli.build_ideal
+    real = cli._family_reports
 
-    def spy(params, field=None, *args):
-        seen.append(field)
-        return real(params, field, *args)
+    def spy(params, ideal=None, **options):
+        seen.append(options["field"])
+        return real(params, ideal, **options)
 
-    monkeypatch.setattr(cli, "build_ideal", spy)
+    monkeypatch.setattr(cli, "_family_reports", spy)
     code, _, _ = run(
         capsys, "sweep", "--max-g", "2", "--max-n", "1", "--max-m", "1",
         "--verify", "--field", "QQ",

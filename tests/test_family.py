@@ -12,10 +12,14 @@ from idealfam import (
     FamilyParams,
     IdealPresentation,
     InternalError,
+    LemmaReport,
+    Monomial,
+    MonomialOrder,
     PolynomialRing,
     PrimeField,
     QQ,
     ResourceLimitError,
+    SocleReport,
     ValidationError,
     VariableTable,
     build_ideal,
@@ -24,6 +28,7 @@ from idealfam import (
     caviglia_witness,
     derived_constants,
     enumerate_A,
+    family_table,
     identify_subfamily,
     lemma_targets,
     mccullough_ideal,
@@ -43,7 +48,7 @@ from idealfam import (
 )
 from idealfam import family
 from idealfam.family import membership_basis
-from idealfam.groebner import DEFAULT_PAIR_LIMIT
+from idealfam.groebner import DEFAULT_PAIR_LIMIT, _Packing
 
 
 def sweep_params(max_g=4, max_n=3, max_m=4):
@@ -469,16 +474,26 @@ def test_induction_certifies_instances_beyond_the_basis(spec, pd):
     assert elapsed < 1.0, f"{spec} took {elapsed:.2f}s"
 
 
+def _verdicts(induction, packed):
+    # The induction's own verdicts on packed targets in order (True proved,
+    # False outside, None open), with no fallback.
+    return [True if induction.prove(u) else False if induction.outside(u) else None for u in packed]
+
+
 def _induction(ideal, targets):
-    # The induction's own verdicts on ``targets`` in order (True proved,
-    # False outside, None open), with no fallback, and the induction.
-    induction = family._Induction(ideal, max(map(sum, targets)), DEFAULT_PAIR_LIMIT)
-    pack = induction.pk.pack
-    verdicts = []
-    for t in targets:
-        u = pack(t)
-        verdicts.append(True if induction.prove(u) else False if induction.outside(u) else None)
-    return verdicts, induction
+    # The verdicts of the induction on the ideal's generators, and the
+    # induction.
+    induction = family._ideal_induction(ideal, max(map(sum, targets)), DEFAULT_PAIR_LIMIT)
+    return _verdicts(induction, map(induction.pk.pack, targets)), induction
+
+
+def _certify(ideal, targets):
+    # The answers and open indices of the ideal-fed certificate, with the
+    # fallback basis at the largest target degree.
+    top = max(map(sum, targets))
+    induction = family._ideal_induction(ideal, top, DEFAULT_PAIR_LIMIT)
+    packed = [induction.pk.pack(t) for t in targets]
+    return family._certify(induction, packed, lambda: ideal, top, DEFAULT_PAIR_LIMIT)
 
 
 def _family_targets(params, ring):
@@ -520,12 +535,21 @@ def _expand_steps(ideal, induction):
     return proved
 
 
+@pytest.mark.parametrize("route", ["ideal", "packed"])
 @pytest.mark.parametrize("spec", ["2:(1,1)", "2:(2,1)", "2:(3,1)", "3:(2,1)", "2:(2,1,2)"])
-def test_induction_steps_expand_to_identities(spec):
+def test_induction_steps_expand_to_identities(spec, route):
+    # On the generators of build_ideal, and on the data packed from the
+    # stage columns that the reports use.
     params = FamilyParams.parse(spec)
     ideal = build_ideal(params)
     targets = _family_targets(params, ideal.ring)
-    verdicts, induction = _induction(ideal, targets)
+    if route == "ideal":
+        verdicts, induction = _induction(ideal, targets)
+    else:
+        induction, packed = family._family_induction(
+            params, ideal.ring.order, verification_degree(params), DEFAULT_PAIR_LIMIT
+        )
+        verdicts = _verdicts(induction, packed)
     assert verdicts == [True] * (len(targets) - 1 - ideal.ring.nvars) + [False] + [True] * ideal.ring.nvars
     proved = _expand_steps(ideal, induction)
     # Every target proved is a multiple of a monomial the steps proved.
@@ -557,7 +581,7 @@ def test_induction_proves_nothing_false_on_the_smaller_ideal():
     full, _ = _induction(ideal, targets)
     assert verdicts != full and not all(truth)
     # With no form left, the two rules decide every target.
-    assert family._certify(smaller, targets, None, DEFAULT_PAIR_LIMIT) == (truth, [])
+    assert _certify(smaller, targets) == (truth, [])
 
 
 def _random_form(ring, rng, degree, terms):
@@ -587,7 +611,7 @@ def test_induction_agrees_with_the_basis_on_random_ideals():
             assert v is None or v == ok, (gens, t)
             counts[v] += 1
         _expand_steps(ideal, induction)
-        assert family._certify(ideal, targets, None, DEFAULT_PAIR_LIMIT)[0] == truth
+        assert _certify(ideal, targets)[0] == truth
     assert all(counts.values()), counts
 
 
@@ -607,7 +631,7 @@ def test_induction_searches_one_intermediate_monomial():
     a, b, c, d = (ring.variable(i) for i in range(4))
     ideal = IdealPresentation(ring, [d * d, a * b + b * c, b * c + b * d, b * d + d * d])
     assert _induction(ideal, [(1, 1, 0, 0)])[0] == [None]
-    answers, open_ = family._certify(ideal, [(1, 1, 0, 0)], None, DEFAULT_PAIR_LIMIT)
+    answers, open_ = _certify(ideal, [(1, 1, 0, 0)])
     assert answers == [True] and open_ == [0]
 
 
@@ -635,6 +659,236 @@ def test_induction_limits():
     with pytest.raises(ResourceLimitError, match=r"\(1\)$"):
         reports(pair_limit=1)
     assert reports(degree_limit=7) == _reports(params)
+
+
+def test_limits_are_validated_before_any_work():
+    # Invalid limits are invalid input on every certificate entry, even
+    # where the induction would settle every target without them.
+    special = mccullough_ideal(2, 1, 3)
+    witness = mccullough_witness(2, 1, 3, special.ring.table)
+    with pytest.raises(ValidationError, match="degree_limit"):
+        verify_socle_ideal(special, witness, degree_limit=7.5, pair_limit=-5)
+    with pytest.raises(ValidationError, match="pair_limit"):
+        verify_socle_ideal(special, witness, pair_limit=-5)
+    params = FamilyParams.parse("2:(1,1)")
+    for limits in ({"degree_limit": 7.5}, {"degree_limit": True}, {"pair_limit": None}):
+        with pytest.raises(ValidationError, match=next(iter(limits))):
+            family._family_reports(params, **limits)
+    # A membership basis is always truncated.
+    with pytest.raises(ValidationError, match="^degree_limit must be an int of at least 1, not None$"):
+        membership_basis(build_ideal(params), None)
+
+
+# The g <= 4, n <= 3, m <= 3 box up to 500 variables: 114 of its 120
+# instances.  The six left out (732 to 5,132 variables) take 1-17 s each
+# on either induction route.
+BOX = tuple(str(p) for p in sweep_params(4, 3, 3) if variable_count(p) <= 500)
+PRESETS = tuple(str(preset_three_generators(p)) for p in (2, 3, 4))
+BENCHMARK_ROWS = tuple(str(p) for p in sweep_params(2, 2, 3))
+ORDER_KINDS = ("lex", "grlex", "rotated")
+
+
+def _order(kind, nvars):
+    # A non-default order; "rotated" is grevlex with the variables rotated.
+    if kind == "rotated":
+        return MonomialOrder("grevlex", tuple(range(1, nvars)) + (0,))
+    return MonomialOrder(kind)
+
+
+def _x_exponents(mat, table):
+    # The exponent tuple of prod x[j,k]^(entry j,k), each variable found
+    # by its name in the table.
+    exps = [0] * len(table)
+    for j, row in enumerate(mat.rows, start=1):
+        for k, e in enumerate(row, start=1):
+            if e:
+                exps[table.x_index(j, k)] = e
+    return tuple(exps)
+
+
+def _enumerated_ideal(params, field=None, order=None):
+    # build_ideal as it was first written: each stage matrix through
+    # enumerate_A, each variable by its name in the table.
+    table = family_table(params)
+    ring = PolynomialRing(table, PrimeField(32003) if field is None else field, order)
+    d = derived_constants(params).d
+    gens = []
+    for j in range(1, params.g + 1):
+        exps = [0] * len(table)
+        exps[table.x_index(j, 1)] = d[0]
+        gens.append(ring.poly({tuple(exps): 1}))
+    terms = []
+    for k in range(1, params.n):
+        for mat in enumerate_A(params, k - 1):
+            base = _x_exponents(mat, table)
+            for j in range(1, params.g + 1):
+                exps = list(base)
+                exps[table.x_index(j, k)] += params.m[k - 1]
+                exps[table.x_index(j, k + 1)] += d[k]
+                terms.append((tuple(exps), 1))
+    for mat in enumerate_A(params, params.n):
+        exps = list(_x_exponents(mat, table))
+        exps[table.y_index(mat.rows)] += 1
+        terms.append((tuple(exps), 1))
+    gens.append(ring.poly(terms))
+    return IdealPresentation(ring, gens)
+
+
+def test_family_index_matches_the_table():
+    for spec in BOX + PRESETS:
+        params = FamilyParams.parse(spec)
+        table = family_table(params)
+        for k in range(1, params.n + 1):
+            for j in range(1, params.g + 1):
+                assert family._family_index(params, j, k) == table.x_index(j, k), (spec, j, k)
+        mats = enumerate_A(params, params.n)
+        assert [family._family_index(params, i) for i in range(len(mats))] == [
+            table.y_index(mat.rows) for mat in mats
+        ], spec
+        assert family._family_index(params, len(mats)) == len(table)
+
+
+def test_build_ideal_matches_the_enumeration_route():
+    for spec in BOX + PRESETS:
+        params = FamilyParams.parse(spec)
+        assert build_ideal(params) == _enumerated_ideal(params), spec
+    for spec in ("2:(3,1)", "3:(2,1)", "2:(2,1,2)", "2:(1,0)"):
+        params = FamilyParams.parse(spec)
+        for kind in ORDER_KINDS:
+            order = _order(kind, variable_count(params))
+            assert build_ideal(params, QQ, order) == _enumerated_ideal(params, QQ, order), spec
+
+
+def _ideal_fed_reports(params, ideal, verdicts=None):
+    # The reports as the ideal-fed induction gives them, from its
+    # ``verdicts`` when given, with the open targets answered by a basis
+    # and counted as fallbacks.
+    ring = ideal.ring
+    witness = socle_witness(params, ring.table)
+    stage = [m.exps for m in lemma_targets(params, ring.table)]
+    targets = stage + _certificate_monomials(ring, witness)
+    if verdicts is None:
+        answers, open_ = _certify(ideal, targets)
+    else:
+        answers, open_ = list(verdicts), [k for k, v in enumerate(verdicts) if v is None]
+        if open_:
+            basis = membership_basis(ideal, verification_degree(params))
+            for k, ok in zip(open_, basis._contains_monomials([targets[k] for k in open_])):
+                answers[k] = ok
+    k = len(stage)
+    socle = SocleReport(
+        params, witness, not answers[k], tuple(zip(ring.table.names, answers[k + 1:])),
+        not answers[k] and all(answers[k + 1:]), ring.nvars, sum(i >= k for i in open_),
+    )
+    failures = tuple(Monomial(ring.table, e) for e, ok in zip(stage, answers) if not ok)
+    lemma = LemmaReport(params, not failures, failures, sum(i < k for i in open_))
+    return socle, lemma
+
+
+def _assert_packed_route_as_ideal_route(params, ideal, field):
+    # The data packed from the stage columns are those packed from the
+    # generators, term for term and in order; both prove the same
+    # monomials in the same order; the reports agree, fallbacks included.
+    top = verification_degree(params)
+    packed, targets = family._family_induction(params, ideal.ring.order, top, DEFAULT_PAIR_LIMIT)
+    fed = family._ideal_induction(ideal, top, DEFAULT_PAIR_LIMIT)
+    pk = fed.pk
+    assert (packed.pk.order, packed.pk.nvars, packed.pk.width) == (pk.order, pk.nvars, pk.width)
+    assert packed.proved == fed.proved == [
+        pk.pack(g.terms[0][0]) for g in ideal.generators if len(g) == 1
+    ]
+    assert packed.forms == fed.forms == [
+        [pk.pack(e) for e, _ in g.terms] for g in ideal.generators if len(g) > 1
+    ]
+    assert targets == [pk.pack(t) for t in _family_targets(params, ideal.ring)]
+    verdicts = _verdicts(fed, targets)
+    assert _verdicts(packed, targets) == verdicts
+    assert packed.proved == fed.proved and packed.candidates == fed.candidates
+    got = family._family_reports(params, field=field)
+    want = _ideal_fed_reports(params, ideal, verdicts)
+    assert got == want
+    assert [r.fallbacks for r in got] == [r.fallbacks for r in want]
+
+
+@pytest.mark.parametrize("field", [PrimeField(101), QQ], ids=["F101", "QQ"])
+def test_packed_certificate_matches_the_ideal_route(field):
+    for spec in BOX + PRESETS:
+        params = FamilyParams.parse(spec)
+        _assert_packed_route_as_ideal_route(params, build_ideal(params, field), field)
+    assert set(BENCHMARK_ROWS) <= set(BOX)
+
+
+def test_packed_certificate_matches_the_ideal_route_under_other_orders():
+    for spec in ("2:(3,1)", "3:(2,1)", "2:(2,1,2)", "2:(0)"):
+        params = FamilyParams.parse(spec)
+        for kind in ORDER_KINDS:
+            order = _order(kind, variable_count(params))
+            ideal = build_ideal(params, PrimeField(101), order)
+            top = verification_degree(params)
+            packed, targets = family._family_induction(params, order, top, DEFAULT_PAIR_LIMIT)
+            fed = family._ideal_induction(ideal, top, DEFAULT_PAIR_LIMIT)
+            assert packed.forms == fed.forms and packed.proved == fed.proved, (spec, kind)
+            assert _verdicts(packed, targets) == _verdicts(fed, targets)
+            assert packed.proved == fed.proved, (spec, kind)
+            assert family._family_reports(params, ideal) == _ideal_fed_reports(params, ideal)
+
+
+def test_pure_power_mask_matches_the_scan(rng):
+    # `_covered`'s one add and one mask, and `_closes`'s window sums for
+    # q + t, against the scan of the pure powers on seeded random packed
+    # monomials, under several orders and field widths.
+    nvars = 6
+    for kind in ("grevlex",) + ORDER_KINDS:
+        for width in (2, 3, 8):
+            pk = _Packing(_order(kind, nvars), nvars, width)
+            for _ in range(40):
+                variables = rng.sample(range(nvars), rng.randrange(1, nvars + 1))
+                powers = {v: rng.randint(1, pk.maxdeg) for v in variables}
+                base = [pk.sparse({v: d}) for v, d in powers.items()]
+                induction = family._Induction(pk, base, [], powers, DEFAULT_PAIR_LIMIT)
+                assert induction.others == []
+                lo, window = induction.lo, induction.window
+                add, mask = induction.add >> lo, induction.mask >> lo
+                for _ in range(20):
+                    a, b = (_random_monomial(rng, nvars, pk.maxdeg) for _ in range(2))
+                    for e in (a, b):
+                        scan = any(e[v] >= d for v, d in powers.items())
+                        assert induction._covered(pk.pack(e)) == scan
+                    if sum(a) + sum(b) <= pk.maxdeg:
+                        qa, tb = (((pk.pack(e) >> lo) & window) for e in (a, b))
+                        scan = any(a[v] + b[v] >= d for v, d in powers.items())
+                        assert bool((qa + tb + add) & mask) == scan
+
+
+def _random_monomial(rng, nvars, top):
+    exps = [0] * nvars
+    for _ in range(rng.randint(0, top)):
+        exps[rng.randrange(nvars)] += 1
+    return tuple(exps)
+
+
+def test_certificate_builds_the_ideal_only_for_a_fallback(monkeypatch):
+    params = FamilyParams.parse("2:(2,1)")
+    want = _reports(params, _basis(str(params)))
+    built = []
+    real = family.build_ideal
+
+    def spy(params, field=None, order=None):
+        built.append(field)
+        return real(params, field, order)
+
+    monkeypatch.setattr(family, "build_ideal", spy)
+    assert _reports(params, field=QQ) == want and built == []
+    # With the one-step rule switched off every target but the pure powers
+    # and w stays open: the ideal is built over the given field, once per
+    # report, and its basis answers them.
+    monkeypatch.setattr(family._Induction, "_closes", lambda self, u, search: False)
+    socle, lemma = _reports(params, field=QQ)
+    assert (socle, lemma) == want and built == [QQ, QQ]
+    # Open: every x_v * w but the g pure powers, every stage monomial past
+    # stage 0.
+    assert socle.fallbacks == variable_count(params) - params.g
+    assert lemma.fallbacks == params.g * (params.n - 1)
 
 
 def _certificate_monomials(ring, witness, params=None):

@@ -1106,6 +1106,7 @@ def test_packed_monomials_match_tuples(rng):
                 b = _random_exps(rng, 4, maxdeg)
                 pa, pb = pk.pack(a), pk.pack(b)
                 assert pk.unpack(pa) == a and pk.deg(pa) == sum(a)
+                assert pk.sparse({v: e for v, e in enumerate(a) if e}) == pa
                 assert (not (pb - pa) & pk.guard) == all(x <= y for x, y in zip(a, b))
                 if a != b:
                     assert (pa < pb) == (order.key(a) > order.key(b))
@@ -1147,6 +1148,8 @@ def test_packing_never_wraps():
         with pytest.raises(groebner._Overflow) as err:
             pk.pack(exps)
         assert isinstance(err.value, InternalError)
+    with pytest.raises(groebner._Overflow):
+        pk.sparse({0: 2, 2: 2})
     wide = pk.widened(9)
     assert wide.maxdeg >= 9 and wide.unpack(wide.pack((1, 4, 4))) == (1, 4, 4)
     twisted = groebner._Packing(MonomialOrder(), 3, 2, components=2, twists=(0, 2))
