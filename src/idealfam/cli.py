@@ -317,6 +317,24 @@ def _sweep_instance(args):
     return row
 
 
+# One C-encoder call lays the rows out as indent=2 puts their items: the
+# item separator breaks the line and indents to the depth of a row's keys.
+_ROWS = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _sweep_json(rows, ok):
+    """``json.dumps({"rows": rows, "ok": ok}, indent=2)``, byte for byte.
+
+    ``indent`` forces the pure-Python encoder, about three times slower on
+    the sweep's flat rows than the C encoder, so the rows are encoded in
+    one `_ROWS` call and only the row boundaries are mended.  Every value
+    is a str, int or bool, so no other brace follows a line break (the
+    encoder escapes one inside a string); a sweep has at least one row.
+    """
+    body = _ROWS.encode(rows)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    return f'{{\n  "rows": [\n    {{\n      {body}\n    }}\n  ],\n  "ok": {json.dumps(ok)}\n}}'
+
+
 def cmd_sweep(args) -> int:
     instances = []
     for n in range(1, args.max_n + 1):
@@ -346,7 +364,7 @@ def cmd_sweep(args) -> int:
         for row in rows
     )
     if args.fmt == "json":
-        _emit(json.dumps({"rows": rows, "ok": ok}, indent=2), args)
+        _emit(_sweep_json(rows, ok), args)
     else:
         lines = []
         for row in rows:

@@ -53,6 +53,7 @@ from .ring import (
     VariableTable,
     _colmajor,
     _format_rows,
+    _integers,
     _matrix_rows,
 )
 
@@ -77,9 +78,9 @@ class FamilyParams:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.g, int) or self.g < 2:
+        if type(self.g) is not int or self.g < 2:
             raise ValidationError(f"g must be an integer >= 2, got {self.g!r}")
-        m = tuple(int(x) for x in self.m)
+        m = _integers(self.m, "m values")
         object.__setattr__(self, "m", m)
         n = len(m)
         if n < 1:
@@ -200,6 +201,21 @@ def _column_choices(g: int, total: int, bound: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _choice_count(g: int, total: int, bound: int) -> int:
+    """``len(_column_choices(g, total, bound))``, counted entry by entry
+    with no tuple built: after each of the g entries, ``ways[t]`` is the
+    number of choices so far that sum to t: the sum of the last bound + 1
+    entries of the previous list, read off its prefix sums."""
+    if total < 0:
+        return 0
+    ways = [1] + [0] * total
+    for _ in range(g):
+        sums = list(itertools.accumulate(ways, initial=0))
+        ways = [sums[t + 1] - sums[max(t - bound, 0)] for t in range(total + 1)]
+    return ways[total]
+
+
 def _fast_matrix(rows):
     # Constructor bypass for enumeration output that is canonical already.
     mat = object.__new__(ExponentMatrix)
@@ -207,12 +223,17 @@ def _fast_matrix(rows):
     return mat
 
 
-def _stage_columns(params: FamilyParams, k: int):
-    """The bounded column choices for columns 1..k of a stage-k matrix."""
+def _stage_args(params: FamilyParams, k: int):
+    """The (g, column sum, entry bound) of columns 1..k of a stage-k matrix."""
     if not 0 <= k <= params.n:
         raise ValidationError(f"stage must lie in 0..{params.n}, got {k}")
     g, m = params.g, params.m
-    return [_column_choices(g, m[kk], _stage_bound(m, kk)) for kk in range(k)]
+    return [(g, m[kk], _stage_bound(m, kk)) for kk in range(k)]
+
+
+def _stage_columns(params: FamilyParams, k: int):
+    """The bounded column choices for columns 1..k of a stage-k matrix."""
+    return [_column_choices(*args) for args in _stage_args(params, k)]
 
 
 def enumerate_A(params: FamilyParams, k: int) -> list[ExponentMatrix]:
@@ -222,16 +243,9 @@ def enumerate_A(params: FamilyParams, k: int) -> list[ExponentMatrix]:
     column sums, columns beyond k vanish; stage 0 holds only the zero
     matrix.  The empty list is a legal result.
     """
-    per_column = _stage_columns(params, k)
-    g, n = params.g, params.n
-    pad = (0,) * (n - k)
-    matrices = []
-    for cols in itertools.product(*per_column):
-        rows = tuple(
-            tuple(col[j] for col in cols) + pad for j in range(g)
-        )
-        matrices.append(_fast_matrix(rows))
-    return matrices
+    zeros = ((0,) * params.g,) * (params.n - k)
+    columns = itertools.product(*_stage_columns(params, k))
+    return [_fast_matrix(tuple(zip(*cols, *zeros))) for cols in columns]
 
 
 def _family_index(params: FamilyParams, j: int, k: int = 0) -> int:
@@ -243,14 +257,27 @@ def _family_index(params: FamilyParams, j: int, k: int = 0) -> int:
 
 
 def family_table(params: FamilyParams) -> VariableTable:
-    """Variable table for the family ring: the x grid plus one y per matrix."""
-    descriptors = [
-        ("x", j, k)
-        for k in range(1, params.n + 1)
-        for j in range(1, params.g + 1)
-    ]
-    descriptors += [("y", mat.rows) for mat in enumerate_A(params, params.n)]
-    return VariableTable(descriptors)
+    """Variable table for the family ring: the x grid plus one y per matrix.
+
+    The y's come from one product over the stage columns, the loop of
+    :func:`build_ideal` and `_family_induction`, with no `ExponentMatrix`:
+    a matrix's rows are its columns transposed, and its name joins the
+    entry texts of its columns, made once per column choice.  The product
+    yields the matrices in table order, so the descriptors and names are
+    right by construction and `VariableTable._trusted` skips the checks of
+    the constructor, which cost as much as the rest of a small
+    certificate.
+    """
+    g, n = params.g, params.n
+    cells = [(j, k) for k in range(1, n + 1) for j in range(1, g + 1)]
+    descriptors = [("x", j, k) for j, k in cells]
+    names = [f"x[{j},{k}]" for j, k in cells]
+    per_column = _stage_columns(params, n)
+    texts = [[tuple(map(str, col)) for col in choices] for choices in per_column]
+    for cols, strs in zip(itertools.product(*per_column), itertools.product(*texts)):
+        descriptors.append(("y", tuple(zip(*cols))))
+        names.append("y[[" + "],[".join(map(",".join, zip(*strs))) + "]]")
+    return VariableTable._trusted(descriptors, names)
 
 
 def build_ideal(params: FamilyParams, field=None, order=None) -> IdealPresentation:
@@ -350,10 +377,11 @@ def pd_formula(params: FamilyParams) -> int:
 def stage_count(params: FamilyParams, k: int) -> int:
     """Number of stage-k admissible matrices, counted without building them.
 
-    The product over the first k columns of the bounded column choices,
-    the same product ``enumerate_A(params, k)`` iterates.
+    The product over the first k columns of their bounded column choices
+    (the product ``enumerate_A(params, k)`` iterates), each counted by
+    `_choice_count`, so no choice is built.
     """
-    return prod(len(choices) for choices in _stage_columns(params, k))
+    return prod(_choice_count(*args) for args in _stage_args(params, k))
 
 
 def variable_count(params: FamilyParams) -> int:
@@ -688,13 +716,14 @@ def _family_reports(
 
     The limits are checked before any work, as
     :func:`~idealfam.groebner.buchberger` checks them (None is no degree
-    limit), and a target above ``degree_limit`` is refused.  The ideal is needed only when a target
-    stays open: ``ideal`` when the caller has built it (its ring's order
-    then packs the data), else :func:`build_ideal` over ``field``, built
-    then.  The open targets go to :func:`membership_basis` at
-    ``degree_limit``, by default :func:`verification_degree`;
-    ``pair_limit`` bounds both the induction's (monomial, dividing term)
-    candidates and that basis's queue."""
+    limit), and a target above ``degree_limit`` is refused.  The ideal is
+    needed only when a target stays open: ``ideal`` when the caller has
+    built it (its ring's order then packs the data), else
+    :func:`build_ideal` over ``field``, built then.  The open targets go
+    to :func:`membership_basis` at ``degree_limit``, by default
+    :func:`verification_degree`; ``pair_limit`` bounds both the
+    induction's (monomial, dividing term) candidates and that basis's
+    queue."""
     _check_limits(degree_limit=degree_limit, pair_limit=pair_limit)
     stage, wdeg = _target_degrees(params)
     _refuse_above([*stage, wdeg, wdeg + 1], degree_limit)
@@ -732,9 +761,10 @@ def verify_socle(
     of the dense generator divides it.  No ring, polynomial or Groebner
     basis is built unless a target stays open; only then is the ideal
     built over ``field``, and those targets go to :func:`membership_basis`
-    at :func:`verification_degree`; the report's ``fallbacks`` counts them.  With a basis, w and each
-    ``x_v * w`` are tested as exponent tuples in its kernel form, with the
-    checks of :meth:`GroebnerBasis.contains`.
+    at :func:`verification_degree`; the report's ``fallbacks`` counts
+    them.  With a basis, w and each ``x_v * w`` are tested as exponent
+    tuples in its kernel form, with the checks of
+    :meth:`GroebnerBasis.contains`.
     """
     if basis is None:
         return _family_reports(params, field=field)[0]

@@ -27,8 +27,9 @@ shortest such tail, the smaller index among equal lengths: any dividing
 record gives a syzygy with the same lead, so the records depend on the
 choice and the frame, ranks and Betti table do not (Erocal et al.).
 `syzygies` of an arbitrary presentation matrix runs the groebner
-module's one Buchberger loop, `_buchberger_kernel`, on module vectors.  The tower's packed records are the chain a resolution
-keeps; exponent tuples are made on demand.
+module's one Buchberger loop, `_buchberger_kernel`, on module vectors.
+The tower's packed records are the chain a resolution keeps; exponent
+tuples are made on demand.
 The resulting graded complex F is generally non-minimal.  Its Betti
 numbers are the graded dimensions of the homology of F tensored with the
 residue field: the differential d_i reduces there to its scalar blocks
@@ -795,7 +796,9 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
         gb = source
         cut = gb.truncated_at
         if cut is not None and (degree_limit is None or degree_limit > cut):
-            raise ValidationError(f"a basis truncated at degree {cut} needs a degree_limit <= {cut}")
+            raise ValidationError(
+                f"a basis truncated at degree {cut} needs a degree_limit <= {cut}"
+            )
     elif isinstance(source, IdealPresentation):
         gb = buchberger(source, degree_limit=degree_limit)
     else:

@@ -6,9 +6,10 @@ construction, so objects can be shared freely across threads.
 
 Each job on these objects is done in one place: ``_exponents`` checks an
 exponent tuple, ``_collect`` adds like terms, drops zeros and sorts into
-the ring order, ``_term_text`` and ``_signed_sum`` print terms, and
-``_matrix_rows``, ``_colmajor`` and ``_format_rows`` check, order and
-print the integer matrices that index y variables.
+the ring order, ``_term_text`` and ``_signed_sum`` print terms,
+``_integers`` refuses an entry that is not an int, and ``_matrix_rows``,
+``_colmajor`` and ``_format_rows`` check, order and print the integer
+matrices that index y variables.
 """
 
 from __future__ import annotations
@@ -156,9 +157,19 @@ class RationalField:
 QQ = RationalField()
 
 
+def _integers(values, what):
+    """``values`` as a tuple of ints; a float, str or bool entry is refused,
+    not truncated or parsed."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValidationError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 def _matrix_rows(rows):
     """Row tuples of a rectangular matrix of nonnegative integers."""
-    rows = tuple(tuple(int(e) for e in row) for row in rows)
+    rows = tuple(_integers(row, "matrix entries") for row in rows)
     if any(e < 0 for row in rows for e in row):
         raise ValidationError("matrix entries must be nonnegative")
     if rows and len({len(r) for r in rows}) != 1:
@@ -201,7 +212,7 @@ class VariableTable:
             kind = d[0]
             if kind == "x":
                 _, j, k = d
-                descs.append(("x", int(j), int(k)))
+                descs.append(("x", *_integers((j, k), "grid indices")))
             elif kind == "y":
                 descs.append(("y", _matrix_rows(d[1])))
             elif kind == "v":
@@ -226,6 +237,16 @@ class VariableTable:
             if ykeys != sorted(ykeys):
                 raise ValidationError("y variables must be sorted by their entry list")
         self._index = {name: i for i, name in enumerate(self.names)}
+
+    @classmethod
+    def _trusted(cls, descriptors, names):
+        """A table of canonical descriptors, listed in table order, and their
+        names, taken as given: the caller builds them correct, so none of
+        the checks of ``__init__`` is run again."""
+        table = object.__new__(cls)
+        table.descriptors, table.names = tuple(descriptors), tuple(names)
+        table._index = dict(zip(table.names, range(len(table.names))))
+        return table
 
     @staticmethod
     def _name(desc):

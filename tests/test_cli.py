@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from idealfam import FamilyParams, IdealPresentation, buchberger, build_ideal
+from idealfam import cli
 from idealfam.cli import main
+from idealfam.groebner import DEFAULT_PAIR_LIMIT
 
 from conftest import fresh_interpreter
 
@@ -216,6 +218,21 @@ def test_sweep_text(capsys):
     code, out, _ = run(capsys, "sweep", "--max-g", "3", "--max-n", "2", "--max-m", "2")
     assert code == 0
     assert "all consistent: True" in out
+
+
+@pytest.mark.parametrize("verify, field", [(False, None), (True, "101"), (True, "QQ")])
+def test_sweep_json_matches_the_indenting_encoder(verify, field):
+    # cmd_sweep writes its rows through one C-encoder call; the text must
+    # be json.dumps(indent=2)'s, with ok true or false and with or without
+    # the socle and lemma keys.
+    field = None if field is None else cli._parse_field(field)
+    instances = [(g, m, verify, field, DEFAULT_PAIR_LIMIT) for g in (2, 3) for m in ((1,), (2, 1))]
+    rows = [cli._sweep_instance(item) for item in instances]
+    for some in (rows, rows[:1]):
+        for ok in (True, False):
+            assert cli._sweep_json(some, ok) == json.dumps({"rows": some, "ok": ok}, indent=2)
+    odd = [dict(rows[0], params="a \"quoted\"\nname }, {", agree=False)]
+    assert cli._sweep_json(odd, False) == json.dumps({"rows": odd, "ok": False}, indent=2)
 
 
 def test_sweep_verify_parallel(capsys):

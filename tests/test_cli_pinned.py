@@ -59,6 +59,8 @@ MATRIX = (
     "sweep --max-g 2 --max-n 2 --max-m 1 --verify --format json",
     BENCH_SWEEP,
     BENCH_SWEEP_VERIFY,
+    "sweep --max-g 3 --max-n 2 --max-m 2 --format json --jobs 2",
+    "sweep --max-g 2 --max-n 1 --max-m 2 --verify --field QQ --format json",
     # exit 2: invalid input
     "construct 1:(2)",
     "construct mccullough 2 x 3",
@@ -113,6 +115,8 @@ PINNED = {
     'sweep --max-g 2 --max-n 2 --max-m 1 --verify --format json': '273ce474f561d4ad',
     'sweep --field 101 --format json --out {out} --jobs 1': '0b1a47701cfbebd8',
     'sweep --verify --max-g 2 --max-n 2 --max-m 3 --field 101 --format json --out {out} --jobs 1': '404b60bfe6b1d6d7',
+    'sweep --max-g 3 --max-n 2 --max-m 2 --format json --jobs 2': '9693873ef508d80d',
+    'sweep --max-g 2 --max-n 1 --max-m 2 --verify --field QQ --format json': '266e63c32f2d158b',
     'construct 1:(2)': '0b22225175469476',
     'construct mccullough 2 x 3': 'a145b6d0aae2c7a2',
     'construct caviglia three': '3c8bb1ea758de0ed',

@@ -82,6 +82,19 @@ def test_params_validation():
         FamilyParams(2, (2, -1))
 
 
+@pytest.mark.parametrize("g, m", [(2, (2.7, 1)), (2, ("3",)), (2, (True,)), (2, "3"),
+                                  (2.0, (1,)), (True, (1,))])
+def test_params_refuse_non_integers(g, m):
+    with pytest.raises(ValidationError, match="integer"):
+        FamilyParams(g, m)
+
+
+@pytest.mark.parametrize("rows", [((1.5, 2),), (("2", 0),), ((True, 0),), ((1, 0), (0, 1.0))])
+def test_exponent_matrix_refuses_non_integers(rows):
+    with pytest.raises(ValidationError, match="integers"):
+        ExponentMatrix(rows)
+
+
 def test_params_parse_and_str():
     p = FamilyParams.parse("2:(2,2,2)")
     assert p == FamilyParams(2, (2, 2, 2))
@@ -318,6 +331,29 @@ def test_stage_count_matches_enumeration():
         assert variable_count(params) == build_ideal(params).ring.nvars, text
     with pytest.raises(ValidationError):
         stage_count(FamilyParams(2, (1, 1)), 3)
+
+
+def test_choice_count_matches_the_built_choices():
+    for g in range(1, 6):
+        for total in range(-1, 9):
+            for bound in range(-1, 9):
+                assert family._choice_count(g, total, bound) == len(
+                    family._column_choices(g, total, bound)
+                ), (g, total, bound)
+
+
+def test_counts_build_no_column_choice():
+    family._column_choices.cache_clear()
+    box = sweep_params(4, 3, 4)
+    assert [variable_count(p) for p in box] == [pd_formula(p) for p in box]
+    for params in box:
+        for k in range(params.n + 1):
+            stage_count(params, k)
+    # Building the column choices of this one takes about 0.3 s and 128 MB.
+    big = FamilyParams(3, (1000, 1000))
+    assert variable_count(big) == pd_formula(big) == 251_501_748_504
+    info = family._column_choices.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_formula_equals_count_sweep():
@@ -746,6 +782,21 @@ def test_family_index_matches_the_table():
             table.y_index(mat.rows) for mat in mats
         ], spec
         assert family._family_index(params, len(mats)) == len(table)
+
+
+def test_trusted_table_matches_the_validated_constructor():
+    # family_table skips the checks of VariableTable(descriptors): the
+    # checked constructor, on the descriptors of the enumeration route, is
+    # the oracle for its descriptors, names and index.
+    box = sweep_params(4, 3, 3)  # up to 5,132 variables
+    for params in box + [preset_three_generators(p) for p in (2, 3, 4)]:
+        table = family_table(params)
+        grid = [("x", j, k) for k in range(1, params.n + 1) for j in range(1, params.g + 1)]
+        oracle = VariableTable(grid + [("y", mat.rows) for mat in enumerate_A(params, params.n)])
+        assert table.descriptors == oracle.descriptors, str(params)
+        assert table.names == oracle.names, str(params)
+        assert table._index == oracle._index, str(params)
+        assert table == oracle and hash(table) == hash(oracle)
 
 
 def test_build_ideal_matches_the_enumeration_route():

@@ -2,6 +2,7 @@
 loads at import or on first use."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +141,14 @@ def test_unknown_attribute_raises_the_standard_error():
         idealfam.no_such_name
     with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
         from idealfam import no_such_name  # noqa: F401
+
+
+def test_source_lines_fit_in_100_columns():
+    src = Path(idealfam.__file__).parent
+    long = [
+        f"{path.name}:{number}: {len(line)} columns"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > 100
+    ]
+    assert long == []

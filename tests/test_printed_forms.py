@@ -86,7 +86,7 @@ def test_exponent_matrix_format_and_validation():
     assert str(mat) == "[[1,2,3],[4,5,6]]"
     assert ExponentMatrix(()).colmajor() == ()
     assert str(ExponentMatrix(())) == "[]"
-    assert ExponentMatrix([["2", 0]]).rows == ((2, 0),)
+    assert ExponentMatrix([[2, 0]]).rows == ((2, 0),)
     for bad in (((1, 2), (3,)), ((1, -1),), ((1, -1), (2,))):
         with pytest.raises(ValidationError):
             ExponentMatrix(bad)

@@ -58,6 +58,13 @@ def test_variable_table_invariants():
     assert ys.names[0] == "y[[1,0],[0,1]]"
 
 
+@pytest.mark.parametrize("desc", [("x", 1.9, 1), ("x", "1", 1), ("x", 1, True), ("y", ((1.5,),)),
+                                  ("y", (("1", 0),))])
+def test_variable_table_refuses_non_integers(desc):
+    with pytest.raises(ValidationError, match="integers"):
+        VariableTable([desc])
+
+
 # ------------------------------------------------------------- monomials
 
 def test_mono_mul_examples():
