@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from itertools import chain
+from itertools import chain, takewhile
 
 from .errors import InternalError, ResourceLimitError, ValidationError
 from .ring import Monomial, MonomialOrder, Polynomial, PolynomialRing, PrimeField
@@ -269,7 +269,7 @@ def _make_gen(terms, field, idx):
     return _Gen(lm, tail, idx)
 
 
-def _reduce(terms, reducers, pk, field, *, full=True, regular=None, drop=None):
+def _reduce(terms, reducers, pk, field, *, full=True, sig=None, skipped=None, drop=None):
     """Divide a term dict, packed in ``pk``, by monic records, largest term first.
 
     ``reducers(m)`` lists the candidate records for the term ``m`` in a
@@ -277,20 +277,26 @@ def _reduce(terms, reducers, pk, field, *, full=True, regular=None, drop=None):
     caller picks the reducer order.  Against a Groebner basis membership
     and the full remainder do not depend on it, so `GroebnerBasis` offers
     its records lowest lead degree first, which finds a divisor after far
-    fewer tests.  Buchberger's kernel and `_interreduce` keep list order:
-    there the divisor chosen shows in non-canonical bases and in the
-    S-polynomials formed, and shortest tails first made neither faster.
-    Records are homogeneous, so every term formed has the degree of a term
-    of the input, and the caller's degree bound holds for all of them.
-    With ``regular`` a dividing record ``r`` is used only when
-    ``regular(r, m - r.lm)`` holds, and a term a step forms is left out
-    when ``drop`` (`_Packing.multiples`) marks it: the signature route's
+    fewer tests.  Buchberger's kernel and `_interreduce` use the first
+    divisor in list order: there the divisor chosen shows in non-canonical
+    bases and in the S-polynomials formed, and shortest tails first made
+    neither faster.  The signature route lists fewer records but finds the
+    same first divisor, for it leaves out only records that cannot divide
+    the term (see `_Signatures`).  Records are homogeneous, so every term
+    formed has the degree of a term of the input, and the caller's degree
+    bound holds for all of them.
+    With ``sig = (k, t)`` a dividing record ``r`` is used only when it is
+    regular, ``(m / lead r) sig r`` below ``(k, t)``; the dividing records
+    that fail that test are left in the list ``skipped``, those of the
+    last term scanned.  A term a step forms is left out when ``drop``
+    (`_Packing.multiples`) marks it.  Both serve the signature route's
     reductions.  Returns the remainder; with ``full`` false the division
     stops at the first term no record divides, and the terms below it
     stay undivided.
     """
     guard = pk.guard
     add, mask = drop or (0, 0)
+    k, t = sig or (None, None)
     work = dict(terms)
     heap = list(work)
     heapq.heapify(heap)
@@ -304,20 +310,50 @@ def _reduce(terms, reducers, pk, field, *, full=True, regular=None, drop=None):
         c = work.pop(m, None)
         if not c:
             continue
-        for red in reducers(m):
-            if not (m - red.lm) & guard and (regular is None or regular(red, m - red.lm)):
-                break
+        if sig is None:
+            for red in reducers(m):
+                if not (m - red.lm) & guard:
+                    break
+            else:
+                red = None
         else:
+            skipped.clear()
+            for red in reducers(m):
+                shift = m - red.lm
+                if not shift & guard:
+                    p, u = red.sig
+                    if p < k or (p == k and u + shift > t):
+                        break
+                    skipped.append(red)
+            else:
+                red = None
+        if red is None:
             remainder[m] = c
             if full:
                 continue
             break
         shift = m - red.lm
-        tail = red.tail
-        if mask:
-            s = shift + add
-            tail = [t for t in tail if not (t[0] + s) & mask]
-        for e, c2 in tail:
+        if not mask:
+            for e, c2 in red.tail:
+                e += shift
+                prev = work.get(e)
+                v = -c * c2 if prev is None else prev - c * c2
+                if prime:
+                    v %= prime
+                if v:
+                    if prev is None:
+                        heappush(heap, e)
+                    work[e] = v
+                elif prev is not None:
+                    del work[e]
+            continue
+        # The same step, less the terms ``drop`` marks; a test per term in
+        # one loop measured faster than filtering the tail first, and
+        # slower than none where nothing is dropped.
+        s = shift + add
+        for e, c2 in red.tail:
+            if (e + s) & mask:
+                continue
             e += shift
             prev = work.get(e)
             v = -c * c2 if prev is None else prev - c * c2
@@ -513,8 +549,9 @@ class _GebauerMoeller:
         self.G = G
 
     def take(self, key):
-        """The S-polynomial of the pair with selection ``key``, its reducers,
-        no regularity test or filter; None when the B-filter dropped the pair."""
+        """The S-polynomial of the pair with selection ``key``, its reducers
+        and no further `_reduce` options; None when the B-filter dropped the
+        pair."""
         lcm = self.pairs.pop(key[-1], None)
         if lcm is None:
             return None
@@ -523,7 +560,7 @@ class _GebauerMoeller:
         if bound > pk.maxdeg:
             raise _Overflow(bound)
         i, j = key[-1]
-        return _spoly(self.f[i], self.f[j], pk, self.field), _reducers(self.G, pk), None, None
+        return _spoly(self.f[i], self.f[j], pk, self.field), _reducers(self.G, pk), {}
 
     def done(self, r):
         """Add the remainder ``r`` of the last pair taken, unless it is zero."""
@@ -579,6 +616,26 @@ class _Signatures:
     already stands for it.  Otherwise it becomes a generator of that
     signature.
 
+    Signatures are taken in nondecreasing degree (sugar selection on
+    homogeneous input), and a generator's lead has its signature's degree.
+    `take` keeps the current degree d as a level and refuses a signature
+    below it.  A record of degree d divides a term of degree d only when
+    its lead equals the term, and a signature of degree d divides (k, t)
+    only when it is (k, t), which only input k can have (then t is 0).
+    So when d is first seen the level lists the inputs of degree at most d,
+    then the other generators, all of lower degree, in list order; a dict
+    maps each lead to the generators of degree d made since, which the
+    level cannot know in advance.  A term m's reducers are that list, then
+    the generators with lead m: the same first regular divisor as a scan
+    of every generator.  `_pick` ranks the generators below the level
+    only.  The last term a reduction scans, the lead of a nonzero result,
+    had every dividing generator tested and none regular; `_reduce` hands
+    those back (``skipped``).  They are the earlier generators whose lead
+    divides the new one, which `_within` needs at the limit's degree, and
+    the new generator is lead-minimal exactly when there are none, for
+    every later one has a lead of no lower degree.  An input is
+    lead-minimal when no generator of lower degree divides its lead.
+
     The multiples of a pure-power input are regular reducers of every
     signature of a later position and have no tail, so the terms they
     divide go where they are formed: in the multiple `take` builds and
@@ -607,12 +664,14 @@ class _Signatures:
         self.f, self.pk, self.field = f, pk, field
         self.degree_limit = degree_limit
         self.stats = dict.fromkeys(self.COUNTERS, 0)
+        self.inputs = len(f)
         positions = range(len(f))
         for k in positions:
             f[k].sig = (k, 0)
         # Per position: ``(t - lead, idx, g)`` of its generators g of
-        # signature (k, t), sorted; the leads of the generators of lower
-        # position; the multipliers of its reductions to zero.
+        # signature (k, t) below the level, sorted; the leads of the
+        # generators of lower position; the multipliers of its reductions
+        # to zero.
         self.ranked = [[] for _ in positions]
         self.koszul = [[] for _ in positions]
         self.syz = [[] for _ in positions]
@@ -622,6 +681,12 @@ class _Signatures:
         self.heap = []
         self.above_limit = []
         self.current = None
+        # The level: its degree, its reducer list, the generators made at
+        # it by lead, and the generators not yet ranked.
+        self.level, self.reducers, self.equal, self.unranked = -1, [], {}, []
+        # The dividing records the last reduction skipped as irregular, and
+        # the lead-minimal generators that are not inputs.
+        self.skipped, self.minimal = [], []
         # Per position, `_Packing.multiples` of the pure-power inputs below it.
         powers, self.drop = {}, []
         for g in f:
@@ -633,15 +698,16 @@ class _Signatures:
     def queued(self):
         return len(self.heap)
 
-    def add(self, h):
+    def add(self, h, divisors=()):
+        """Queue h's pairs; ``divisors`` are the earlier generators whose
+        lead divides h's, none for an input (the inputs are interreduced)."""
         pk, stats, seen = self.pk, self.stats, self.seen
         k, t = h.sig
-        ratio = t - h.lm
-        insort(self.ranked[k], (ratio, h.idx, h))
-        self.by_ratio.setdefault((k, ratio), []).append(h)
+        self.unranked.append(h)
+        self.by_ratio.setdefault((k, t - h.lm), []).append(h)
         for leads in self.koszul[k + 1 :]:
             leads.append(h.lm)
-        within, dropped = self._within(h)
+        within, dropped = self._within(h, divisors)
         if dropped:
             self.above_limit.append(h)
             stats["above_limit"] += dropped
@@ -661,23 +727,18 @@ class _Signatures:
                 stats["pairs"] += 1
                 heapq.heappush(self.heap, (d, sig[0], -sig[1]))
 
-    def _within(self, h):
+    def _within(self, h, divisors):
         """The generators before h whose lead's lcm with h's lies within
         the limit, in order, and the number above it."""
-        earlier = self.f[: h.idx]
         limit = self.degree_limit
         # A lead of degree ``limit`` has an lcm within it only with the
-        # leads that divide it; a lead above has none.
-        pk, hl = self.pk, h.lm
-        top = pk.deg(hl) - limit
+        # leads that divide it, h's ``divisors``; a lead above has none.
+        top = self.pk.deg(h.lm) - limit
         if top < 0:
-            within = pk.within(hl, earlier, limit)
-        elif top == 0:
-            guard = pk.guard
-            within = [g for g in earlier if not (hl - g.lm) & guard]
+            within = self.pk.within(h.lm, self.f[: h.idx], limit)
         else:
-            within = []
-        return within, len(earlier) - len(within)
+            within = divisors if top == 0 else []
+        return within, h.idx - len(within)
 
     @staticmethod
     def _signature(g, h, lcm):
@@ -700,10 +761,13 @@ class _Signatures:
 
     def take(self, key):
         """The multiple of smallest lead with signature ``key``'s, less the
-        terms the position's filter marks, every generator as reducers, the
-        regularity test and that filter; None when a syzygy criterion drops
-        the signature."""
-        k, t = key[1], -key[2]
+        terms the position's filter marks, the level's reducers and
+        `_reduce`'s options (the signature, the list for the divisors it
+        skips and that filter); None when a syzygy criterion drops the
+        signature."""
+        d, k, t = key[0], key[1], -key[2]
+        if d != self.level:
+            self._rise(d)
         killed = self._killed(k, t)
         if killed:
             self.stats[killed] += 1
@@ -713,24 +777,45 @@ class _Signatures:
         s, one = shift + add, self.field.one
         terms = {e + shift: c for e, c in chain(((g.lm, one),), g.tail) if not (e + s) & mask}
         self.current = (k, t)
+        reducers, equal = self.reducers, self.equal
 
-        def regular(red, s):
-            p = red.sig[0]
-            return p < k or (p == k and red.sig[1] + s > t)
+        def level(m):
+            return chain(reducers, equal[m]) if m in equal else reducers
 
-        f = self.f
-        return terms, lambda m: f, regular, drop
+        return terms, level, {"sig": self.current, "skipped": self.skipped, "drop": drop}
+
+    def _rise(self, d):
+        """Make d the level: its reducer list, and rank what lies below it."""
+        if d < self.level:
+            raise InternalError(f"a signature of degree {d} came below the level {self.level}")
+        self.level = d
+        f, n, deg = self.f, self.inputs, self.pk.deg
+        # Every generator made so far has a degree below d.
+        self.reducers = [g for g in f[:n] if deg(g.lm) <= d] + f[n:]
+        self.equal = {}
+        unranked = []
+        for g in self.unranked:
+            if deg(g.lm) < d:
+                k, t = g.sig
+                insort(self.ranked[k], (t - g.lm, g.idx, g))
+            else:
+                unranked.append(g)
+        self.unranked = unranked
 
     def _pick(self, k, t):
         """The generator g of signature s dividing ``(k, t)`` whose multiple
         ``(t - s) g`` has the smallest lead, the first of equal leads, and
         its shift ``t - s``."""
         # That lead is ``t - ratio``, so the first g in rank is the one.
+        # Those of the level's degree are unranked: of them only input k's
+        # (k, 0) divides a signature there, and only (k, 0).
         guard = self.pk.guard
         for _, _, g in self.ranked[k]:
             shift = t - g.sig[1]
             if not shift & guard:
                 return g, shift
+        if t == 0:
+            return self.f[k], 0
         raise InternalError(f"no generator's signature divides the queued ({k}, {t})")
 
     def done(self, r):
@@ -748,21 +833,25 @@ class _Signatures:
         h = _make_gen(r, self.field, len(self.f))
         h.sig = self.current
         self.f.append(h)
-        self.add(h)
+        self.equal.setdefault(m, []).append(h)
+        # The skipped records are every earlier one whose lead divides m.
+        if not self.skipped:
+            self.minimal.append(h)
+        self.add(h, self.skipped)
 
     def result(self):
         """The generators with minimal leads, the first of equal leads, and
         whether a signature above the limit is live."""
-        pk = self.pk
-        deg, guard = pk.deg, pk.guard
-        # A lead divides one of its own degree only when they are equal.
-        G, lower, equal, d = [], [], set(), None
-        for g in sorted(self.f, key=lambda g: (deg(g.lm), g.idx)):
-            if deg(g.lm) != d:
-                d, lower, equal = deg(g.lm), [x.lm for x in G], set()
-            if g.lm not in equal and all((g.lm - m) & guard for m in lower):
-                equal.add(g.lm)
+        deg, guard = self.pk.deg, self.pk.guard
+        f, n = self.f, self.inputs
+        G, later = list(self.minimal), f[n:]
+        for g in f[:n]:
+            # The inputs' leads divide no other's, and the later generators
+            # come in nondecreasing degree.
+            d = deg(g.lm)
+            if all((g.lm - x.lm) & guard for x in takewhile(lambda x: deg(x.lm) < d, later)):
                 G.append(g)
+        G.sort(key=lambda g: (deg(g.lm), g.idx))
         return G, self._live_above_limit()
 
     def _live_above_limit(self):
@@ -796,18 +885,21 @@ def _buchberger_kernel(
     With one, which only an ideal may have, they are the signature
     criteria (`_Signatures`): one reduction per signature, top term only,
     by regular reducers.  Each route measured faster on its side, with
-    equal reduced bases (raw medians, a shared 2-core host): without a
-    limit the eight ``resolve`` bases take 47 ms in all on Gebauer-Moeller
-    against 61 ms on signatures and interreduction; with one, 3:(2,1) at
-    13 takes 200 ms on signatures against 298, and 2:(4,2,1) at 23 1.43 s
-    against 2.24.  A limit at or above a basis's top degree trades back:
-    2:(2,1,2) at 42 or 60 takes 51-54 ms on signatures, 40-41 on
-    Gebauer-Moeller.  Both select by least lcm degree; the input is
-    homogeneous, so that is sugar selection (Giovini et al., "One sugar
-    cube, please", ISSAC 1991), and records keep no sugar.  ``pair_limit``
-    bounds the queued pairs or signatures.  ``truncated`` has one rule,
-    `_Signatures`': a signature above the limit was left out that no
-    criterion drops in the finished run.
+    equal reduced bases (raw, a shared 2-core host): without a limit the
+    eight ``resolve`` bases take 48-49 ms in all on Gebauer-Moeller
+    against 63-66 ms on signatures at their top degree and interreduction
+    (best of 11); with one, 3:(2,1) at 13 took 200 ms on signatures
+    against 298 on a truncated Gebauer-Moeller, and 2:(4,2,1) at 23 1.43 s
+    against 2.24 (medians).  Those two now take 187-193 ms and 1.43-1.45 s,
+    nearly all of it the final interreduction: the loop alone takes 9 and
+    28 ms.  A limit at or above a basis's top degree trades back:
+    2:(2,1,2) at 42 or 60 takes 48-58 ms on signatures, 36-42 on
+    Gebauer-Moeller (best of 11).  Both select by least lcm degree; the
+    input is homogeneous, so that is sugar selection (Giovini et al., "One
+    sugar cube, please", ISSAC 1991), and records keep no sugar.
+    ``pair_limit`` bounds the queued pairs or signatures.  ``truncated``
+    has one rule, `_Signatures`': a signature above the limit was left out
+    that no criterion drops in the finished run.
 
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
@@ -848,8 +940,8 @@ def _buchberger_kernel(
         job = crit.take(heapq.heappop(heap))
         if job is None:
             continue
-        terms, reducers, regular, drop = job
-        r = _reduce(terms, reducers, pk, field, full=full, regular=regular, drop=drop)
+        terms, reducers, options = job
+        r = _reduce(terms, reducers, pk, field, full=full, **options)
         stats["reductions"] += 1
         stats["zero_reductions"] += not r
         crit.done(r)

@@ -157,6 +157,9 @@ class RationalField:
 QQ = RationalField()
 
 
+_INT = frozenset((int,))
+
+
 def _integers(values, what):
     """``values`` as a tuple of ints; a float, str or bool entry is refused,
     not truncated or parsed."""
@@ -306,7 +309,7 @@ class MonomialOrder:
             raise ValidationError(f"unknown monomial order {kind!r}")
         self.kind = kind
         if perm is not None:
-            perm = tuple(int(i) for i in perm)
+            perm = _integers(perm, "order permutation entries")
             if sorted(perm) != list(range(len(perm))):
                 raise ValidationError("order permutation must permute 0..n-1")
         self.perm = perm
@@ -351,13 +354,16 @@ class MonomialOrder:
 
 
 def _exponents(exps, n):
-    """The exponents as an int tuple, checked for length ``n``, sign and the cap."""
-    exps = tuple(int(e) for e in exps)
+    """The exponents as an int tuple, checked for length ``n``, sign and the
+    cap; a float, str or bool entry is refused, as by `_integers`."""
+    exps = tuple(exps)
+    if not _INT.issuperset(map(type, exps)):
+        _integers(exps, "exponents")  # refuses the first entry not an int
     if len(exps) != n:
         raise ValidationError(f"expected {n} exponents, got {len(exps)}")
-    if any(e < 0 for e in exps):
+    if exps and min(exps) < 0:
         raise ValidationError("exponents must be nonnegative")
-    if any(e >= EXPONENT_CAP for e in exps):
+    if exps and max(exps) >= EXPONENT_CAP:
         raise ArithmeticOverflowError("exponent exceeds the machine-word guard")
     return exps
 

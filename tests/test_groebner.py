@@ -1,4 +1,6 @@
+import collections
 import functools
+import heapq
 import inspect
 import random
 from itertools import chain, islice
@@ -616,16 +618,17 @@ def test_signature_candidates_match_degree_pass(monkeypatch):
     # Every `_Signatures.add` of the corpus keeps the candidates that
     # `_Packing.within` keeps from all earlier generators, in order, and
     # records h as above the limit exactly when that pass drops one.
-    # Leads of the limit's degree take a divisor test instead.
+    # Leads of the limit's degree take the divisors the reduction that made
+    # h found, and an input none.
     add = groebner._Signatures.add
     tops = set()
 
-    def checked(crit, h):
+    def checked(crit, h, divisors=()):
         before = crit.stats["above_limit"]
-        add(crit, h)
+        add(crit, h, divisors)
         pk, earlier = crit.pk, crit.f[: h.idx]
         want = pk.within(h.lm, earlier, crit.degree_limit)
-        got, _ = crit._within(h)
+        got, _ = crit._within(h, divisors)
         assert [g.idx for g in got] == [g.idx for g in want]
         dropped = len(earlier) - len(want)
         assert (bool(crit.above_limit) and crit.above_limit[-1] is h) == (dropped > 0)
@@ -706,6 +709,156 @@ def test_signature_result_matches_the_pairwise_filter(monkeypatch):
     monkeypatch.setattr(groebner._Signatures, "result", checked)
     _signature_corpus()
     assert any(ties)
+
+
+def _level_cases():
+    # (name, basis builder) on the signature route: the six verify bases,
+    # and seeded random truncated ideals in 3-4 variables over F_101,
+    # F_32003 and QQ under grevlex, grlex and lex.  Their inputs have
+    # mixed degrees, and the last has degree 4 or 5, above the first
+    # pairs of the quadrics before it.
+    for spec in VERIFY_SPECS:
+        yield spec, functools.partial(_degree_route, spec)
+    rng = random.Random(2031)
+    for field in (PrimeField(101), PrimeField(32003), QQ):
+        for order in ("grevlex", "grlex", "lex"):
+            for trial in range(3):
+                nvars = rng.randrange(3, 5)
+                R = PolynomialRing(
+                    VariableTable.named(tuple(f"x{i}" for i in range(nvars))), field,
+                    MonomialOrder(order),
+                )
+                degrees = [2, 2, rng.randrange(2, 4), rng.randrange(4, 6)]
+                gens = [random_homogeneous(R, rng, d, 5) for d in degrees]
+                build = functools.partial(
+                    buchberger, IdealPresentation(R, gens), degree_limit=rng.randrange(5, 7),
+                    interreduce=False,
+                )
+                yield f"random {field} {order} {trial}", build
+
+
+def _linear_signatures(monkeypatch):
+    # The signature route with the linear scans the level replaced: every
+    # generator in list order as reducers of every term, a pick over all
+    # generators, the pair candidates from all earlier generators and the
+    # lead-minimal filter over all pairs.
+    take = groebner._Signatures.take
+
+    def take_all(crit, key):
+        job = take(crit, key)
+        return job and (job[0], lambda m: crit.f, job[2])
+
+    def pick_all(crit, k, t):
+        guard, best = crit.pk.guard, None
+        for x in crit.f:
+            if x.sig[0] == k and not (t - x.sig[1]) & guard:
+                if best is None or x.lm - x.sig[1] > best.lm - best.sig[1]:
+                    best = x
+        if best is None:
+            raise InternalError(f"no generator's signature divides the queued ({k}, {t})")
+        return best, t - best.sig[1]
+
+    def within_all(crit, h, divisors):
+        earlier = crit.f[: h.idx]
+        within = crit.pk.within(h.lm, earlier, crit.degree_limit)
+        return within, len(earlier) - len(within)
+
+    def result_all(crit):
+        deg, guard = crit.pk.deg, crit.pk.guard
+        G = []
+        for g in sorted(crit.f, key=lambda g: (deg(g.lm), g.idx)):
+            if all((g.lm - x.lm) & guard for x in G):
+                G.append(g)
+        return G, crit._live_above_limit()
+
+    monkeypatch.setattr(groebner._Signatures, "take", take_all)
+    monkeypatch.setattr(groebner._Signatures, "_pick", pick_all)
+    monkeypatch.setattr(groebner._Signatures, "_within", within_all)
+    monkeypatch.setattr(groebner._Signatures, "result", result_all)
+
+
+def _signature_run(build):
+    # Every generator's signature, lead and tail, the basis kept, the
+    # counters and the truncation.
+    made = []
+    result = groebner._Signatures.result
+
+    def recorded(crit):
+        G, truncated = result(crit)
+        made.append(([(g.sig, g.lm, g.tail) for g in crit.f], [g.idx for g in G]))
+        return G, truncated
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner._Signatures, "result", recorded)
+        basis = build()
+    return made.pop(), basis.stats, basis.truncated_at
+
+
+def test_signature_level_matches_the_linear_scans(monkeypatch):
+    # Each term's reducers from the level are the generators that can
+    # divide it: their dividing ones, in order, are all those of the whole
+    # list, so the first regular divisor is the same.  The divisors a
+    # nonzero reduction skipped are every irregular divisor of its lead.
+    # The whole run, records, counters and truncation, equals the route
+    # with the linear scans.
+    seen = collections.Counter()
+    take, done = groebner._Signatures.take, groebner._Signatures.done
+
+    def checked_take(crit, key):
+        job = take(crit, key)
+        if job is None:
+            return None
+        terms, level, options = job
+        deg, guard, n = crit.pk.deg, crit.pk.guard, crit.inputs
+        seen["above"] += any(deg(g.lm) > crit.level for g in crit.f[:n])
+
+        def replayed(m):
+            got = list(level(m))
+            want = [g for g in crit.f if not (m - g.lm) & guard]
+            assert [g for g in got if not (m - g.lm) & guard] == want
+            seen["input lead"] += any(g.lm == m for g in crit.f[:n])
+            seen["equal lead"] += any(g.lm == m for g in crit.f[n:])
+            return got
+
+        return terms, replayed, options
+
+    def checked_done(crit, r):
+        if r:
+            m, (k, t), guard = min(r), crit.current, crit.pk.guard
+            want = [
+                g for g in crit.f if not (m - g.lm) & guard
+                and not (g.sig[0] < k or (g.sig[0] == k and g.sig[1] + m - g.lm > t))
+            ]
+            assert crit.skipped == want
+        done(crit, r)
+
+    for name, build in _level_cases():
+        with monkeypatch.context() as linear:
+            _linear_signatures(linear)
+            want = _signature_run(build)
+        with monkeypatch.context() as replay:
+            replay.setattr(groebner._Signatures, "take", checked_take)
+            replay.setattr(groebner._Signatures, "done", checked_done)
+            got = _signature_run(build)
+        assert got == want, name
+    # Some input lay above the level, some term was an input's lead, and
+    # some was the lead of a generator of the level's degree.
+    assert all(seen[what] > 0 for what in ("above", "input lead", "equal lead")), seen
+
+
+def test_signature_key_below_the_level_is_internal_error(monkeypatch):
+    # Signatures come in nondecreasing degree and the level's lookups rely
+    # on it: a key of lower degree after the first is a bug.
+    take = groebner._Signatures.take
+
+    def lowered(crit, key):
+        job = take(crit, key)
+        heapq.heappush(crit.heap, (key[0] - 1,) + key[1:])
+        return job
+
+    monkeypatch.setattr(groebner._Signatures, "take", lowered)
+    with pytest.raises(InternalError, match="below the level"):
+        verification_basis(FamilyParams.parse("2:(2,1)"))
 
 
 def _certificate(ring, witness, params=None):

@@ -107,6 +107,22 @@ def test_exponent_overflow_guard():
         p * p
 
 
+def test_exponents_refuse_non_integers():
+    # A float, str or bool exponent is refused, not truncated or parsed:
+    # once 1.9 read as 1, 2.5 as 2 and '1' as 1.
+    t = VariableTable.named(["a", "b"])
+    R = PolynomialRing(t, PrimeField(101))
+    for exps in ((1.9, True), (1, True), (2.5, "1"), (1, 1.0)):
+        with pytest.raises(ValidationError, match="integers"):
+            Monomial(t, exps)
+        with pytest.raises(ValidationError, match="integers"):
+            R.poly({exps: 1})
+    with pytest.raises(ValidationError, match="nonnegative"):
+        Monomial(t, (1, -1))
+    assert Monomial(t, iter((2, 1))).exps == (2, 1)
+    assert str(R.poly({(2, 1): 1})) == "a^2*b"
+
+
 # ----------------------------------------------------------- polynomials
 
 def test_poly_add_cancels():
@@ -230,6 +246,10 @@ def test_heapkey_consistent_with_key(rng):
 def test_order_permutation():
     order = MonomialOrder("lex", perm=(1, 0))
     assert order.key((3, 1)) < order.key((0, 2))  # y dominates after the swap
+    for perm in ((0.9, 1.2), (0, True), ("1", 0)):
+        with pytest.raises(ValidationError, match="integers"):
+            MonomialOrder("grevlex", perm)
+    assert MonomialOrder("grevlex", [1, 0]).perm == (1, 0)
 
 
 # --------------------------------------------------------------- parsing
