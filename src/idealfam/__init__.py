@@ -4,7 +4,7 @@ Construction of the parametrized families, socle-based depth-zero
 verification, Groebner bases, Hilbert series, and minimal graded free
 resolutions with Betti tables.
 
-The resolution layer (``idealfam.resolution`` and the eleven names below
+The resolution layer (``idealfam.resolution`` and the ten names below
 that it defines) loads on first use.  Only Betti tables need it, and a
 process that never resolves, such as the ``pd``, ``construct``, ``verify``
 and ``sweep`` commands, then never compiles it: where no bytecode cache is
@@ -85,7 +85,6 @@ _RESOLUTION_EXPORTS = frozenset({
     "reg_of",
     "resolve",
     "schreyer_resolution",
-    "syzygies",
 })
 
 

@@ -276,7 +276,10 @@ def cmd_betti(args) -> int:
     from .resolution import resolve
 
     limit = args.degree_limit
-    gb = buchberger(ideal, degree_limit=limit, pair_limit=args.pair_limit)
+    # The table holds for any Groebner basis; only a full one is worth reducing.
+    gb = buchberger(
+        ideal, degree_limit=limit, pair_limit=args.pair_limit, interreduce=limit is None
+    )
     table = resolve(gb, degree_limit=limit)
     report = {
         "betti": table.triples(),

@@ -5,25 +5,22 @@ The kernel works on raw data.  A monomial is one int, packed by a
 mask, and a smaller int is a larger monomial, so a heap of plain ints
 pops the largest term first.  A polynomial is a dict from packed
 monomials to nonzero coefficients, and a basis element is a monic `_Gen`
-record; inputs are homogeneous, so it keeps no degree or sugar.  A term
-of a free module carries its component in the lowest bits, and a module
-vector is a `_Gen` whose ``lm`` carries its component.  A term and any
-reducer of it share the component (and the Schreyer tower's shift of
-the monomial), so divisibility, shifts and S-polynomials treat both
-kinds alike.  Monomials are packed where kernel records are made from
-exponent tuples and unpacked only where they leave the kernel.
+record; inputs are homogeneous, so it keeps no degree or sugar.  The
+Schreyer tower of `idealfam.resolution` stores its module terms in the
+same records, the component in the low bits below the monomial, and
+uses `_spoly` and the packing's divisibility on them.  Monomials are
+packed where kernel records are made from exponent tuples and unpacked
+only where they leave the kernel.
 
-`_buchberger_kernel` is the one Buchberger loop, for ideals and for
-submodules of free modules, with two sets of pair criteria; the input
-picks one.  Without a degree limit (the full bases of the Betti tables,
-and every module) it takes Gebauer and Moeller's (`_GebauerMoeller`),
-which act on leading terms and leave full remainders; for modules they
-compare leads only within one component and use no product criterion.
-With a limit (the membership bases, truncated Betti tables) it takes the
-signature criteria (`_Signatures`, after F5 and GVW), which also use the
-syzygies the input is known to have and reduce once per signature, only
-the top term.  Each route measured faster on its side of that rule (see
-`_buchberger_kernel`).
+`_buchberger_kernel` is the one Buchberger loop, for ideals, with two
+sets of pair criteria; the input picks one.  Without a degree limit
+(the full bases of the Betti tables) it takes Gebauer and Moeller's
+(`_GebauerMoeller`), which act on leading terms and leave full
+remainders.  With a limit (the membership bases, truncated Betti
+tables) it takes the signature criteria (`_Signatures`, after F5 and
+GVW), which also use the syzygies the input is known to have and reduce
+once per signature, only the top term.  Each route measured faster on
+its side of that rule (see `_buchberger_kernel`).
 
 A :class:`GroebnerBasis` keeps the kernel's records as its one stored
 form: membership, normal forms, leading monomials and Hilbert numerators
@@ -68,27 +65,25 @@ class _Packing:
     last on top), ``low - (low << LW) - (deg << 2*LW)`` for grlex and
     ``low - (low << LW)`` for lex (the first on top).  The map is linear:
     a product is ``a + b``, a quotient ``b - a``, and ``a`` divides ``b``
-    exactly when ``(b - a) & guard`` is 0.  A module term ``m e_c`` is
-    ``(pack(m) << cw) + c``, so a smaller component is larger among equal
-    monomials (the Schreyer tie-break); from component ``tagged`` on, a
-    copy of ``c`` above the monomial and a tag bit above all order terms
-    position over term, below every untagged term.  ``bound(x)`` bounds the
-    exponents of a homogeneous vector with term ``x`` (for a module, graded
-    by ``twists``), and ``pack`` refuses a term whose bound exceeds
-    ``2**width - 1``; ``sparse({v: e})`` packs a ring monomial from its
-    nonzero exponents alone.
+    exactly when ``(b - a) & guard`` is 0.  ``pack`` refuses a monomial
+    whose degree exceeds ``2**width - 1``; ``sparse({v: e})`` packs a ring
+    monomial from its nonzero exponents alone.
+
+    A packing with ``components`` serves the Schreyer tower's module terms:
+    ``m e_c`` is ``(pack(m) << cw) + c``, so a smaller component is larger
+    among equal monomials (the Schreyer tie-break).  Its ``guard``, `deg`,
+    `unpack`, `quo` and `lcm` read the monomial above the ``cw`` component
+    bits, and ``x & cmask`` is the component.
     """
 
     __slots__ = (
-        "order", "nvars", "width", "components", "tagged", "twists", "module",
-        "maxdeg", "cw", "cmask", "guard", "offsets", "pack", "sparse", "unpack", "deg", "bound",
-        "quo", "lcm", "within",
+        "order", "nvars", "width", "components", "maxdeg", "cw", "cmask", "guard", "offsets",
+        "pack", "sparse", "unpack", "deg", "quo", "lcm", "within",
     )
 
-    def __init__(self, order, nvars, width, components=None, tagged=None, twists=None):
+    def __init__(self, order, nvars, width, components=None):
         self.order, self.nvars, self.width = order, nvars, width
-        self.components, self.tagged, self.twists = components, tagged, twists
-        self.module = module = components is not None
+        self.components = components
         self.maxdeg = maxdeg = (1 << width) - 1
         f = width + 1
         lw = nvars * f
@@ -99,15 +94,9 @@ class _Packing:
         ones = sum(1 << (k * f) for k in range(nvars))
         guard, top = ones << width, max(nvars - 1, 0) * f
         self.cw = cw = (components - 1).bit_length() if components else 0
-        self.cmask = cmask = (1 << cw) - 1
+        self.cmask = (1 << cw) - 1
         self.guard = guard << cw
         self.offsets = offsets
-        # Above every monomial (under 2*LW + width + 2 bits with its sign)
-        # the tagged components' copy, then the tag.
-        tagshift = cw + 2 * lw + f + 2
-        tag = 1 << (tagshift + cw + 1)
-        least = min(twists) if twists else 0
-        excess = [t - least for t in twists] if twists else None
 
         # The order terms of fields ``low``: `place` is given their total,
         # `item` sums them.  The fields' sum collects in the top field: no
@@ -131,21 +120,12 @@ class _Packing:
             def item(low):
                 return low - (low << lw)
 
-        def pack(t):
-            """Packed exponent tuple, ``exps + (comp,)`` for a module."""
-            exps, c = (t[:-1], t[-1]) if module else (t, 0)
-            if not 0 <= c <= cmask:
-                raise InternalError(f"component {c} outside the packing")
+        def pack(exps):
+            """Packed exponent tuple."""
             total = sum(exps)
-            bound = total + (excess[c] if excess else 0)
-            if bound > maxdeg:
-                raise _Overflow(bound)
-            x = place(sum(e << off for e, off in zip(exps, offsets)), total)
-            if not module:
-                return x
-            if tagged is not None and c >= tagged:
-                c += (c << tagshift) + tag
-            return (x << cw) + c
+            if total > maxdeg:
+                raise _Overflow(total)
+            return place(sum(e << off for e, off in zip(exps, offsets)), total)
 
         def sparse(powers):
             """Packed ring monomial ``{v: e}``: the time and the ints it makes
@@ -157,14 +137,10 @@ class _Packing:
 
         def unpack(x):
             low = (x >> cw) & lowmask
-            exps = tuple((low >> off) & fmask for off in offsets)
-            return exps + (x & cmask,) if module else exps
+            return tuple((low >> off) & fmask for off in offsets)
 
         def deg(x):
             return (((x >> cw) & lowmask) * ones >> top) & fmask
-
-        def bound(x):
-            return deg(x) + excess[x & cmask] if excess else deg(x)
 
         def quo(a, b):
             """Packed monomial lcm(a, b) / a of two terms of one component."""
@@ -191,7 +167,7 @@ class _Packing:
                     out.append(g)
             return out
 
-        self.pack, self.sparse, self.unpack, self.deg, self.bound = pack, sparse, unpack, deg, bound
+        self.pack, self.sparse, self.unpack, self.deg = pack, sparse, unpack, deg
         self.quo, self.lcm, self.within = quo, lcm, within
 
     def with_components(self, components):
@@ -210,8 +186,7 @@ class _Packing:
     def widened(self, degree):
         """A packing like this one whose fields hold ``degree``."""
         return _Packing(
-            self.order, self.nvars, max(2 * self.width, degree.bit_length()),
-            self.components, self.tagged, self.twists,
+            self.order, self.nvars, max(2 * self.width, degree.bit_length()), self.components
         )
 
     def pack_terms(self, terms):
@@ -391,18 +366,6 @@ def _spoly(f, g, pk, field, lcm=None):
     return acc
 
 
-def _reducers(gens, pk):
-    """`_reduce`'s lookup over ``gens`` in list order: all of them for an
-    ideal term, those whose lead shares its component for a module term."""
-    if not pk.module:
-        return lambda m: gens
-    cmask = pk.cmask
-    buckets = {}
-    for g in gens:
-        buckets.setdefault(g.lm & cmask, []).append(g)
-    return lambda m: buckets.get(m & cmask, ())
-
-
 def _interreduce(gens, pk, field):
     """One pass of mutual reduction in place; returns whether it changed.
 
@@ -419,8 +382,8 @@ def _interreduce(gens, pk, field):
         g = gens[a]
         t = {g.lm: one}
         t.update(g.tail)
-        others = _reducers(gens[:a] + gens[a + 1 :], pk)
-        r = _reduce(t, others, pk, field)
+        others = gens[:a] + gens[a + 1 :]
+        r = _reduce(t, lambda m: others, pk, field)
         if r == t:
             a += 1
             continue
@@ -440,16 +403,11 @@ def _chain_pairs(G, h, pk):
     non-dividing.  A pair (g, h) goes when lead(p) divides lcm(g, h) for a
     p later in the list or kept before g; this equals lcm(h, p) dividing
     lcm(g, h).  A coprime g makes no pair but is kept as a chain witness.
-    For module terms only the g in h's lead component take part, and a
-    coprime g makes a pair too: the product criterion does not hold there.
     Returns ``([(g, lcm), ...], product, chain)``: ``product`` and
     ``chain`` count the candidates each criterion dropped.
     """
     mh = h.lm
-    guard, lcm_of, module = pk.guard, pk.lcm, pk.module
-    if module:
-        c = mh & pk.cmask
-        G = [g for g in G if g.lm & pk.cmask == c]
+    guard, lcm_of = pk.guard, pk.lcm
     # The witnesses' leads: those later in G, then those kept before g.
     leads = [g.lm for g in G]
     kept, new = [], []
@@ -457,7 +415,7 @@ def _chain_pairs(G, h, pk):
     for k, g in enumerate(G):
         lm = leads[k]
         lcm = lcm_of(mh, lm)
-        if module or lcm != mh + lm:
+        if lcm != mh + lm:
             for p in leads[k + 1 :]:
                 if not (lcm - p) & guard:
                     break
@@ -479,7 +437,6 @@ def _b_filters(x, i, j, lcm, pk):
     """Whether generator x's arrival drops the pair (i, j) with that lcm."""
     return (
         not (lcm - x.lm) & pk.guard
-        and (x.lm & pk.cmask) == (lcm & pk.cmask)
         and pk.lcm(i.lm, x.lm) != lcm
         and pk.lcm(j.lm, x.lm) != lcm
     )
@@ -489,8 +446,8 @@ class _GebauerMoeller:
     """Pairs (i, j) of generators under the Gebauer-Moeller criteria.
 
     When a generator h arrives, the product criterion drops a new pair
-    (g, h) of an ideal whose leads are coprime, the chain criterion drops
-    a new pair (g, h) when another generator's lead divides lcm(g, h)
+    (g, h) whose leads are coprime, the chain criterion drops a new pair
+    (g, h) when another generator's lead divides lcm(g, h)
     (`_chain_pairs`), and the B-filter drops an old pair (i, j) when
     lead(h) divides lcm(i, j) and that lcm differs from both lcm(i, h) and
     lcm(j, h) (`_b_filters`).  Each pair's lcm is computed once, when the
@@ -499,11 +456,6 @@ class _GebauerMoeller:
     pair yields its S-polynomial, fully divided by the current
     lead-minimal generators G in list order.  No degree limit reaches
     this route, so every pair is queued and the basis is complete.
-
-    For a module packing, pairs, chain witnesses, B-filters, the pruning
-    of G and every division stay within one lead component, and coprime
-    leads still make a pair: the product criterion is unsound for
-    modules.  An lcm's degree for selection counts the component index.
     """
 
     COUNTERS = ("pairs", "product", "chain", "b_filter", "reductions", "zero_reductions")
@@ -528,7 +480,7 @@ class _GebauerMoeller:
         new, product, chained = _chain_pairs(G, h, pk)
         stats["product"] += product
         stats["chain"] += chained
-        hl, guard, cmask, deg = h.lm, pk.guard, pk.cmask, pk.deg
+        hl, guard, deg = h.lm, pk.guard, pk.deg
         f = self.f
         # Most live pairs fail the divisibility test that opens the B-filter.
         dropped = [
@@ -543,8 +495,8 @@ class _GebauerMoeller:
         for g, lcm in new:
             pair = (g.idx, h.idx)
             pairs[pair] = lcm
-            heapq.heappush(self.heap, (deg(lcm) + (lcm & cmask), lcm, pair))
-        G = [g for g in G if (g.lm - hl) & guard or (g.lm & cmask) != (hl & cmask)]
+            heapq.heappush(self.heap, (deg(lcm), lcm, pair))
+        G = [g for g in G if (g.lm - hl) & guard]
         G.append(h)
         self.G = G
 
@@ -555,12 +507,12 @@ class _GebauerMoeller:
         lcm = self.pairs.pop(key[-1], None)
         if lcm is None:
             return None
-        pk = self.pk
-        bound = pk.bound(lcm)
-        if bound > pk.maxdeg:
-            raise _Overflow(bound)
+        pk, G = self.pk, self.G
+        d = pk.deg(lcm)
+        if d > pk.maxdeg:
+            raise _Overflow(d)
         i, j = key[-1]
-        return _spoly(self.f[i], self.f[j], pk, self.field), _reducers(self.G, pk), {}
+        return _spoly(self.f[i], self.f[j], pk, self.field), lambda m: G, {}
 
     def done(self, r):
         """Add the remainder ``r`` of the last pair taken, unless it is zero."""
@@ -871,35 +823,32 @@ def _buchberger_kernel(
 ):
     """Groebner basis of homogeneous term dicts; returns (gens, truncated, pk, stats).
 
-    The inputs map exponent tuples (``exps + (comp,)`` for module vectors)
-    to coefficients and are packed in ``pk``.  Every term a pair's
-    reduction forms has the degree of the pair's lcm, so one bound check
-    per selected pair keeps every exponent in its field; a pair above the
-    bound raises `_Overflow`, and callers rerun the kernel on a wider
-    packing (`_widening`).
+    The inputs map exponent tuples to coefficients and are packed in
+    ``pk``.  Every term a pair's reduction forms has the degree of the
+    pair's lcm, so one bound check per selected pair keeps every exponent
+    in its field; a pair above the bound raises `_Overflow`, and callers
+    rerun the kernel on a wider packing (`_widening`).
 
     One loop takes the next queued entry, divides what it yields with
     `_reduce` and hands the remainder back; the input picks the criteria
     that make, drop and answer the entries.  Without ``degree_limit`` they
     are Gebauer and Moeller's (`_GebauerMoeller`), with full remainders.
-    With one, which only an ideal may have, they are the signature
-    criteria (`_Signatures`): one reduction per signature, top term only,
-    by regular reducers.  Each route measured faster on its side, with
-    equal reduced bases (raw, a shared 2-core host): without a limit the
-    eight ``resolve`` bases take 48-49 ms in all on Gebauer-Moeller
-    against 63-66 ms on signatures at their top degree and interreduction
-    (best of 11); with one, 3:(2,1) at 13 took 200 ms on signatures
-    against 298 on a truncated Gebauer-Moeller, and 2:(4,2,1) at 23 1.43 s
-    against 2.24 (medians).  Those two now take 187-193 ms and 1.43-1.45 s,
-    nearly all of it the final interreduction: the loop alone takes 9 and
-    28 ms.  A limit at or above a basis's top degree trades back:
-    2:(2,1,2) at 42 or 60 takes 48-58 ms on signatures, 36-42 on
-    Gebauer-Moeller (best of 11).  Both select by least lcm degree; the
-    input is homogeneous, so that is sugar selection (Giovini et al., "One
-    sugar cube, please", ISSAC 1991), and records keep no sugar.
-    ``pair_limit`` bounds the queued pairs or signatures.  ``truncated``
-    has one rule, `_Signatures`': a signature above the limit was left out
-    that no criterion drops in the finished run.
+    With one they are the signature criteria (`_Signatures`): one
+    reduction per signature, top term only, by regular reducers.  Each
+    route measured faster on its side, with equal reduced bases (raw, a
+    shared 2-core host, best of 11): without a limit the eight ``resolve``
+    bases take 24-25 ms in all on Gebauer-Moeller against 29-30 ms on
+    signatures at their top degree and interreduction, which also flag
+    every one of them truncated; with one, 3:(2,1) at 13 took 200 ms on
+    signatures against 298 on a truncated Gebauer-Moeller, and 2:(4,2,1)
+    at 23 1.43 s against 2.24 (medians).  Nearly all of those two is the
+    final interreduction: the loop alone takes 9 and 28 ms.  Both select
+    by least lcm degree; the input is homogeneous, so that is sugar
+    selection (Giovini et al., "One sugar cube, please", ISSAC 1991), and
+    records keep no sugar.  ``pair_limit`` bounds the queued pairs or
+    signatures.  ``truncated`` has one rule, `_Signatures`': a signature
+    above the limit was left out that no criterion drops in the finished
+    run.
 
     With ``interreduce`` the result is the unique reduced basis; without
     it the basis is only lead-minimal, which membership tests do not
@@ -908,13 +857,11 @@ def _buchberger_kernel(
     by each criterion, and the candidates above ``degree_limit`` (the
     route's ``COUNTERS``).
     """
-    if degree_limit is not None and pk.module:
-        raise InternalError("a module basis takes no degree limit")
     f = []
     for t in inputs:
         if t:
             terms = pk.pack_terms(t.items())
-            if len({pk.bound(x) for x in terms}) != 1:
+            if len({pk.deg(x) for x in terms}) != 1:
                 raise InternalError("a kernel input is not homogeneous")
             f.append(_make_gen(terms, field, 0))
     # Input leads may divide each other, so reduce until nothing changes.

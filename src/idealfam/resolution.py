@@ -1,4 +1,4 @@
-"""Minimal graded free resolutions, Betti tables, and syzygies.
+"""Minimal graded free resolutions and Betti tables.
 
 The resolution pipeline: a reduced Groebner basis of the ideal seeds a
 chain of syzygy modules.  Reducing the S-vector of a pair of basis
@@ -26,8 +26,6 @@ are the full records'.  A term goes to the dividing record with the
 shortest such tail, the smaller index among equal lengths: any dividing
 record gives a syzygy with the same lead, so the records depend on the
 choice and the frame, ranks and Betti table do not (Erocal et al.).
-`syzygies` of an arbitrary presentation matrix runs the groebner
-module's one Buchberger loop, `_buchberger_kernel`, on module vectors.
 The tower's packed records are the chain a resolution keeps; exponent
 tuples are made on demand.
 The resulting graded complex F is generally non-minimal.  Its Betti
@@ -52,17 +50,14 @@ from .groebner import (
     GroebnerBasis,
     HilbertNumerator,
     IdealPresentation,
-    _buchberger_kernel,
     _check_limits,
     _Gen,
     _Overflow,
-    _Packing,
     _spoly,
     _widening,
-    _width,
     buchberger,
 )
-from .ring import Polynomial, PolynomialRing, PrimeField
+from .ring import Polynomial, PrimeField
 
 DEFAULT_LEVEL_MARGIN = 6
 
@@ -787,9 +782,11 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
     which only a basis that is not reduced has, keep their element order.
     A truncated basis needs a ``degree_limit`` of at most its
     ``truncated_at``.  With a limit, level 1 keeps only the basis records
-    of degree at most the limit, and the table is exact up to it.  A
-    ``degree_limit`` below 1, a negative ``level_cap`` or one that is not
-    an int raises `ValidationError`.
+    of degree at most the limit, and the table is exact up to it.  An
+    ideal with a limit gets a lead-minimal basis, not the reduced one: the
+    table holds for any Groebner basis, and the final interreduction would
+    be most of the basis's cost.  A ``degree_limit`` below 1, a negative
+    ``level_cap`` or one that is not an int raises `ValidationError`.
     """
     _check_limits(degree_limit=degree_limit, level_cap=level_cap)
     if isinstance(source, GroebnerBasis):
@@ -800,7 +797,9 @@ def schreyer_resolution(source, *, degree_limit=None, level_cap=None) -> FreeRes
                 f"a basis truncated at degree {cut} needs a degree_limit <= {cut}"
             )
     elif isinstance(source, IdealPresentation):
-        gb = buchberger(source, degree_limit=degree_limit)
+        gb = buchberger(
+            source, degree_limit=degree_limit, interreduce=degree_limit is None
+        )
     else:
         raise ValidationError("expected an IdealPresentation or GroebnerBasis")
     ring = gb.ring
@@ -847,59 +846,3 @@ def hilbert_crosscheck(table: BettiTable, numerator: HilbertNumerator) -> bool:
     acc = {j: c for j, c in acc.items() if c}
     return acc == numerator.as_dict()
 
-
-# ---------------------------------------------------------------------------
-# general syzygies of an arbitrary presentation matrix
-
-def syzygies(M: PresentationMatrix) -> PresentationMatrix:
-    """Generators of the kernel of a homogeneous presentation matrix.
-
-    The columns, each augmented with a unit tag, go through the groebner
-    kernel as module vectors, under an order in which every untagged term
-    dominates every tagged one: the packing's tag (`_Packing`).  The basis
-    vectors supported entirely on the tags generate the syzygies.  They
-    are a generating set, not a basis: their number depends on the
-    kernel's pair criteria.
-    """
-    ring = M.ring
-    field = ring.field
-    t = M.target.rank
-    zero_exps = (0,) * ring.nvars
-
-    elements = []
-    for c, col in enumerate(M.columns):
-        el = {}
-        for r, p in col.items():
-            for e, cf in p.terms:
-                el[e + (r,)] = cf
-        el[zero_exps + (t + c,)] = field.one
-        elements.append(el)
-
-    pk = _Packing(
-        ring.order, ring.nvars, _width(0), components=t + M.source.rank, tagged=t,
-        twists=M.target.twists + M.source.twists,
-    )
-    basis, _, pk, _ = _widening(lambda pk: _buchberger_kernel(elements, pk, field), pk)
-    # A basis vector whose lead is tagged is all tagged: every untagged
-    # term comes before every tagged one.
-    syz = [b for b in basis if b.lm & pk.cmask >= t]
-
-    twists = []
-    columns = []
-    for b in syz:
-        grouped = {}
-        for m, cf in ((b.lm, field.one),) + b.tail:
-            m = pk.unpack(m)
-            grouped.setdefault(m[-1] - t, {})[m[:-1]] = cf
-        degset = {
-            M.source.twists[comp] + sum(e) for comp, p in grouped.items() for e in p
-        }
-        if len(degset) != 1:
-            # The entries are homogeneous (PresentationMatrix checks them)
-            # and S-vectors and reductions keep that, so this is a bug.
-            raise InternalError("syzygy column is not homogeneous")
-        twists.append(degset.pop())
-        columns.append({comp: ring.poly(p) for comp, p in grouped.items()})
-    return PresentationMatrix(
-        ring, GradedFreeModule(tuple(twists)), M.source, columns
-    )

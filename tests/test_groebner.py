@@ -28,12 +28,10 @@ from idealfam import (
     lemma_targets,
     mccullough_ideal,
     mccullough_witness,
-    minimal_free_resolution,
     normal_form,
     s_polynomial,
     schreyer_resolution,
     socle_witness,
-    syzygies,
     verification_basis,
     verification_degree,
     verify_lemma,
@@ -135,49 +133,6 @@ def test_all_s_pairs_reduce_to_zero():
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             assert not G.normal_form(s_polynomial(elems[i], elems[j]))
-
-
-def _random_module_vectors(rng, nvars, rank):
-    """Homogeneous vectors of R^rank in the kernel's ``exps + (comp,)`` terms."""
-    vectors = []
-    for _ in range(rng.choice((2, 3, 4, 5))):
-        degree = rng.choice((1, 2, 3))
-        v = {}
-        for comp in range(rank):
-            if rng.random() < 0.6:
-                for _ in range(rng.randrange(1, 3)):
-                    exps = [0] * nvars
-                    for _ in range(degree):
-                        exps[rng.randrange(nvars)] += 1
-                    v[tuple(exps) + (comp,)] = rng.randrange(1, 101)
-        if v:
-            vectors.append(v)
-    return vectors
-
-
-def test_module_basis_is_groebner(rng):
-    # The kernel on module vectors must pair, chain-test, B-filter, prune
-    # and divide within one lead component; every same-component S-vector
-    # and every input then reduces to zero.
-    field = PrimeField(101)
-    order = MonomialOrder("grevlex")
-    for _ in range(200):
-        nvars, rank = rng.choice((2, 3)), rng.choice((2, 3, 4))
-        # Term over position, or position over term (every component tagged).
-        tagged = rng.choice((None, 0))
-        pk = groebner._Packing(order, nvars, 8, components=rank, tagged=tagged)
-        vectors = _random_module_vectors(rng, nvars, rank)
-        basis, _, pk, _ = groebner._buchberger_kernel(vectors, pk, field)
-        reducers = groebner._reducers(basis, pk)
-
-        def remainder(terms):
-            return groebner._reduce(terms, reducers, pk, field, full=False)
-
-        for a, f in enumerate(basis):
-            for g in basis[a + 1 :]:
-                if f.lm & pk.cmask == g.lm & pk.cmask:
-                    assert not remainder(groebner._spoly(f, g, pk, field))
-        assert not any(remainder(pk.pack_terms(v.items())) for v in vectors)
 
 
 def _reordered(ideal, rng):
@@ -495,14 +450,11 @@ def _chain_pairs_any(G, h, pk):
     # of the later generators and the kept ones.
     mh = h.lm
     guard = pk.guard
-    if pk.module:
-        c = mh & pk.cmask
-        G = [g for g in G if g.lm & pk.cmask == c]
     kept, new = [], []
     chained = 0
     for k, g in enumerate(G):
         lcm = pk.lcm(mh, g.lm)
-        if pk.module or lcm != mh + g.lm:
+        if lcm != mh + g.lm:
             if any(not (lcm - p.lm) & guard for p in chain(islice(G, k + 1, None), kept)):
                 chained += 1
                 continue
@@ -513,8 +465,8 @@ def _chain_pairs_any(G, h, pk):
 
 def test_chain_pairs_loops_match_the_any_formulation(monkeypatch):
     # Every (G, h) the kernel passes on the eight bases of the benchmark's
-    # resolve workload and a module input of `syzygies` gives the same
-    # pairs in the same order and the same two counts on both routes.
+    # resolve workload gives the same pairs in the same order and the same
+    # two counts on both routes.
     calls = []
     chain_pairs = groebner._chain_pairs
 
@@ -530,12 +482,9 @@ def test_chain_pairs_loops_match_the_any_formulation(monkeypatch):
         *(caviglia_ideal(d) for d in range(3, 8)),
     ):
         buchberger(ideal)
-    syzygies(minimal_free_resolution(build_ideal(FamilyParams.parse("2:(2,1)"))).matrices[1])
-    kinds = set()
+    assert calls
     for G, h, pk in calls:
         assert chain_pairs(G, h, pk) == _chain_pairs_any(G, h, pk)
-        kinds.add(pk.module)
-    assert kinds == {False, True}
 
 
 VERIFY_SPECS = ("2:(2,2,2)", "3:(2,1)", "4:(2)", "2:(4,3)", "2:(4,2,1)", "2:(2,3,4)")
@@ -1073,15 +1022,6 @@ def test_kernel_rejects_inhomogeneous_input():
         groebner._buchberger_kernel([{(2, 0): 1, (0, 1): 1}], pk, R.field)
 
 
-def test_kernel_refuses_a_degree_limit_on_a_module():
-    # A limit picks the signature route, which has no module form, and
-    # `syzygies` passes none: a module with a limit is a caller's bug.
-    R = small_ring()
-    pk = groebner._Packing(R.order, R.nvars, 8, components=2)
-    with pytest.raises(InternalError, match="no degree limit"):
-        groebner._buchberger_kernel([{(1, 0, 0): 1}], pk, R.field, degree_limit=3)
-
-
 def test_hilbert_kernel_base_cases():
     # No generators: the zero ideal, numerator 1.  A degree-0 generator:
     # the unit ideal, numerator 0.
@@ -1238,18 +1178,10 @@ def _schreyer_key(order, t):
     return order.heapkey(t[:-1]) + (t[-1],)
 
 
-def _tagged_key(order, tagged, t):
-    # The tuple route of `syzygies`: untagged terms term over position,
-    # tagged ones position over term and below every untagged one.
-    if t[-1] < tagged:
-        return (0, order.heapkey(t[:-1]), (t[-1],))
-    return (1, (t[-1],), order.heapkey(t[:-1]))
-
-
 def test_packed_monomials_match_tuples(rng):
     # The packed fast path against the tuple definitions it replaced:
     # round trip, divisibility, lcm, products, the heap order against
-    # MonomialOrder.key, and the module orders.
+    # MonomialOrder.key, and the Schreyer order of the tower's module terms.
     for order in PACKED_ORDERS:
         for width in (1, 2, 3, 5, 8):
             pk = groebner._Packing(order, 4, width)
@@ -1274,24 +1206,24 @@ def test_packed_monomials_match_tuples(rng):
                 if sum(a) + sum(b) <= maxdeg:
                     assert pa + pb == pk.pack(tuple(map(sum, zip(a, b))))
 
+            # A module term as the tower builds it: the packed monomial
+            # above the component bits.
             mod = groebner._Packing(order, 4, width, components=5)
-            tag = groebner._Packing(order, 4, width, components=5, tagged=2)
+            cw = mod.cw
             for _ in range(300):
                 a = _random_exps(rng, 4, maxdeg) + (rng.randrange(5),)
                 b = _random_exps(rng, 4, maxdeg) + (rng.choice((a[-1], rng.randrange(5))),)
-                for pk, key in (
-                    (mod, lambda t: _schreyer_key(order, t)),
-                    (tag, lambda t: _tagged_key(order, 2, t)),
-                ):
-                    pa, pb = pk.pack(a), pk.pack(b)
-                    assert pk.unpack(pa) == a and pa & pk.cmask == a[-1]
-                    if a != b:
-                        assert (pa < pb) == (key(a) < key(b))
-                    if a[-1] == b[-1]:
-                        divides = all(x <= y for x, y in zip(a[:-1], b[:-1]))
-                        assert (not (pb - pa) & pk.guard) == divides
-                        lcm = tuple(map(max, a, b))
-                        assert pk.unpack(pk.lcm(pa, pb)) == lcm
+                pa = (mod.pack(a[:-1]) << cw) + a[-1]
+                pb = (mod.pack(b[:-1]) << cw) + b[-1]
+                assert (mod.unpack(pa), pa & mod.cmask) == (a[:-1], a[-1])
+                if a != b:
+                    assert (pa < pb) == (_schreyer_key(order, a) < _schreyer_key(order, b))
+                if a[-1] == b[-1]:
+                    divides = all(x <= y for x, y in zip(a[:-1], b[:-1]))
+                    assert (not (pb - pa) & mod.guard) == divides
+                    lcm = tuple(map(max, a, b))
+                    plcm = mod.lcm(pa, pb)
+                    assert (mod.unpack(plcm), plcm & mod.cmask) == (lcm[:-1], lcm[-1])
 
 
 def test_packing_never_wraps():
@@ -1305,10 +1237,6 @@ def test_packing_never_wraps():
         pk.sparse({0: 2, 2: 2})
     wide = pk.widened(9)
     assert wide.maxdeg >= 9 and wide.unpack(wide.pack((1, 4, 4))) == (1, 4, 4)
-    twisted = groebner._Packing(MonomialOrder(), 3, 2, components=2, twists=(0, 2))
-    twisted.pack((3, 0, 0, 0))
-    with pytest.raises(groebner._Overflow):
-        twisted.pack((2, 0, 0, 1))  # degree 2 in the twist-2 component
 
 
 def test_tiny_fields_repack_to_the_same_answers(monkeypatch):
@@ -1335,14 +1263,11 @@ def test_tiny_fields_repack_to_the_same_answers(monkeypatch):
             res = schreyer_resolution(H)
             step("tower")
             mres = res.minimalize()
-            syz = syzygies(mres.matrices[0])
-            step("syzygies")
             out.append((
                 G.elements,
                 res.betti(),
                 [m.rank for m in res.modules],
                 [m.columns for m in mres.matrices],
-                syz.columns,
             ))
         params = FamilyParams.parse("2:(1,1)")
         basis = verification_basis(params)
@@ -1370,4 +1295,4 @@ def test_tiny_fields_repack_to_the_same_answers(monkeypatch):
     monkeypatch.setattr(groebner._Packing, "widened", counted)
     monkeypatch.setattr(groebner, "_MIN_WIDTH", 1)
     assert answers() == want
-    assert all(seen[name] for name in ("buchberger", "tower", "syzygies", "membership"))
+    assert all(seen[name] for name in ("buchberger", "tower", "membership"))

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name, whether its layer
 loads at import or on first use."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -85,7 +86,6 @@ EXPORTS = {
         "reg_of",
         "resolve",
         "schreyer_resolution",
-        "syzygies",
     ],
 }
 
@@ -152,3 +152,27 @@ def test_source_lines_fit_in_100_columns():
         if len(line) > 100
     ]
     assert long == []
+
+
+def test_every_source_import_is_used():
+    # A name a module imports and never reads, left over when its last
+    # caller went.  The package's own imports are its re-exports.
+    src = Path(idealfam.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exempt = set(idealfam.__all__) if path.name == "__init__.py" else set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name not in used and name not in exempt
+            ]
+    assert unused == []

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import heapq
+import json
 import random
 import warnings
 import pytest
@@ -34,18 +35,21 @@ from idealfam import (
     resolve,
     schreyer_resolution,
     socle_witness,
-    syzygies,
     variable_count,
     verify_socle,
     verify_socle_ideal,
 )
-from idealfam import groebner, resolution
+from idealfam import cli, groebner, resolution
 
 from conftest import random_homogeneous, small_ring
 
 
 def _ideal(R, *polys):
     return IdealPresentation(R, list(polys))
+
+
+def _family(text, **kw):
+    return lambda: build_ideal(FamilyParams.parse(text), **kw)
 
 
 # ------------------------------------------------------------- betti type
@@ -216,6 +220,51 @@ def test_degree_truncated_resolution_marks_and_matches():
                     assert part.truncated_at == limit
 
 
+# The truncated tables tier-1 computes elsewhere, and three whose reduced
+# basis is mostly its final interreduction.
+TRUNCATED_CASES = {
+    "2:(4,2,1) to 23": (_family("2:(4,2,1)"), 23),
+    "3:(2,1) to 13": (_family("3:(2,1)"), 13),
+    "2:(3,1) to 15": (_family("2:(3,1)"), 15),
+    "2:(3,1) to 10": (_family("2:(3,1)"), 10),
+    "2:(2,1) to 12": (_family("2:(2,1)"), 12),
+    "caviglia(3) to 6": (lambda: caviglia_ideal(3), 6),
+    "caviglia(4) to 13": (lambda: caviglia_ideal(4), 13),
+    "caviglia(4) over F_101 to 9": (lambda: caviglia_ideal(4, PrimeField(101)), 9),
+    "mccullough(2,1,3) to 7": (lambda: mccullough_ideal(2, 1, 3), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED_CASES))
+def test_truncated_table_needs_no_reduced_basis(name, monkeypatch, capsys):
+    # An ideal resolved with a limit, in the library and in `betti
+    # --degree-limit`, gets a lead-minimal basis, and the table of the
+    # reduced basis.
+    make, limit = TRUNCATED_CASES[name]
+    ideal = make()
+    reduced = buchberger(ideal, degree_limit=limit)
+    want = schreyer_resolution(reduced, degree_limit=limit).betti()
+    bases = []
+
+    def recorded(*args, **kwargs):
+        bases.append(groebner.buchberger(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(resolution, "buchberger", recorded)
+    got = schreyer_resolution(ideal, degree_limit=limit).betti()
+    [gb] = bases
+    assert not gb.reduced and gb.leading_monomials() == reduced.leading_monomials()
+    assert got == want and got.truncated_at == want.truncated_at
+    if name[0].isdigit():
+        monkeypatch.setattr(cli, "buchberger", recorded)
+        spec = name.partition(" ")[0]
+        assert cli.main(["betti", spec, "--degree-limit", str(limit), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert not bases[-1].reduced
+        assert report["betti"] == [list(t) for t in want.triples()]
+        assert report["truncated_at"] == want.truncated_at
+
+
 def test_truncated_basis_resolves_only_within_its_truncation():
     # A basis truncated at degree 5 lacks elements above it: a tower with
     # no limit, or with one above 5, would meet S-vectors that do not
@@ -268,10 +317,6 @@ def test_betti_of_nonminimal_equals_minimalized():
     table = nonmin.betti()
     assert sum(table.totals()) < sum(m.rank for m in nonmin.modules)
     assert table == _counted(nonmin) == nonmin.minimalize().betti()
-
-
-def _family(text, **kw):
-    return lambda: build_ideal(FamilyParams.parse(text), **kw)
 
 
 RANK_CASES = {
@@ -339,104 +384,127 @@ def test_long_family_instance_2_213():
     assert hilbert_crosscheck(table, gb.hilbert_numerator())
 
 
-# --------------------------------------------------------------- syzygies
+# ------------------------------------------------ exactness at F_1
 
-def test_syzygy_of_koszul_pair():
-    R = small_ring()
-    x, y = R.variable("x"), R.variable("y")
-    M = PresentationMatrix(
-        R, GradedFreeModule((1, 1)), GradedFreeModule((0,)), [{0: x}, {0: y}]
-    )
-    S = syzygies(M)
-    assert S.source.rank == 1
-    assert S.source.twists == (2,)
-    col = {r: str(S.entry(r, 0)) for r in range(2)}
-    assert col in ({0: "y", 1: "32002*x"}, {0: "32002*y", 1: "x"})
-    assert M.composes_to_zero(S)
+def _module_terms(P):
+    """The columns of a presentation matrix as dicts ``{(row, exps): coeff}``."""
+    return [{(r, e): c for r, p in col.items() for e, c in p.terms} for col in P.columns]
 
 
-def test_syzygy_composition_identity():
-    R = small_ring()
-    x, y = R.variable("x"), R.variable("y")
-    polys = [x * x, x * y + y * y, y**3]
-    M = PresentationMatrix(
-        R,
-        GradedFreeModule(tuple(p.degree() for p in polys)),
-        GradedFreeModule((0,)),
-        [{0: p} for p in polys],
-    )
-    S = syzygies(M)
-    assert S.source.rank >= 2
-    assert M.composes_to_zero(S)
-    # and the syzygies of the syzygies still compose to zero
-    S2 = syzygies(S)
-    assert S.composes_to_zero(S2)
+def _pot_key(order):
+    """Position over term: a smaller row is the larger term, then the order."""
+    return lambda t: (-t[0], order.key(t[1]))
 
 
-def test_syzygy_of_nonzerodivisor_is_zero():
-    R = small_ring()
-    x, y = R.variable("x"), R.variable("y")
-    M = PresentationMatrix(
-        R, GradedFreeModule((2,)), GradedFreeModule((0,)), [{0: x * x + y * y}]
-    )
-    assert syzygies(M).source.rank == 0
+def _top_reduced(v, basis, key, field):
+    """``v`` less multiples of the monic ``(lead, vector)`` records of
+    ``basis`` until no lead in its row divides its leading term."""
+    v = dict(v)
+    while v:
+        lead = max(v, key=key)
+        row, m = lead
+        for (brow, bm), b in basis:
+            if brow == row and all(x <= y for x, y in zip(bm, m)):
+                break
+        else:
+            return v
+        c = v[lead]
+        shift = [y - x for x, y in zip(bm, m)]
+        for (r, e), c2 in b.items():
+            t = (r, tuple(x + y for x, y in zip(e, shift)))
+            val = field.sub(v.get(t, field.zero), field.mul(c, c2))
+            if val == field.zero:
+                v.pop(t, None)
+            else:
+                v[t] = val
+    return v
 
 
-def _module_vectors(P):
-    """The columns of a presentation matrix as kernel term dicts."""
-    return [
-        {e + (r,): c for r, p in col.items() for e, c in p.terms} for col in P.columns
+def _module_groebner(vectors, twists, order, field):
+    """A Groebner basis of the submodule ``vectors`` generate, as monic
+    ``(lead, vector)`` records: plain Buchberger with no pair criteria,
+    pairs of one lead row taken by least twisted lcm degree."""
+    key = _pot_key(order)
+    basis, pairs = [], []
+
+    def add(v):
+        v = _top_reduced(v, basis, key, field)
+        if not v:
+            return
+        lead = max(v, key=key)
+        inv = field.inv(v[lead])
+        k = len(basis)
+        for i, ((row, m), _) in enumerate(basis):
+            if row == lead[0]:
+                lcm = tuple(map(max, m, lead[1]))
+                heapq.heappush(pairs, (twists[row] + sum(lcm), i, k, lcm))
+        basis.append((lead, {t: field.mul(c, inv) for t, c in v.items()}))
+
+    def multiple(b, lcm):
+        (row, m), vec = b
+        shift = [x - y for x, y in zip(lcm, m)]
+        return {(r, tuple(x + y for x, y in zip(e, shift))): c for (r, e), c in vec.items()}
+
+    for v in vectors:
+        add(v)
+    while pairs:
+        _, i, k, lcm = heapq.heappop(pairs)
+        s = multiple(basis[i], lcm)
+        for t, c in multiple(basis[k], lcm).items():
+            val = field.sub(s.get(t, field.zero), c)
+            if val == field.zero:
+                s.pop(t, None)
+            else:
+                s[t] = val
+        add(s)
+    return basis
+
+
+def _spans(vectors, basis, order, field):
+    """Whether every vector lies in the submodule a Groebner ``basis`` spans."""
+    return not any(_top_reduced(v, basis, _pot_key(order), field) for v in vectors)
+
+
+def _assert_exact_at_f1(d1, d2):
+    """ker d_1 and the columns of d_2 generate each other.  The columns of
+    d_1 go into Buchberger tagged by unit vectors in rows below its target,
+    so the basis records in the tag rows are a Groebner basis of ker d_1."""
+    ring, t = d1.ring, d1.target.rank
+    order, field = ring.order, ring.field
+    unit = (0,) * ring.nvars
+    tagged = [{**v, (t + c, unit): field.one} for c, v in enumerate(_module_terms(d1))]
+    basis = _module_groebner(tagged, d1.target.twists + d1.source.twists, order, field)
+    kernel = [
+        ((row - t, m), {(r - t, e): c for (r, e), c in v.items()})
+        for (row, m), v in basis if row >= t
     ]
+    # A record whose lead is in a tag row has every term there.
+    assert all(r >= t for (row, _), v in basis if row >= t for r, _ in v)
+    image = _module_terms(d2)
+    assert _spans(image, kernel, order, field)
+    image_basis = _module_groebner(image, d2.target.twists, order, field)
+    assert _spans([v for _, v in kernel], image_basis, order, field)
 
 
-def _generates_within(P, Q):
-    """Whether every column of P lies in the submodule Q's columns generate.
-
-    Q's columns go through the groebner kernel under a term-over-position
-    order; a column is a member when same-component division by that
-    module basis leaves no remainder.
-    """
-    field = Q.ring.field
-    pk = groebner._Packing(
-        Q.ring.order, Q.ring.nvars, 8, components=Q.target.rank, twists=Q.target.twists
-    )
-    basis, _, pk, _ = groebner._buchberger_kernel(_module_vectors(Q), pk, field)
-    reducers = groebner._reducers(basis, pk)
-    return all(
-        not groebner._reduce(pk.pack_terms(v.items()), reducers, pk, field, full=False)
-        for v in _module_vectors(P)
-    )
+# 2:(3,1) and mccullough(3,1,3), 53 columns of d_2 each, are left out:
+# the check takes about 10 s on each.
+EXACTNESS_CASES = {
+    "2:(1,1)": _family("2:(1,1)"),
+    "2:(2,1)": _family("2:(2,1)"),
+    **{f"caviglia({d})": (lambda d=d: caviglia_ideal(d)) for d in (3, 4, 5)},
+    "mccullough(2,1,3)": lambda: mccullough_ideal(2, 1, 3),
+    "mccullough(2,2,3)": lambda: mccullough_ideal(2, 2, 3),
+    "mccullough(2,1,4)": lambda: mccullough_ideal(2, 1, 4),
+}
 
 
-def test_syzygies_of_the_2_31_generator_row():
-    # The module kernel's pair criteria make this a tier-1 test; plain
-    # Buchberger on module vectors ran for minutes here.
-    mres = minimal_free_resolution(build_ideal(FamilyParams.parse("2:(3,1)")))
-    M, second = mres.matrices[0], mres.matrices[1]
-    S = syzygies(M)
-    assert M.composes_to_zero(S)
-    assert _generates_within(S, second)
-    assert _generates_within(second, S)
-
-
-def test_syzygies_reports_a_non_homogeneous_column_as_a_bug(monkeypatch):
-    # Homogeneous entries give homogeneous syzygies, so a mixed-degree
-    # column is an internal failure, not invalid input.
-    R = small_ring()
-    x, y = R.variable("x"), R.variable("y")
-    M = PresentationMatrix(
-        R, GradedFreeModule((1, 1)), GradedFreeModule((0,)), [{0: x}, {0: y}]
-    )
-    kernel = resolution._buchberger_kernel
-
-    def mixed_degrees(*args, **kwargs):
-        basis, truncated, pk, stats = kernel(*args, **kwargs)
-        basis[-1].tail += ((pk.pack((0, 0, 1)), R.field.one),)
-        return basis, truncated, pk, stats
-
-    monkeypatch.setattr(resolution, "_buchberger_kernel", mixed_degrees)
-    with pytest.raises(InternalError):
-        syzygies(M)
+@pytest.mark.parametrize("name", sorted(EXACTNESS_CASES))
+def test_minimal_resolution_is_exact_at_f1(name):
+    # The minimal d_2's columns generate ker d_1, by a module Buchberger
+    # that shares no code with the tower.
+    d1, d2 = minimal_free_resolution(EXACTNESS_CASES[name]()).matrices[:2]
+    assert d1.composes_to_zero(d2)
+    _assert_exact_at_f1(d1, d2)
 
 
 def test_presentation_matrix_validation():
@@ -492,8 +560,6 @@ def test_resolution_under_other_orders(name):
     table = mres.betti()
     assert hilbert_crosscheck(table, gb.hilbert_numerator())
     assert table == resolve(grevlex)
-    M = mres.matrices[0]
-    assert M.composes_to_zero(syzygies(M))
 
 
 DIFFERENTIAL = {
@@ -850,9 +916,13 @@ def _reference_tower(gens, pk, field, degree_limit=None):
         nxt = pk.with_components(len(basis))
         cw, cw2, cmask = lvl.cw, nxt.cw, lvl.cmask
         live = {b.lm & cmask for b in basis}
-        reducers = groebner._reducers(
-            sorted(basis, key=lambda b: sum(t & cmask in live for t, _ in b.tail)), lvl
-        )
+        buckets = {}
+        for b in sorted(basis, key=lambda b: sum(t & cmask in live for t, _ in b.tail)):
+            buckets.setdefault(b.lm & cmask, []).append(b)
+
+        def reducers(m, buckets=buckets, cmask=cmask):
+            return buckets.get(m & cmask, ())
+
         lms = [b.lm for b in basis]
         new_basis, new_twists, scalars = [], {}, []
         for i, j, mij in pairs:
@@ -1102,7 +1172,7 @@ def _assert_retained_pairs_minimal(res):
     below = 1
     for _, records, _ in levels:
         lvl = pk.with_components(below)
-        leads = [(e[:-1], e[-1]) for e in map(lvl.unpack, (g.lm for g in records))]
+        leads = [(lvl.unpack(g.lm), g.lm & lvl.cmask) for g in records]
         want, ties = _minimal_quotient_pairs(leads)
         got = {(i, j, pk.unpack(mij)) for i, j, mij in resolution._retained_pairs(records, lvl, pk)}
         assert got == want
