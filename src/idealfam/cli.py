@@ -13,10 +13,10 @@ TARGET is family parameters such as ``2:(2,1,2)``, ``caviglia D`` or
 ``mccullough M N D``; PARAMS is family parameters only.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 invalid input,
-3 resource limit exceeded, 4 internal error (a bug in idealfam, not in
-the input), 141 the reader of stdout closed it before the output was
-written (128 + SIGPIPE, what a shell reports for a writer the signal
-ends; nothing is printed).
+3 resource limit exceeded (no room left for the output counts as one),
+4 internal error (a bug in idealfam, not in the input), 141 the reader of
+stdout closed it before the output was written (128 + SIGPIPE, what a
+shell reports for a writer the signal ends; nothing is printed).
 
 Only ``betti`` needs the resolution layer, so it imports it when it runs:
 the other commands then never compile it, which matters where no bytecode
@@ -26,9 +26,11 @@ cache is written and every process compiles its modules afresh.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import os
+import stat
 import sys
 from functools import lru_cache
 
@@ -155,15 +157,47 @@ def _m2_script(ideal, compute_betti=False):
     return "\n".join(lines) + "\n"
 
 
+# A write that fails for want of room is a resource limit, not bad input.
+_NO_ROOM = (errno.ENOSPC, errno.EDQUOT, errno.EFBIG)
+
+
+def _out_error(path, err):
+    kind = ResourceLimitError if err.errno in _NO_ROOM else ValidationError
+    return kind(f"cannot write --out {path}: {err.strerror}")
+
+
 def _emit(text, args):
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as err:
-            raise ValidationError(f"cannot write --out {args.out}: {err.strerror}") from None
-    else:
+    """Print ``text``, or write it with a final newline to ``--out``.
+
+    The file is overwritten in place and then trimmed to the bytes written;
+    it is never truncated to zero first.  Where the file system discards
+    freed blocks (ext4 mounted with ``discard``), ``open(path, "w")`` spends
+    60-90 ms in ``O_TRUNC`` on a file that holds data, whatever its size,
+    where the sweep it reports takes 2 ms; the in-place rewrite of a 40 KB
+    file takes about 0.01 ms.  Replacing the file by a new one costs as much,
+    since freeing the old inode frees its blocks.
+    """
+    if not args.out:
         print(text)
+        return
+    try:
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as err:
+        raise _out_error(args.out, err) from None
+    # Devices and pipes (/dev/null, /dev/full) have no tail to trim.
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    try:
+        with open(fd, "w", closefd=False) as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+        if regular:
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as err:
+        if regular:
+            # No old bytes may outlast a failed write past the new ones.
+            os.ftruncate(fd, 0)
+        raise _out_error(args.out, err) from None
+    finally:
+        os.close(fd)
 
 
 def cmd_construct(args) -> int:
@@ -475,10 +509,18 @@ def console_main():
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # Point stdout at devnull, so the flush at exit does not fail again
-        # (the recipe of the Python docs, "Note on SIGPIPE").
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
+    except OSError as err:
+        if err.errno not in _NO_ROOM:
+            raise
+        print(f"resource limit: cannot write standard output: {err.strerror}",
+              file=sys.stderr)
+        code = EXIT_RESOURCE_LIMIT
+    else:
+        raise SystemExit(code)
+    # Point stdout at devnull, so the flush at exit does not fail again
+    # (the recipe of the Python docs, "Note on SIGPIPE").
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     raise SystemExit(code)
 
 

@@ -139,13 +139,16 @@ PINNED = {
 }
 
 
-def observe(line, tmp_dir):
+def observe(line, tmp_dir, stale=None):
     """Run one command line; return (exit code, output, stderr).
 
     A ``{out}`` placeholder becomes a file under ``tmp_dir`` whose contents
-    stand in for stdout.
+    stand in for stdout; with ``stale`` the file holds that text beforehand.
     """
     out_path = os.path.join(tmp_dir, "out.txt")
+    if stale is not None:
+        with open(out_path, "w") as fh:
+            fh.write(stale)
     argv = [part.replace("{out}", out_path) for part in line.split()]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -179,4 +182,9 @@ def record():
 @pytest.mark.parametrize("line", MATRIX)
 def test_cli_output_pinned(line, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text
-    assert digest(*observe(line, str(tmp_path))) == PINNED[line]
+    code, printed, err = observe(line, str(tmp_path))
+    assert digest(code, printed, err) == PINNED[line]
+    if "{out}" in line:
+        # --out is rewritten in place: a longer file there leaves no tail.
+        stale = printed + "stale\n" * 1000
+        assert digest(*observe(line, str(tmp_path), stale)) == PINNED[line]
